@@ -73,5 +73,6 @@ from .open_system import (
     floquet_greens,
     lindblad_rhs,
     occupation_function,
+    one_period_map,
     spectral_function,
 )

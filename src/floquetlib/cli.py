@@ -59,6 +59,8 @@ NUMERIC_DEFAULTS = {
     "max_periods": 2000,
     "steps_per_period": 256,
 }
+INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "n_steps", "max_periods",
+                "steps_per_period")
 
 
 class ConfigError(ValueError):
@@ -136,6 +138,15 @@ def validate_config(raw):
         _require(_is_number(value), f"numerics.{key}", "must be a number")
         if key not in ("k_min", "k_max"):
             _require(value > 0, f"numerics.{key}", f"must be positive, got {value!r}")
+        if key in INTEGER_KEYS:
+            _require(isinstance(value, int) or value.is_integer(), f"numerics.{key}",
+                     f"must be an integer, got {value!r}")
+    if "M" in numerics and model in ("chain1d", "honeycomb"):
+        # these models take their mode cutoff from n_max; the Sambe
+        # matrix needs M >= n_max
+        n_max = numerics.get("n_max", models.suggested_n_max(amplitude))
+        _require(numerics["M"] >= n_max, "numerics.M",
+                 f"must be >= n_max = {n_max}, got {numerics['M']!r}")
 
     bath = raw.get("bath", {})
     if task == "greens":
@@ -225,10 +236,6 @@ def _k_grid(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(x):
-    return f"{x:.12g}"
-
-
 def _write_atomic(path, text):
     tmp = path + ".tmp"
     with open(tmp, "w") as handle:
@@ -237,9 +244,11 @@ def _write_atomic(path, text):
 
 
 def _write_csv(path, header, rows):
+    """Rows share their column types: floats as %.12g, anything else as str."""
     lines = [header]
-    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                 for row in rows)
+    if rows:
+        template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

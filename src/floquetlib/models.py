@@ -203,9 +203,9 @@ def fourier_modes(sampler, omega, n_max, n_samples=None):
     periodic integrands the plain Riemann sum is spectrally accurate.
     Requires n_samples >= 4 n_max + 1 to keep aliases out of the kept
     window. Warns when the edge mode carries more than 1e-3 of the
-    time-average's weight (cutoff likely too small); note the scale is
-    set by H_0, so the check turns conservative when the time average
-    itself is tuned to zero.
+    largest mode's weight (cutoff likely too small); scaling by the
+    largest mode rather than H_0 keeps the check quiet when the time
+    average itself is tuned to zero.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -234,11 +234,10 @@ def fourier_modes(sampler, omega, n_max, n_samples=None):
     mode_set = FourierModeSet(omega, modes)
     if n_max > 0:
         edge = mode_set.max_mode_norm(n_max)
-        scale = mode_set.max_mode_norm(0)
-        overall = max(mode_set.max_mode_norm(n) for n in range(n_max + 1))
-        if edge > 1e-3 * scale and edge > 1e-12 * max(overall, 1e-300):
+        scale = max(mode_set.max_mode_norm(n) for n in range(n_max + 1))
+        if edge > 1e-3 * scale:
             warnings.warn(
-                f"possible aliasing: |H_{n_max}| = {edge:.3e} exceeds 1e-3 |H_0| = "
+                f"possible aliasing: |H_{n_max}| = {edge:.3e} exceeds 1e-3 max_n |H_n| = "
                 f"{1e-3 * scale:.3e}; consider raising n_max",
                 stacklevel=2)
     return mode_set

@@ -196,15 +196,12 @@ class LindbladTrajectory:
         return self.states[-1]
 
 
-def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
-    """Classical fourth-order one-step integration of the master equation.
+def _step_grid(system: LindbladSystem, t0, t1, dt):
+    """Step count and uniform step for [t0, t1] at nominal dt.
 
-    No per-step renormalization: trace drift and negativity are
-    diagnostics for integrator or model trouble and are reported through
-    warnings rather than silently repaired. dt must satisfy the
-    stability heuristic dt (|H| + sum |L_j|^2) < 0.1.
+    Enforces the stability heuristic dt (|H| + sum |L_j|^2) < 0.1, with
+    |H| sampled at a few points of the span.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must have t1 > t0")
     jump_load = sum(np.linalg.norm(op, 2) ** 2 for op in system.jumps)
@@ -216,13 +213,17 @@ def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
             f"dt={dt} too large for stability: dt (|H| + sum |L|^2) = "
             f"{dt * (h_norm + jump_load):.3f} >= 0.1")
     n_steps = max(1, int(round((t1 - t0) / dt)))
-    step = (t1 - t0) / n_steps
-    rho = np.asarray(rho0, dtype=complex).copy()
-    trace0 = np.trace(rho)
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, system.dim, system.dim), dtype=complex)
-    times[0] = t0
-    states[0] = rho
+    return n_steps, (t1 - t0) / n_steps
+
+
+def _rk4(system: LindbladSystem, rho, t0, step, n_steps, states=None):
+    """n_steps classical RK4 steps from rho at t0; returns the final state.
+
+    rho is one matrix or a (n, dim, dim) stack: the right-hand side is
+    linear and broadcasts over the leading axis, so a stack costs the
+    same sampler calls as one state. When given, states[i] receives the
+    state after step i (states[0] is left to the caller).
+    """
     t = t0
     for i in range(n_steps):
         k1 = lindblad_rhs(system, rho, t)
@@ -231,11 +232,32 @@ def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
         k4 = lindblad_rhs(system, rho + step * k3, t + step)
         rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t0 + (i + 1) * step
-        times[i + 1] = t
-        states[i + 1] = rho
-    drift = abs(np.trace(rho) - trace0)
+        if states is not None:
+            states[i + 1] = rho
+    return rho
+
+
+def _warn_trace_drift(drift):
     if drift > 1e-6:
-        warnings.warn(f"trace drift {drift:.2e} > 1e-6 over the trajectory", stacklevel=2)
+        warnings.warn(f"trace drift {drift:.2e} > 1e-6 over the trajectory", stacklevel=3)
+
+
+def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
+    """Classical fourth-order one-step integration of the master equation.
+
+    No per-step renormalization: trace drift and negativity are
+    diagnostics for integrator or model trouble and are reported through
+    warnings rather than silently repaired. dt must satisfy the
+    stability heuristic dt (|H| + sum |L_j|^2) < 0.1.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n_steps, step = _step_grid(system, t0, t1, dt)
+    rho = np.asarray(rho0, dtype=complex).copy()
+    times = t0 + np.arange(n_steps + 1) * step
+    states = np.empty((n_steps + 1, system.dim, system.dim), dtype=complex)
+    states[0] = rho
+    rho = _rk4(system, rho, t0, step, n_steps, states)
+    _warn_trace_drift(abs(np.trace(rho) - np.trace(states[0])))
     floor = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
     if floor < -1e-6:
         warnings.warn(f"density matrix developed negativity {floor:.2e}", stacklevel=2)
@@ -256,30 +278,54 @@ class PeriodicSteadyState:
         return self.states[0]
 
 
+def one_period_map(system: LindbladSystem, omega, steps_per_period=256):
+    """The RK4 one-period map Phi_T as a (dim^2, dim^2) matrix.
+
+    Acts on row-major flattened density matrices: Phi_T(rho) equals
+    (phi @ rho.ravel()).reshape(dim, dim) up to rounding. Built by one
+    evolve_lindblad-equivalent period on the stack of dim^2 matrix units,
+    which is exact because RK4 applied to the linear GKSL equation is
+    itself linear. Same stability check and trace-drift warning as
+    evolve_lindblad (drift taken over the images of the basis).
+    """
+    period = 2.0 * np.pi / omega
+    n_steps, step = _step_grid(system, 0.0, period, period / steps_per_period)
+    d2 = system.dim ** 2
+    basis = np.eye(d2, dtype=complex).reshape(d2, system.dim, system.dim)
+    images = _rk4(system, basis, 0.0, step, n_steps)
+    traces = np.trace(images, axis1=1, axis2=2) - np.trace(basis, axis1=1, axis2=2)
+    _warn_trace_drift(float(np.max(np.abs(traces))))
+    return images.reshape(d2, d2).T
+
+
 def find_ness(system: LindbladSystem, omega, tol=1e-9, max_periods=2000,
               steps_per_period=256):
     """Time-periodic steady state as a fixed point of the one-period map.
 
-    Iterates rho -> Phi_T(rho) from the maximally mixed state until the
-    stroboscopic change drops below tol, then returns the state sampled
-    over one period (endpoints included, so states[-1] vs states[0] shows
-    the periodicity residual directly). Raises on non-convergence with
-    the final residual in the message. Requires dissipation: at least
-    one nonzero jump operator.
+    Builds the RK4 one-period map Phi_T once as a dim^2 x dim^2 matrix
+    (one_period_map) and iterates rho -> Phi_T(rho) as a matrix-vector
+    product from the maximally mixed state until the stroboscopic change
+    drops below tol; `periods` counts these iterations, exactly as if
+    each period were integrated. Then returns the state sampled over one
+    integrated period (endpoints included, so states[-1] vs states[0]
+    shows the periodicity residual directly). Raises on non-convergence
+    with the final residual in the message. Requires dissipation: at
+    least one nonzero jump operator.
     """
     if not system.jumps or all(np.max(np.abs(op)) == 0.0 for op in system.jumps):
         raise ValueError("steady-state search needs at least one nonzero jump operator")
     period = 2.0 * np.pi / omega
-    dt = period / steps_per_period
-    rho = np.eye(system.dim, dtype=complex) / system.dim
+    phi = one_period_map(system, omega, steps_per_period)
+    dim = system.dim
+    rho = (np.eye(dim, dtype=complex) / dim).ravel()
     residual = np.inf
     for iteration in range(1, max_periods + 1):
-        traj = evolve_lindblad(system, rho, (0.0, period), dt)
-        nxt = traj.final
+        nxt = phi @ rho
         residual = float(np.max(np.abs(nxt - rho)))
         rho = nxt
         if residual < tol:
-            final = evolve_lindblad(system, rho, (0.0, period), dt)
+            final = evolve_lindblad(system, rho.reshape(dim, dim), (0.0, period),
+                                    period / steps_per_period)
             return PeriodicSteadyState(
                 times=final.times, states=final.states,
                 residual=residual, periods=iteration)

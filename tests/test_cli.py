@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import floquetlib as fq
+from floquetlib import cli
 from floquetlib.cli import ConfigError, main, validate_config
 
 
@@ -58,12 +60,47 @@ class TestValidation:
         with pytest.raises(ConfigError, match="custom_modes"):
             validate_config(payload)
 
+    def test_rejects_replica_cutoff_below_mode_cutoff(self, tmp_path):
+        payload = spectrum_config(tmp_path, numerics={"n_max": 10, "M": 8})
+        with pytest.raises(ConfigError, match="numerics.M"):
+            validate_config(payload)
+        # the default n_max (11 at amplitude 1) counts too
+        payload = spectrum_config(tmp_path, numerics={"M": 10})
+        with pytest.raises(ConfigError, match="numerics.M"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["n_max", "M", "n_k", "Nk", "nu_points", "n_steps",
+                                     "max_periods", "steps_per_period"])
+    def test_rejects_nonintegral_integer_keys(self, tmp_path, key):
+        payload = spectrum_config(tmp_path, numerics={key: 20.7})
+        with pytest.raises(ConfigError, match=f"numerics.{key}"):
+            validate_config(payload)
+
+    def test_accepts_integral_floats(self, tmp_path):
+        cfg = validate_config(spectrum_config(
+            tmp_path, numerics={"n_max": 10.0, "M": 16.0, "n_k": 64.0}))
+        assert (cfg.n_max, cfg.m_cut, int(cfg.numeric("n_k"))) == (10, 16, 64)
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         good = write_config(tmp_path, spectrum_config(tmp_path))
         assert main(["validate", good]) == 0
         bad = write_config(tmp_path, spectrum_config(tmp_path, drive={"omega": -2.0}),
                            name="bad.json")
         assert main(["validate", bad]) == 2
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    rows = [(0.5, 3, -0.0, math.inf, 1e-300, 1e8),
+            (-1.0 / 3.0, -7, 0.0, -math.inf, 2.5e-7, 123456789012.5),
+            (1e8, 0, -0.0, 1e300, -1e-300, 12.0)]
+    path = str(tmp_path / "rows.csv")
+    cli._write_csv(path, "a,b,c,d,e,f", rows)
+    expected = "a,b,c,d,e,f\n" + "".join(
+        ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
+    assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
 
 
 class TestRun:

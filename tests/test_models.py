@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,24 @@ class TestFourierModes:
         drive = DriveProtocol(omega=3.0, amplitude=2.5)
         with pytest.warns(UserWarning, match="aliasing"):
             fourier_modes(lambda t: sample_chain_1d(0.3, 1.0, drive, t), drive.omega, 2)
+
+    def test_vanishing_time_average_is_silent(self):
+        # chain at k = pi/2: |H_0| ~ 1e-19 while H_1 carries the drive;
+        # the edge mode is tiny next to the largest mode
+        drive = DriveProtocol(omega=8.0, amplitude=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modes = fourier_modes(
+                lambda t: sample_chain_1d(np.pi / 2, 1.0, drive, t), drive.omega,
+                suggested_n_max(1.0))
+        assert modes.max_mode_norm(0) < 1e-15
+
+    def test_vanishing_time_average_underresolved_warns(self):
+        # same k, strong drive cut at n_max = 3: J_3(8) exceeds J_1(8)
+        drive = DriveProtocol(omega=8.0, amplitude=8.0)
+        with pytest.warns(UserWarning, match="aliasing"):
+            fourier_modes(lambda t: sample_chain_1d(np.pi / 2, 1.0, drive, t),
+                          drive.omega, 3)
 
 
 class TestModeSetInvariants:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -255,6 +256,29 @@ class TestEvolveLindblad:
         assert np.max(np.abs(one_more.final - settle.final)) < 1e-7
 
 
+class TestOnePeriodMap:
+    def test_matches_one_integrated_period(self):
+        omega, gamma = 2.0 * np.pi, 0.4
+        system = fq.LindbladSystem(
+            hamiltonian=lambda t: 0.4 * SIGMA_Z + 0.7 * np.cos(omega * t) * SIGMA_X,
+            jumps=[np.sqrt(gamma) * LOWERING])
+        rng = np.random.default_rng(7)
+        root = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = root @ root.conj().T
+        rho /= np.trace(rho)
+        phi = fq.one_period_map(system, omega, steps_per_period=256)
+        period = 2.0 * np.pi / omega
+        stepped = fq.evolve_lindblad(system, rho, (0.0, period), period / 256).final
+        assert phi.shape == (4, 4)
+        assert np.max(np.abs((phi @ rho.ravel()).reshape(2, 2) - stepped)) < 1e-13
+
+    def test_rejects_unstable_step_before_building(self):
+        system = fq.LindbladSystem(hamiltonian=lambda t: 30.0 * SIGMA_Z,
+                                   jumps=[LOWERING])
+        with pytest.raises(ValueError, match="stability"):
+            fq.find_ness(system, omega=2.0 * np.pi, steps_per_period=16)
+
+
 class TestFindNESS:
     def driven_system(self, gamma=0.4):
         omega = 2.0 * np.pi
@@ -293,6 +317,33 @@ class TestFindNESS:
         system = fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z, jumps=[])
         with pytest.raises(ValueError, match="jump"):
             fq.find_ness(system, omega=1.0)
+
+    def test_same_periods_and_residual_as_period_stepping(self):
+        system, omega = self.driven_system()
+        tol = 1e-10
+        ness = fq.find_ness(system, omega, tol=tol)
+        period = 2.0 * np.pi / omega
+        rho = np.eye(2, dtype=complex) / 2
+        for periods in range(1, 2001):
+            nxt = fq.evolve_lindblad(system, rho, (0.0, period), period / 256).final
+            residual = float(np.max(np.abs(nxt - rho)))
+            rho = nxt
+            if residual < tol:
+                break
+        assert ness.periods == periods
+        assert ness.residual == pytest.approx(residual, rel=1e-4)
+        assert np.max(np.abs(ness.rho0 - rho)) < 1e-13
+
+    def test_weak_damping_converges_fast(self):
+        # gamma = 0.02 needs ~940 periods; each is one matrix-vector product
+        drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
+        system = fq.LindbladSystem(
+            hamiltonian=lambda t: fq.sample_dirac(0.0, 0.0, drive, t),
+            jumps=[np.sqrt(0.02) * LOWERING])
+        started = time.monotonic()
+        ness = fq.find_ness(system, drive.omega)
+        assert time.monotonic() - started < 1.0
+        assert ness.residual < 1e-9
 
     def test_nonconvergence_reports_residual(self):
         system, omega = self.driven_system(gamma=0.05)

@@ -70,15 +70,16 @@ class TestChernNumber:
         assert numbers == [1, -1]
 
 
-class TestDrivenHoneycomb:
-    @pytest.fixture(scope="class")
-    def driven_grid(self):
-        drive = fq.DriveProtocol(omega=10.0, amplitude=1.0, polarization="circular")
-        n_max = fq.suggested_n_max(1.0)
-        solver = fq.floquet_band_solver(
-            lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, n_max), n_max + 6)
-        return fq.band_grid(solver, 24)
+@pytest.fixture(scope="module")
+def driven_grid():
+    drive = fq.DriveProtocol(omega=10.0, amplitude=1.0, polarization="circular")
+    n_max = fq.suggested_n_max(1.0)
+    solver = fq.floquet_band_solver(
+        lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, n_max), n_max + 6)
+    return fq.band_grid(solver, 24)
 
+
+class TestDrivenHoneycomb:
     def test_chern_numbers(self, driven_grid):
         numbers = [fq.chern_number(fq.berry_curvature_grid(driven_grid, b))
                    for b in range(2)]
