@@ -76,7 +76,7 @@ class RunConfig:
     numerics: dict = field(default_factory=dict)
     bath: dict = field(default_factory=dict)
     lindblad: dict = field(default_factory=dict)
-    custom_triples: list = field(default_factory=list)
+    custom_modes: models.FourierModeSet = None
     write_curvature: bool = False
     summary_metric: str = ""
     raw: dict = field(default_factory=dict)
@@ -93,6 +93,15 @@ class RunConfig:
     def m_cut(self):
         got = self.numerics.get("M")
         return int(got) if got is not None else self.n_max + 6
+
+    @property
+    def mode_cutoff(self):
+        """Largest harmonic in the model's mode sets."""
+        if self.model == "dirac":
+            return 1
+        if self.model == "custom":
+            return self.custom_modes.n_max
+        return self.n_max
 
 
 def _require(cond, key, message):
@@ -141,13 +150,6 @@ def validate_config(raw):
         if key in INTEGER_KEYS:
             _require(isinstance(value, int) or value.is_integer(), f"numerics.{key}",
                      f"must be an integer, got {value!r}")
-    if "M" in numerics and model in ("chain1d", "honeycomb"):
-        # these models take their mode cutoff from n_max; the Sambe
-        # matrix needs M >= n_max
-        n_max = numerics.get("n_max", models.suggested_n_max(amplitude))
-        _require(numerics["M"] >= n_max, "numerics.M",
-                 f"must be >= n_max = {n_max}, got {numerics['M']!r}")
-
     bath = raw.get("bath", {})
     if task == "greens":
         _require(isinstance(bath, dict), "bath", "must be an object")
@@ -172,10 +174,15 @@ def validate_config(raw):
                  and all(_is_number(v) for v in kpt), "lindblad.k",
                  "must be a [kx, ky] pair")
 
-    triples = raw.get("custom_modes", [])
+    custom = None
     if model == "custom":
+        triples = raw.get("custom_modes")
         _require(isinstance(triples, list) and triples, "custom_modes",
                  "custom model needs a non-empty list of (n, re, im) triples")
+        try:
+            custom = models.custom_modes(float(omega), triples)
+        except ValueError as exc:
+            raise ConfigError(f"custom_modes: {exc}") from None
 
     if task == "chern":
         _require(model in ("honeycomb", "custom"), "model",
@@ -184,7 +191,7 @@ def validate_config(raw):
     metric = raw.get("summary_metric", "")
     _require(isinstance(metric, str), "summary_metric", "must be a string")
 
-    return RunConfig(
+    cfg = RunConfig(
         model=model, task=task,
         drive=models.DriveProtocol(omega=float(omega), amplitude=float(amplitude),
                                    polarization=polarization),
@@ -192,11 +199,19 @@ def validate_config(raw):
         numerics=dict(numerics),
         bath=dict(bath),
         lindblad=dict(lindblad),
-        custom_triples=list(triples),
+        custom_modes=custom,
         write_curvature=bool(raw.get("write_curvature", False)),
         summary_metric=metric,
         raw=copy.deepcopy(raw),
     )
+    if "M" in numerics or task in ("spectrum", "chern", "greens"):
+        # the Sambe matrix needs M >= the model's mode cutoff, and replica
+        # selection (spectrum, chern) two blocks of margin beyond it
+        need = cfg.mode_cutoff + (2 if task in ("spectrum", "chern") else 0)
+        _require(cfg.m_cut >= need, "numerics.M",
+                 f"must be >= {need} for mode cutoff {cfg.mode_cutoff} in task {task!r}, "
+                 f"got {cfg.m_cut}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +227,7 @@ def _mode_builder(cfg: RunConfig):
         return lambda kx, ky=0.0: models.dirac_modes(kx, ky, drive)
     if cfg.model == "honeycomb":
         return lambda kx, ky=0.0: models.honeycomb_modes(kx, ky, 1.0, drive, n_max)
-    mode_set = models.custom_modes(cfg.drive.omega, cfg.custom_triples)
-    return lambda kx=0.0, ky=0.0: mode_set
+    return lambda kx=0.0, ky=0.0: cfg.custom_modes
 
 
 def _sampler(cfg: RunConfig, kx, ky=0.0):
@@ -224,8 +238,7 @@ def _sampler(cfg: RunConfig, kx, ky=0.0):
         return lambda t: models.sample_dirac(kx, ky, drive, t)
     if cfg.model == "honeycomb":
         return lambda t: models.sample_honeycomb(kx, ky, 1.0, drive, t)
-    mode_set = models.custom_modes(cfg.drive.omega, cfg.custom_triples)
-    return mode_set.sample
+    return cfg.custom_modes.sample
 
 
 def _k_grid(cfg: RunConfig):
@@ -422,15 +435,18 @@ def run_sweep(raw, parameter, values, workers=None):
     """
     if not values:
         raise ConfigError("--values: at least one value required")
+    leaf = parameter.split(".")[-1]
+    names = [f"{leaf}_{value:.10g}" for value in values]
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    _require(not clashes, "--values", f"values share an output directory: {clashes}")
     base = validate_config(raw)  # fail fast before spawning work
     root = base.output
     os.makedirs(root, exist_ok=True)
-    leaf = parameter.split(".")[-1]
 
-    def one(value):
+    def one(value, name):
         raw_v = copy.deepcopy(raw)
         _set_by_path(raw_v, parameter, value)
-        raw_v["output"] = os.path.join(root, f"{leaf}_{value:.10g}")
+        raw_v["output"] = os.path.join(root, name)
         cfg = validate_config(raw_v)
         return run_config(cfg)
 
@@ -439,7 +455,7 @@ def run_sweep(raw, parameter, values, workers=None):
     workers = max(1, min(workers, len(values)))
     results, failures = {}, {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(one, v): v for v in values}
+        futures = {pool.submit(one, v, name): v for v, name in zip(values, names)}
         for fut in concurrent.futures.as_completed(futures):
             value = futures[fut]
             try:

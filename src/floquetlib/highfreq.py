@@ -53,12 +53,11 @@ def van_vleck_hf(modes: FourierModeSet):
     is Hermitian because [H_-n, H_n]^dagger = [H_-n, H_n] under the
     pairing H_-n = H_n^dagger. The correction vanishes as omega -> inf.
     """
-    h0 = modes.mode(0).copy()
-    correction = np.zeros_like(h0)
-    for n in range(1, modes.n_max + 1):
-        hp = modes.mode(n)
-        hm = modes.mode(-n)
-        correction += (hm @ hp - hp @ hm) / (n * modes.omega)
+    n_max = modes.n_max
+    h0 = modes.modes[n_max].copy()
+    hp, hm = modes.modes[n_max + 1:], modes.modes[:n_max][::-1]
+    ns = np.arange(1, n_max + 1)
+    correction = np.sum((hm @ hp - hp @ hm) / (ns * modes.omega)[:, None, None], axis=0)
     return EffectiveHamiltonianReport(
         h0=h0, correction=correction, total=h0 + correction, omega=modes.omega)
 

@@ -136,61 +136,61 @@ def haldane_bloch(kx, ky, j_eff, k_eff):
 class FourierModeSet:
     """Drive frequency plus the Fourier modes {H_n} of a periodic Hamiltonian.
 
-    Modes are stored for every n in [-n_max, n_max]; missing keys are
-    treated as zero. Construction enforces the Hermitian pairing
-    H_{-n} = H_n^dagger to 1e-10 and a common matrix dimension.
+    `modes` is one complex array of shape (2 n_max + 1, d, d) holding H_n
+    at index n + n_max, so `dim` and `n_max` follow from its shape and
+    H_{-n} sits at the mirrored index. Construction rejects an even
+    leading axis or non-square modes and enforces the Hermitian pairing
+    H_{-n} = H_n^dagger to 1e-10.
     """
 
     omega: float
-    modes: dict = field(repr=False)
+    modes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.omega <= 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if 0 not in self.modes:
-            raise ValueError("mode n=0 must be present (it may be zero)")
-        dim = np.asarray(self.modes[0]).shape[0]
-        cleaned = {}
-        for n, mat in self.modes.items():
-            arr = np.asarray(mat, dtype=complex)
-            if arr.shape != (dim, dim):
-                raise ValueError(f"mode {n} has shape {arr.shape}, expected {(dim, dim)}")
-            cleaned[int(n)] = arr
-        for n in cleaned:
-            partner = cleaned.get(-n)
-            if partner is None:
-                raise ValueError(f"mode {-n} missing while mode {n} is present")
-            err = np.max(np.abs(cleaned[-n] - cleaned[n].conj().T))
-            if err > HERMITICITY_TOL:
-                raise ValueError(
-                    f"modes violate H_-n = H_n^dagger at n={n} (error {err:.2e})")
-        object.__setattr__(self, "modes", cleaned)
+        modes = np.asarray(self.modes, dtype=complex)
+        if modes.ndim != 3 or modes.shape[0] % 2 == 0 or modes.shape[1] != modes.shape[2]:
+            raise ValueError(
+                f"modes must have shape (2 n_max + 1, d, d), got {modes.shape}")
+        errs = np.max(np.abs(modes[::-1] - modes.conj().transpose(0, 2, 1)), axis=(1, 2))
+        worst = int(np.argmax(errs))
+        if errs[worst] > HERMITICITY_TOL:
+            raise ValueError(
+                f"modes violate H_-n = H_n^dagger at n={abs(worst - modes.shape[0] // 2)} "
+                f"(error {errs[worst]:.2e})")
+        object.__setattr__(self, "modes", modes)
 
     @property
     def dim(self):
-        return self.modes[0].shape[0]
+        return self.modes.shape[1]
 
     @property
     def n_max(self):
-        return max(abs(n) for n in self.modes)
+        return self.modes.shape[0] // 2
 
     def mode(self, n):
-        """H_n, a zero matrix when |n| exceeds the stored cutoff."""
-        got = self.modes.get(int(n))
-        if got is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return got
+        """H_n, zero where |n| > n_max.
+
+        An integer n gives the stored (d, d) block itself, not a copy; an
+        integer array gives the stack of shape n.shape + (d, d).
+        """
+        n = np.asarray(n)
+        inside = np.abs(n) <= self.n_max
+        if n.ndim == 0 and inside:
+            return self.modes[n + self.n_max]
+        # one trailing zero block stands in for every harmonic past n_max
+        padded = np.concatenate([self.modes, np.zeros((1, self.dim, self.dim), complex)])
+        return padded[np.where(inside, n + self.n_max, -1)]
 
     def sample(self, t):
         """Reconstruct H(t) = sum_n H_n exp(-i n omega t)."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for n, mat in self.modes.items():
-            total += mat * np.exp(-1j * n * self.omega * t)
-        return total
+        ns = np.arange(-self.n_max, self.n_max + 1)
+        return np.tensordot(np.exp(-1j * ns * self.omega * t), self.modes, axes=(0, 0))
 
     def time_reversed(self):
         """Mode set of H(-t): reverses the handedness of a circular drive."""
-        return FourierModeSet(self.omega, {-n: m.copy() for n, m in self.modes.items()})
+        return FourierModeSet(self.omega, self.modes[::-1])
 
     def max_mode_norm(self, n):
         return float(np.max(np.abs(self.mode(n))))
@@ -220,51 +220,41 @@ def fourier_modes(sampler, omega, n_max, n_samples=None):
     herm = np.max(np.abs(samples - samples.conj().transpose(0, 2, 1)))
     if herm > 1e-9:
         raise ValueError(f"sampler is not Hermitian on the time grid (error {herm:.2e})")
-    modes = {}
-    for n in range(-n_max, n_max + 1):
-        phase = np.exp(1j * n * omega * ts)
-        modes[n] = np.tensordot(phase, samples, axes=(0, 0)) / n_samples
+    ns = np.arange(-n_max, n_max + 1)
+    phases = np.exp(1j * ns[:, None] * omega * ts)
+    raw = np.tensordot(phases, samples, axes=(1, 0)) / n_samples
     # symmetrize the pairing: exact for Hermitian samples, and keeps the
     # construction from tripping on last-bit rounding
-    for n in range(1, n_max + 1):
-        paired = 0.5 * (modes[n] + modes[-n].conj().T)
-        modes[n] = paired
-        modes[-n] = paired.conj().T
-    modes[0] = 0.5 * (modes[0] + modes[0].conj().T)
-    mode_set = FourierModeSet(omega, modes)
-    if n_max > 0:
-        edge = mode_set.max_mode_norm(n_max)
-        scale = max(mode_set.max_mode_norm(n) for n in range(n_max + 1))
-        if edge > 1e-3 * scale:
-            warnings.warn(
-                f"possible aliasing: |H_{n_max}| = {edge:.3e} exceeds 1e-3 max_n |H_n| = "
-                f"{1e-3 * scale:.3e}; consider raising n_max",
-                stacklevel=2)
+    mode_set = FourierModeSet(omega, 0.5 * (raw + raw[::-1].conj().transpose(0, 2, 1)))
+    norms = np.max(np.abs(mode_set.modes), axis=(1, 2))
+    edge, scale = norms[-1], np.max(norms[n_max:])
+    if n_max > 0 and edge > 1e-3 * scale:
+        warnings.warn(
+            f"possible aliasing: |H_{n_max}| = {edge:.3e} exceeds 1e-3 max_n |H_n| = "
+            f"{1e-3 * scale:.3e}; consider raising n_max",
+            stacklevel=2)
     return mode_set
+
+
+def _bessel_orders(n_max, x):
+    """Orders n = -n_max..n_max and J_n(x), one evaluation per order."""
+    ns = np.arange(-n_max, n_max + 1)
+    return ns, np.array([bessel_j(n, x) for n in ns])
 
 
 def chain_modes(k, hopping, drive, n_max):
     """Closed-form modes of the driven chain, H_n = -J J_n(z)((-1)^n e^{ik} + e^{-ik})."""
-    z = drive.amplitude
-    modes = {}
-    for n in range(-n_max, n_max + 1):
-        coeff = -hopping * bessel_j(n, z) * (((-1.0) ** n) * np.exp(1j * k) + np.exp(-1j * k))
-        modes[n] = np.array([[coeff]], dtype=complex)
-    return FourierModeSet(drive.omega, modes)
+    ns, jn = _bessel_orders(n_max, drive.amplitude)
+    coeff = -hopping * jn * (((-1.0) ** ns) * np.exp(1j * k) + np.exp(-1j * k))
+    return FourierModeSet(drive.omega, coeff.reshape(-1, 1, 1))
 
 
 def dirac_modes(kx, ky, drive):
     """Closed-form modes of the driven Dirac point (single harmonic)."""
     if drive.polarization != "circular":
         raise ValueError("the driven Dirac model requires circular polarization")
-    a = drive.amplitude
-    h1 = -0.5 * a * (SIGMA_X + 1j * SIGMA_Y)
-    modes = {
-        0: kx * SIGMA_X + ky * SIGMA_Y,
-        1: h1,
-        -1: h1.conj().T,
-    }
-    return FourierModeSet(drive.omega, modes)
+    h1 = -0.5 * drive.amplitude * (SIGMA_X + 1j * SIGMA_Y)
+    return FourierModeSet(drive.omega, np.stack([h1.conj().T, kx * SIGMA_X + ky * SIGMA_Y, h1]))
 
 
 def honeycomb_modes(kx, ky, hopping, drive, n_max):
@@ -272,23 +262,19 @@ def honeycomb_modes(kx, ky, hopping, drive, n_max):
 
     Per bond, exp(-i A . delta_i) = exp(-i A cos(omega t - phi_i)) expands
     through the Jacobi-Anger identity, giving the off-diagonal element of
-    mode n as J sum_i e^{i k . delta_i} (-i)^n J_n(A) e^{i n phi_i}.
+    mode n as f_n = J sum_i e^{i k . delta_i} (-i)^n J_n(A) e^{i n phi_i};
+    the lower element is conj(f_{-n}).
     """
     if drive.polarization != "circular":
         raise ValueError("the driven honeycomb model requires circular polarization")
-    a = drive.amplitude
-    k = np.array([kx, ky])
-    bond_phases = np.exp(1j * (HONEYCOMB_DELTAS @ k))
+    ns, jn = _bessel_orders(n_max, drive.amplitude)
+    bond_phases = np.exp(1j * (HONEYCOMB_DELTAS @ np.array([kx, ky])))
     phis = np.arctan2(HONEYCOMB_DELTAS[:, 1], HONEYCOMB_DELTAS[:, 0])
-
-    def offdiag(n):
-        return hopping * bessel_j(n, a) * ((-1j) ** n) * np.sum(bond_phases * np.exp(1j * n * phis))
-
-    modes = {}
-    for n in range(-n_max, n_max + 1):
-        f_n = offdiag(n)
-        g_n = np.conj(offdiag(-n))
-        modes[n] = np.array([[0.0, f_n], [g_n, 0.0]], dtype=complex)
+    bonds = np.sum(bond_phases * np.exp(1j * ns[:, None] * phis), axis=1)
+    f = hopping * jn * ((-1j) ** ns) * bonds
+    modes = np.zeros((ns.size, 2, 2), dtype=complex)
+    modes[:, 0, 1] = f
+    modes[:, 1, 0] = np.conj(f)[::-1]
     return FourierModeSet(drive.omega, modes)
 
 
@@ -301,20 +287,25 @@ def custom_modes(omega, triples):
     """Mode set from (n, real part, imaginary part) triples.
 
     This is the wire format accepted by the command-line interface for
-    user-supplied models; matrices arrive as nested lists.
+    user-supplied models; matrices arrive as nested lists. Harmonics
+    missing from the list are zero; each n may appear once.
     """
-    modes = {}
-    for entry in triples:
-        if len(entry) != 3:
-            raise ValueError("each custom mode must be a (n, real, imag) triple")
-        n, re, im = entry
-        mat = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"custom mode {n} is not a square matrix")
-        modes[int(n)] = mat
-    n_max = max(abs(n) for n in modes)
-    for n in range(-n_max, n_max + 1):
-        if n not in modes:
-            dim = next(iter(modes.values())).shape[0]
-            modes[n] = np.zeros((dim, dim), dtype=complex)
+    if not triples or not all(isinstance(e, (list, tuple)) and len(e) == 3 for e in triples):
+        raise ValueError("each custom mode must be a (n, real, imag) triple")
+    ns, re, im = zip(*triples)
+    try:
+        ns = np.asarray(ns, dtype=float)
+        mats = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("custom modes need integer n and numeric matrices of one size") from None
+    if ns.ndim != 1 or np.any(ns % 1):
+        raise ValueError(f"custom mode index must be an integer, got {ns.tolist()}")
+    ns = ns.astype(int)
+    if np.unique(ns).size != ns.size:
+        raise ValueError(f"custom mode indices repeat: {ns.tolist()}")
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"custom modes are not square matrices (shape {mats.shape[1:]})")
+    n_max = int(np.max(np.abs(ns)))
+    modes = np.zeros((2 * n_max + 1,) + mats.shape[1:], dtype=complex)
+    modes[ns + n_max] = mats
     return FourierModeSet(omega, modes)

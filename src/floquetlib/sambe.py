@@ -59,25 +59,19 @@ class FloquetMatrix:
 def build_floquet_matrix(modes: FourierModeSet, m_cut):
     """Assemble the extended-space matrix from a Fourier mode set.
 
-    Block (m, n) holds H_{m-n} - m omega delta_{mn}; blocks with
-    |m - n| > n_max are zero. Rejects m_cut < n_max since that would
-    silently drop drive modes.
+    Block (m, n) holds H_{m-n} - m omega delta_{mn}: the block-Toeplitz
+    gather modes.mode(m - n) over the (2M+1)^2 index differences, which
+    is zero wherever |m - n| > n_max, plus the diagonal shift. Rejects
+    m_cut < n_max since that would silently drop drive modes.
     """
     n_max = modes.n_max
     if m_cut < n_max:
         raise ValueError(f"replica cutoff M={m_cut} must be >= n_max={n_max}")
     d = modes.dim
-    nb = 2 * m_cut + 1
-    big = np.zeros((nb * d, nb * d), dtype=complex)
-    for m in range(-m_cut, m_cut + 1):
-        for n in range(-m_cut, m_cut + 1):
-            if abs(m - n) > n_max:
-                continue
-            blockval = modes.mode(m - n).copy()
-            if m == n:
-                blockval -= m * modes.omega * np.eye(d)
-            big[(m + m_cut) * d:(m + m_cut + 1) * d,
-                (n + m_cut) * d:(n + m_cut + 1) * d] = blockval
+    ms = np.arange(-m_cut, m_cut + 1)
+    size = ms.size * d
+    big = modes.mode(ms[:, None] - ms[None, :]).transpose(0, 2, 1, 3).reshape(size, size)
+    big[np.diag_indices(size)] -= np.repeat(ms * modes.omega, d)
     return FloquetMatrix(omega=modes.omega, m_cut=m_cut, dim=d, n_max=n_max, matrix=big)
 
 

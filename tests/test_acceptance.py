@@ -193,10 +193,7 @@ def test_criterion_08_greens_functions():
                              - grid.g_retarded.conj().transpose(0, 2, 1))) < 1e-12
 
         # (b) zero drive: Keldysh obeys the equilibrium relation blockwise
-        static = fq.FourierModeSet(omega, {
-            0: np.array([[0.3]], dtype=complex),
-            1: np.zeros((1, 1), dtype=complex),
-            -1: np.zeros((1, 1), dtype=complex)})
+        static = fq.FourierModeSet(omega, np.array([[[0.0]], [[0.3]], [[0.0]]], dtype=complex))
         eq_grid = fq.floquet_greens(static, bath, 6, nu)
         energies = np.repeat(np.arange(-6, 7) * omega, 1)
         thermal = np.tanh(0.5 * 20.0 * (eq_grid.nu[:, None] + energies[None, :]))

@@ -71,6 +71,45 @@ class TestValidation:
         assert main(["run", write_config(tmp_path, payload)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("triples", [
+        [[0, [[1.0, 0.0]], [[0.0, 0.0]]]],                          # not square
+        [[0, [[1.0, 0.0], [0.0, 1.0]]]],                             # not (n, re, im)
+        [[0, [[0.0]], [[0.0]]], [1, [[1.0]], [[0.0]]],
+         [-1, [[2.0]], [[0.0]]]],                                    # H_-1 != H_1^dagger
+    ], ids=["nonsquare", "not_a_triple", "pairing"])
+    def test_malformed_custom_modes_are_config_errors(self, tmp_path, triples):
+        payload = spectrum_config(tmp_path, model="custom", custom_modes=triples)
+        with pytest.raises(ConfigError, match="custom_modes"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+
+    def test_custom_modes_parsed_once(self, tmp_path):
+        triples = [[0, [[0.3]], [[0.0]]], [1, [[0.2]], [[0.0]]], [-1, [[0.2]], [[0.0]]]]
+        cfg = validate_config(spectrum_config(tmp_path, model="custom", custom_modes=triples))
+        assert isinstance(cfg.custom_modes, fq.FourierModeSet)
+        assert cli._mode_builder(cfg)(0.4) is cfg.custom_modes
+
+    def test_replica_cutoff_below_custom_harmonics(self, tmp_path):
+        triples = [[0, [[0.3]], [[0.0]]], [3, [[0.2]], [[0.0]]], [-3, [[0.2]], [[0.0]]]]
+        payload = spectrum_config(tmp_path, model="custom", custom_modes=triples,
+                                  task="greens", bath={"gamma": 0.1},
+                                  numerics={"M": 2, "n_k": 2, "nu_points": 11})
+        with pytest.raises(ConfigError, match="numerics.M"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+
+    @pytest.mark.parametrize("task", ["spectrum", "chern"])
+    def test_replica_selection_needs_margin(self, tmp_path, task):
+        payload = spectrum_config(
+            tmp_path, model="honeycomb", task=task,
+            drive={"omega": 10.0, "amplitude": 1.0, "polarization": "circular"},
+            numerics={"n_max": 5, "M": 6, "n_k": 4, "Nk": 4})
+        with pytest.raises(ConfigError, match="numerics.M"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        payload["numerics"]["M"] = 7
+        validate_config(payload)
+
     @pytest.mark.parametrize("key", ["n_max", "M", "n_k", "Nk", "nu_points", "n_steps",
                                      "max_periods", "steps_per_period"])
     def test_rejects_nonintegral_integer_keys(self, tmp_path, key):
@@ -248,6 +287,14 @@ class TestSweep:
     def test_empty_values_rejected(self, tmp_path):
         path = write_config(tmp_path, spectrum_config(tmp_path))
         assert main(["sweep", path, "--param", "drive.amplitude", "--values", ""]) == 2
+
+    def test_values_sharing_a_directory_rejected(self, tmp_path):
+        path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
+        assert main(["sweep", path, "--param", "drive.amplitude",
+                     "--values", "0.5,0.5,0.50000000001"]) == 2
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="--values"):
+            cli.run_sweep(spectrum_config(tmp_path, task="hfe"), "drive.amplitude", [1.0, 1.0])
 
     def test_failures_recorded_not_fatal(self, tmp_path):
         payload = {

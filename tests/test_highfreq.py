@@ -11,7 +11,7 @@ K_EFF_A1_W10 = -0.03239708085906415
 
 class TestVanVleck:
     def test_commuting_modes_no_correction(self):
-        modes = fq.FourierModeSet(5.0, {0: SIGMA_Z, 1: 0.3 * SIGMA_Z, -1: 0.3 * SIGMA_Z})
+        modes = fq.FourierModeSet(5.0, np.stack([0.3 * SIGMA_Z, SIGMA_Z, 0.3 * SIGMA_Z]))
         report = fq.van_vleck_hf(modes)
         np.testing.assert_allclose(report.correction, 0.0, atol=1e-15)
         np.testing.assert_allclose(report.total, SIGMA_Z, atol=1e-15)
@@ -21,7 +21,7 @@ class TestVanVleck:
         omega = 20.0
         h1 = 0.5 * (SIGMA_X - 1j * SIGMA_Y)
         modes = fq.FourierModeSet(
-            omega, {0: np.zeros((2, 2), dtype=complex), 1: h1, -1: h1.conj().T})
+            omega, np.stack([h1.conj().T, np.zeros((2, 2), dtype=complex), h1]))
         report = fq.van_vleck_hf(modes)
         expected = (h1.conj().T @ h1 - h1 @ h1.conj().T) / omega
         np.testing.assert_allclose(report.correction, expected, atol=1e-15)

@@ -172,13 +172,28 @@ class TestFourierModes:
 
 class TestModeSetInvariants:
     def test_pairing_enforced(self):
-        bad = {0: np.zeros((2, 2)), 1: SIGMA_X, -1: 2 * SIGMA_X}
+        bad = np.stack([2 * SIGMA_X, np.zeros((2, 2)), SIGMA_X])
         with pytest.raises(ValueError, match="dagger"):
             FourierModeSet(1.0, bad)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (3, 2), (4, 1, 1)])
+    def test_malformed_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            FourierModeSet(1.0, np.zeros(shape))
+
+    def test_mode_array_zero_beyond_cutoff(self):
+        drive = DriveProtocol(omega=4.0, amplitude=1.0, polarization="circular")
+        modes = honeycomb_modes(0.3, 0.2, 1.0, drive, 3)
+        ns = np.array([[-5, -3, 0], [2, 4, 9]])
+        stack = modes.mode(ns)
+        assert stack.shape == (2, 3, 2, 2)
+        for idx, n in np.ndenumerate(ns):
+            expected = modes.modes[n + 3] if abs(n) <= 3 else np.zeros((2, 2))
+            assert np.array_equal(stack[idx], expected)
+
     def test_missing_partner_rejected(self):
         with pytest.raises(ValueError):
-            FourierModeSet(1.0, {0: np.zeros((2, 2)), 1: SIGMA_X})
+            FourierModeSet(1.0, np.stack([np.zeros((2, 2)), SIGMA_X]))
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.1, max_value=3.0),
@@ -235,6 +250,26 @@ def test_custom_modes_wire_format():
     assert modes.n_max == 1
     np.testing.assert_allclose(modes.mode(0), 0.5 * SIGMA_Z)
     np.testing.assert_allclose(modes.mode(1), 0.25 * SIGMA_X)
+
+
+def test_custom_modes_missing_harmonic_is_zero():
+    triples = [
+        [0, [[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.0], [0.0, 0.0]]],
+        [2, [[0.0, 0.25], [0.25, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        [-2, [[0.0, 0.25], [0.25, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    ]
+    modes = custom_modes(2.0, triples)
+    assert modes.n_max == 2
+    assert modes.modes.shape == (5, 2, 2)
+    for n in (-1, 1):
+        assert np.array_equal(modes.mode(n), np.zeros((2, 2)))
+    np.testing.assert_allclose(modes.mode(-2), 0.25 * SIGMA_X)
+
+
+@pytest.mark.parametrize("indices", [(0, 0), (0, 1.5)], ids=["repeated", "fractional"])
+def test_custom_modes_rejects_bad_indices(indices):
+    with pytest.raises(ValueError, match="index|indices"):
+        custom_modes(1.0, [[n, [[0.0]], [[0.0]]] for n in indices])
 
 
 def test_custom_modes_rejects_nonsquare():

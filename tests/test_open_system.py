@@ -13,10 +13,8 @@ LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 def static_level(energy=0.0, omega=1.0, n_max=0):
-    modes = {0: np.array([[energy]], dtype=complex)}
-    for n in range(1, n_max + 1):
-        modes[n] = np.zeros((1, 1), dtype=complex)
-        modes[-n] = np.zeros((1, 1), dtype=complex)
+    modes = np.zeros((2 * n_max + 1, 1, 1), dtype=complex)
+    modes[n_max] = energy
     return fq.FourierModeSet(omega, modes)
 
 

@@ -8,12 +8,37 @@ from floquetlib.models import SIGMA_X, SIGMA_Z
 
 
 def static_modes(matrix, omega, n_max=0):
-    modes = {0: np.asarray(matrix, dtype=complex)}
-    dim = modes[0].shape[0]
-    for n in range(1, n_max + 1):
-        modes[n] = np.zeros((dim, dim), dtype=complex)
-        modes[-n] = np.zeros((dim, dim), dtype=complex)
+    matrix = np.asarray(matrix, dtype=complex)
+    modes = np.zeros((2 * n_max + 1,) + matrix.shape, dtype=complex)
+    modes[n_max] = matrix
     return fq.FourierModeSet(omega, modes)
+
+
+def reference_floquet_matrix(modes, m_cut):
+    """The Sambe matrix assembled block by block, one (m, n) pair at a time."""
+    d = modes.dim
+    nb = 2 * m_cut + 1
+    big = np.zeros((nb * d, nb * d), dtype=complex)
+    for m in range(-m_cut, m_cut + 1):
+        for n in range(-m_cut, m_cut + 1):
+            if abs(m - n) > modes.n_max:
+                continue
+            blockval = modes.mode(m - n).copy()
+            if m == n:
+                blockval -= m * modes.omega * np.eye(d)
+            big[(m + m_cut) * d:(m + m_cut + 1) * d,
+                (n + m_cut) * d:(n + m_cut + 1) * d] = blockval
+    return big
+
+
+def gap_harmonic_modes():
+    # only n = 0 and n = +-2 are given; n = +-1 stay zero
+    triples = [
+        [0, [[0.4, 0.1], [0.1, -0.4]], [[0.0, 0.2], [-0.2, 0.0]]],
+        [2, [[0.0, 0.3], [0.5, 0.1]], [[0.2, 0.0], [-0.1, 0.0]]],
+        [-2, [[0.0, 0.5], [0.3, 0.1]], [[-0.2, 0.1], [0.0, 0.0]]],
+    ]
+    return fq.custom_modes(3.0, triples)
 
 
 class TestFold:
@@ -77,7 +102,7 @@ class TestBuildFloquetMatrix:
         # coupling +-1/2, so the raw spectrum is {0, +-sqrt(omega^2+1/2)}
         omega = 10.0
         modes = fq.FourierModeSet(
-            omega, {0: np.zeros((2, 2), dtype=complex), 1: SIGMA_X / 2, -1: SIGMA_X / 2})
+            omega, np.stack([SIGMA_X / 2, np.zeros((2, 2), dtype=complex), SIGMA_X / 2]))
         fm = fq.build_floquet_matrix(modes, 1)
         raw = np.linalg.eigvalsh(fm.matrix)
         edge = np.sqrt(omega**2 + 0.5)
@@ -103,6 +128,28 @@ class TestBuildFloquetMatrix:
         for n in (-3, -1, 0, 2):
             target = band + n * drive.omega
             assert np.min(np.abs(sol.raw_energies - target)) < 1e-9
+
+
+class TestToeplitzBuild:
+    CIRCULAR = fq.DriveProtocol(omega=3.0, amplitude=1.4, polarization="circular")
+
+    @pytest.mark.parametrize("name, modes", [
+        ("chain", fq.chain_modes(0.7, 1.0, fq.DriveProtocol(omega=4.0, amplitude=1.2), 6)),
+        ("honeycomb", fq.honeycomb_modes(0.5, -0.3, 1.0, CIRCULAR, 5)),
+        ("dirac", fq.dirac_modes(0.2, -0.6, CIRCULAR)),
+        ("gap_harmonic", gap_harmonic_modes()),
+    ])
+    @pytest.mark.parametrize("margin", [0, 3])
+    def test_bit_identical_to_block_loop(self, name, modes, margin):
+        m_cut = modes.n_max + margin
+        fm = fq.build_floquet_matrix(modes, m_cut)
+        assert np.array_equal(fm.matrix, reference_floquet_matrix(modes, m_cut))
+
+    def test_gap_harmonic_blocks(self):
+        modes = gap_harmonic_modes()
+        fm = fq.build_floquet_matrix(modes, 4)
+        assert np.max(np.abs(fm.block(1, 0))) == 0.0
+        assert np.array_equal(fm.block(3, 1), modes.mode(2))
 
 
 class TestQuasienergies:
@@ -298,7 +345,7 @@ class TestEvolveState:
     def test_driven_two_level_against_direct_integration(self):
         omega = 10.0
         modes = fq.FourierModeSet(
-            omega, {0: np.zeros((2, 2), dtype=complex), 1: SIGMA_X / 2, -1: SIGMA_X / 2})
+            omega, np.stack([SIGMA_X / 2, np.zeros((2, 2), dtype=complex), SIGMA_X / 2]))
         sol = fq.select_physical_band(
             fq.quasienergies(fq.build_floquet_matrix(modes, 8)))
         sampler = lambda t: np.cos(omega * t) * SIGMA_X
