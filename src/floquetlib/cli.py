@@ -92,7 +92,7 @@ class RunConfig:
     @property
     def m_cut(self):
         got = self.numerics.get("M")
-        return int(got) if got is not None else self.n_max + 6
+        return int(got) if got is not None else max(self.n_max, self.mode_cutoff) + 6
 
     @property
     def mode_cutoff(self):
@@ -256,12 +256,16 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _write_csv(path, header, rows):
-    """Rows share their column types: floats as %.12g, anything else as str."""
+def _write_csv(path, header, table):
+    """Write an (n_rows, n_cols) float array under a header line.
+
+    Every value prints as %.12g, so integral values (branch and replica
+    indices) print exactly as str(int) would. The rows are zipped from
+    the columns' Python lists, which formats faster than table.tolist().
+    """
+    template = ",".join(["%.12g"] * table.shape[1])
     lines = [header]
-    if rows:
-        template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
-        lines.extend(template % tuple(row) for row in rows)
+    lines.extend(template % row for row in zip(*table.T.tolist()))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -279,18 +283,17 @@ def config_hash(raw):
 
 def task_spectrum(cfg: RunConfig, outdir):
     builder = _mode_builder(cfg)
-    rows = []
+    blocks = []
     for k in _k_grid(cfg):
         sol = sambe.select_physical_band(
             sambe.quasienergies(sambe.build_floquet_matrix(builder(k), cfg.m_cut)))
-        centers = sambe.replica_centers(sol)
-        w0 = sol.weight0()
-        for branch in range(sol.dim):
-            rows.append((float(k), branch, int(centers[branch]),
-                         float(sol.quasienergies[branch]), float(w0[branch])))
+        blocks.append(np.column_stack((
+            np.full(sol.dim, k), np.arange(sol.dim), sambe.replica_centers(sol),
+            sol.quasienergies, sol.weight0())))
+    table = np.vstack(blocks)
     _write_csv(os.path.join(outdir, "spectrum.csv"),
-               "k,branch,n_replica,quasienergy,weight0", rows)
-    band = np.array([r[3] for r in rows])
+               "k,branch,n_replica,quasienergy,weight0", table)
+    band = table[:, 3]
     return {"summary_metric": float(band.max() - band.min())}
 
 
@@ -324,15 +327,12 @@ def task_chern(cfg: RunConfig, outdir):
         reports.append({"band": band, "chern": number,
                         "residual": float(residual), "min_gap": fieldvals.min_gap})
         if cfg.write_curvature:
-            nk = grid.nk
-            rows = []
-            for i in range(nk):
-                for j in range(nk):
-                    kvec = ((i + 0.5) / nk) * grid.b1 + ((j + 0.5) / nk) * grid.b2
-                    rows.append((float(kvec[0]), float(kvec[1]),
-                                 float(fieldvals.flux[i, j])))
+            # plaquette (i, j) centre at ((i+1/2) b1 + (j+1/2) b2) / nk, i outer
+            frac = (np.arange(grid.nk) + 0.5) / grid.nk
+            kvec = frac[:, None, None] * grid.b1 + frac[None, :, None] * grid.b2
+            table = np.column_stack((kvec.reshape(-1, 2), fieldvals.flux.ravel()))
             _write_csv(os.path.join(outdir, f"curvature_band{band}.csv"),
-                       "kx,ky,F", rows)
+                       "kx,ky,F", table)
     _write_json(os.path.join(outdir, "chern.json"), {"bands": reports})
     return {"summary_metric": float(reports[0]["chern"]), "bands": reports}
 
@@ -345,17 +345,15 @@ def task_greens(cfg: RunConfig, outdir):
     omega = cfg.drive.omega
     nu = np.linspace(-0.5 * omega, 0.5 * omega, int(cfg.numeric("nu_points")),
                      endpoint=False)
-    rows = []
-    peak = 0.0
+    blocks = []
     for k in _k_grid(cfg):
         grid = open_system.floquet_greens(builder(k), bath, cfg.m_cut, nu)
         freqs, spec = open_system.spectral_function(grid)
         _, occ = open_system.occupation_function(grid)
-        peak = max(peak, float(spec.max()))
-        rows.extend((float(f), float(k), float(a), float(n))
-                    for f, a, n in zip(freqs, spec, occ))
-    _write_csv(os.path.join(outdir, "greens.csv"), "nu_unfolded,k,A,N", rows)
-    return {"summary_metric": peak}
+        blocks.append(np.column_stack((freqs, np.full(freqs.size, k), spec, occ)))
+    table = np.vstack(blocks)
+    _write_csv(os.path.join(outdir, "greens.csv"), "nu_unfolded,k,A,N", table)
+    return {"summary_metric": float(table[:, 2].max())}
 
 
 def task_ness(cfg: RunConfig, outdir):
@@ -377,14 +375,9 @@ def task_ness(cfg: RunConfig, outdir):
     for i in range(2):
         for j in range(2):
             header.extend((f"rho_re_{i}{j}", f"rho_im_{i}{j}"))
-    rows = []
-    for t, rho in zip(ness.times, ness.states):
-        row = [float(t)]
-        for i in range(2):
-            for j in range(2):
-                row.extend((float(rho[i, j].real), float(rho[i, j].imag)))
-        rows.append(tuple(row))
-    _write_csv(os.path.join(outdir, "ness.csv"), ",".join(header), rows)
+    # a complex (n, 4) array viewed as float interleaves re and im
+    table = np.column_stack((ness.times, ness.states.reshape(-1, 4).view(float)))
+    _write_csv(os.path.join(outdir, "ness.csv"), ",".join(header), table)
     purity = float(np.real(np.trace(ness.rho0 @ ness.rho0)))
     return {"summary_metric": purity, "residual": ness.residual, "periods": ness.periods}
 
@@ -462,9 +455,9 @@ def run_sweep(raw, parameter, values, workers=None):
                 results[value] = fut.result()
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
                 failures[value] = str(exc)
-    rows = [(float(v), float(results[v]["summary_metric"]))
-            for v in values if v in results]
-    _write_csv(os.path.join(root, "sweep.csv"), "value,summary_metric", rows)
+    table = np.array([(v, results[v]["summary_metric"]) for v in values if v in results],
+                     dtype=float).reshape(-1, 2)
+    _write_csv(os.path.join(root, "sweep.csv"), "value,summary_metric", table)
     manifest = {
         "config_sha256": config_hash(raw),
         "version": __version__,

@@ -59,7 +59,8 @@ class GreensFunctionGrid:
 
     Frequencies live in the folded zone [-omega/2, omega/2); block index
     n maps a folded nu to the physical frequency nu + n omega. The
-    advanced function is the blockwise adjoint of the retarded one.
+    advanced function is the blockwise adjoint of the retarded one, so
+    observables that trace it use tr[G^A]_nn = conj tr[G^R]_nn instead.
     """
 
     omega: float
@@ -77,10 +78,11 @@ class GreensFunctionGrid:
     def g_advanced(self):
         return self.g_retarded.conj().transpose(0, 2, 1)
 
-    def block_trace(self, matrices, n):
-        d, m0 = self.dim, self.m_cut
-        sl = slice((n + m0) * d, (n + m0 + 1) * d)
-        return np.trace(matrices[:, sl, sl], axis1=1, axis2=2)
+    def block_traces(self, matrices):
+        """Traces of every diagonal block: (n_nu, 2M+1), column n + M for block n."""
+        shaped = matrices.reshape(len(self.nu), self.n_blocks, self.dim,
+                                  self.n_blocks, self.dim)
+        return np.einsum("fnini->fn", shaped)
 
 
 def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
@@ -98,25 +100,20 @@ def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
     eye = np.eye(d_big)
     inverse_args = ((nu_grid[:, None, None] + 1j * bath.gamma) * eye - fm.matrix)
     g_r = np.linalg.inv(inverse_args)
-    block_energies = np.repeat(np.arange(-m_cut, m_cut + 1) * modes.omega, modes.dim)
-    sigma_k = -2j * bath.gamma * bath.thermal_factor(
-        nu_grid[:, None] + block_energies[None, :])
+    block_index = np.repeat(np.arange(-m_cut, m_cut + 1), modes.dim)
+    _, sigma_k = bath_self_energy(bath, nu_grid[:, None], block_index, modes.omega)
     g_k = np.einsum("fij,fj,fkj->fik", g_r, sigma_k, g_r.conj())
     return GreensFunctionGrid(
         omega=modes.omega, m_cut=m_cut, dim=modes.dim,
         nu=nu_grid, g_retarded=g_r, g_keldysh=g_k)
 
 
-def _unfold(grid: GreensFunctionGrid, per_block):
-    axis = []
-    values = []
-    for n in range(-grid.m_cut, grid.m_cut + 1):
-        axis.append(grid.nu + n * grid.omega)
-        values.append(per_block(n))
-    axis = np.concatenate(axis)
-    values = np.concatenate(values)
+def _unfold(grid: GreensFunctionGrid, values):
+    """Sort (n_nu, 2M+1) per-block values onto the axis nu + n omega."""
+    shifts = np.arange(-grid.m_cut, grid.m_cut + 1) * grid.omega
+    axis = (grid.nu[None, :] + shifts[:, None]).ravel()
     order = np.argsort(axis, kind="stable")
-    return axis[order], values[order]
+    return axis[order], values.T.ravel()[order]
 
 
 def spectral_function(grid: GreensFunctionGrid):
@@ -126,9 +123,7 @@ def spectral_function(grid: GreensFunctionGrid):
     weight outside the covered window (2M+1 zones wide) is truncated,
     which matters only for the Lorentzian tails.
     """
-    return _unfold(
-        grid,
-        lambda n: -np.imag(grid.block_trace(grid.g_retarded, n)) / np.pi)
+    return _unfold(grid, -np.imag(grid.block_traces(grid.g_retarded)) / np.pi)
 
 
 def occupation_function(grid: GreensFunctionGrid):
@@ -138,16 +133,9 @@ def occupation_function(grid: GreensFunctionGrid):
     reduces to the spectral function times the Fermi factor in
     equilibrium, so 0 <= N <= A pointwise.
     """
-    g_a = grid.g_advanced
-
-    def per_block(n):
-        lesser = 0.5 * (
-            grid.block_trace(grid.g_keldysh, n)
-            - grid.block_trace(grid.g_retarded, n)
-            + grid.block_trace(g_a, n))
-        return np.real(lesser / (2j * np.pi))
-
-    return _unfold(grid, per_block)
+    tr_r = grid.block_traces(grid.g_retarded)
+    lesser = 0.5 * (grid.block_traces(grid.g_keldysh) - tr_r + tr_r.conj())
+    return _unfold(grid, np.real(lesser / (2j * np.pi)))
 
 
 @dataclass(frozen=True)

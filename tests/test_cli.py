@@ -98,6 +98,25 @@ class TestValidation:
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
 
+    def test_default_replica_cutoff_covers_custom_harmonics(self, tmp_path):
+        # harmonics up to 17 while the (unrelated) default n_max is 11
+        triples = [[0, [[0.3]], [[0.0]]], [17, [[0.05]], [[0.0]]], [-17, [[0.05]], [[0.0]]]]
+        payload = spectrum_config(tmp_path, model="custom", custom_modes=triples,
+                                  numerics={"n_k": 2})
+        cfg = validate_config(payload)
+        assert (cfg.n_max, cfg.m_cut) == (11, 23)
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        # the built-in models keep n_max + 6
+        honeycomb = spectrum_config(
+            tmp_path, model="honeycomb",
+            drive={"omega": 10.0, "amplitude": 1.0, "polarization": "circular"})
+        assert validate_config(honeycomb).m_cut == 17
+        dirac = spectrum_config(
+            tmp_path, model="dirac",
+            drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
+            numerics={"n_max": 3})
+        assert validate_config(dirac).m_cut == 9
+
     @pytest.mark.parametrize("task", ["spectrum", "chern"])
     def test_replica_selection_needs_margin(self, tmp_path, task):
         payload = spectrum_config(
@@ -135,7 +154,7 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
             (-1.0 / 3.0, -7, 0.0, -math.inf, 2.5e-7, 123456789012.5),
             (1e8, 0, -0.0, 1e300, -1e-300, 12.0)]
     path = str(tmp_path / "rows.csv")
-    cli._write_csv(path, "a,b,c,d,e,f", rows)
+    cli._write_csv(path, "a,b,c,d,e,f", np.array(rows, dtype=float))
     expected = "a,b,c,d,e,f\n" + "".join(
         ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in rows)
@@ -212,6 +231,29 @@ class TestRun:
         # periodic steady state: first and last sampled matrices agree
         assert max(abs(a - b) for a, b in zip(first[1:], last[1:])) < 1e-7
 
+    def test_ness_columns_row_major(self, tmp_path):
+        drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
+        payload = {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0},
+                   "task": "ness", "output": str(tmp_path / "out"),
+                   "lindblad": {"gamma": 0.4, "k": [0.3, -0.2]},
+                   "numerics": {"steps_per_period": 128}}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        lines = (tmp_path / "out" / "ness.csv").read_text().splitlines()
+        assert lines[0] == ("t,rho_re_00,rho_im_00,rho_re_01,rho_im_01,"
+                            "rho_re_10,rho_im_10,rho_re_11,rho_im_11")
+        lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        system = fq.LindbladSystem(
+            hamiltonian=lambda t: fq.sample_dirac(0.3, -0.2, drive, t),
+            jumps=[np.sqrt(0.4) * lowering])
+        ness = fq.find_ness(system, 5.0, tol=1e-9, steps_per_period=128)
+        assert len(lines) == 1 + len(ness.times)
+        for line, t, rho in zip(lines[1:], ness.times, ness.states):
+            values = [t]
+            for i in range(2):
+                for j in range(2):
+                    values.extend((rho[i, j].real, rho[i, j].imag))
+            assert line == ",".join(f"{v:.12g}" for v in values)
+
     def test_greens_task(self, tmp_path):
         payload = {
             "model": "chain1d",
@@ -247,6 +289,27 @@ class TestRun:
                 .read_text().splitlines()
             assert curvature[0] == "kx,ky,F"
             assert len(curvature) == 1 + 12 * 12
+
+    def test_curvature_rows_i_outer_j_inner(self, tmp_path):
+        nk = 6
+        drive = fq.DriveProtocol(omega=10.0, amplitude=1.0, polarization="circular")
+        payload = {"model": "honeycomb",
+                   "drive": {"omega": 10.0, "amplitude": 1.0, "polarization": "circular"},
+                   "task": "chern", "output": str(tmp_path / "out"),
+                   "numerics": {"Nk": nk, "n_max": 6}, "write_curvature": True}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        solver = fq.floquet_band_solver(
+            lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, 6), 12)
+        grid = fq.band_grid(solver, nk)
+        for band in range(2):
+            flux = fq.berry_curvature_grid(grid, band).flux
+            lines = (tmp_path / "out" / f"curvature_band{band}.csv").read_text().splitlines()
+            expected = []
+            for i in range(nk):
+                for j in range(nk):
+                    kvec = ((i + 0.5) / nk) * grid.b1 + ((j + 0.5) / nk) * grid.b2
+                    expected.append(f"{kvec[0]:.12g},{kvec[1]:.12g},{flux[i, j]:.12g}")
+            assert lines[1:] == expected
 
 
 class TestSweep:

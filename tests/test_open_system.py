@@ -22,6 +22,41 @@ def fbz_grid(omega, points=401):
     return np.linspace(-0.5 * omega, 0.5 * omega, points, endpoint=False)
 
 
+def reference_block_trace(grid, matrices, n):
+    """Trace of diagonal block n, sliced out one block at a time."""
+    d, m0 = grid.dim, grid.m_cut
+    sl = slice((n + m0) * d, (n + m0 + 1) * d)
+    return np.trace(matrices[:, sl, sl], axis1=1, axis2=2)
+
+
+def reference_unfold(grid, per_block):
+    axis, values = [], []
+    for n in range(-grid.m_cut, grid.m_cut + 1):
+        axis.append(grid.nu + n * grid.omega)
+        values.append(per_block(n))
+    axis = np.concatenate(axis)
+    values = np.concatenate(values)
+    order = np.argsort(axis, kind="stable")
+    return axis[order], values[order]
+
+
+def reference_spectral(grid):
+    return reference_unfold(
+        grid, lambda n: -np.imag(reference_block_trace(grid, grid.g_retarded, n)) / np.pi)
+
+
+def reference_occupation(grid):
+    g_a = grid.g_advanced
+
+    def per_block(n):
+        lesser = 0.5 * (reference_block_trace(grid, grid.g_keldysh, n)
+                        - reference_block_trace(grid, grid.g_retarded, n)
+                        + reference_block_trace(grid, g_a, n))
+        return np.real(lesser / (2j * np.pi))
+
+    return reference_unfold(grid, per_block)
+
+
 class TestBathSelfEnergy:
     def test_zero_temperature_sign(self):
         bath = fq.BathSpec(gamma=0.1, beta=math.inf)
@@ -172,6 +207,31 @@ class TestOccupationFunction:
         above = float(np.sum(occ[freqs > 0.25]) * dnu)
         assert above > 1e-3
         assert above == pytest.approx(0.018496274263404788, rel=1e-6)
+
+
+class TestBlockTraceObservables:
+    CHAIN = fq.chain_modes(0.9, 1.0, fq.DriveProtocol(omega=5.0, amplitude=1.0), 8)
+    HONEYCOMB = fq.honeycomb_modes(
+        0.5, -0.3, 1.0, fq.DriveProtocol(omega=6.0, amplitude=1.2, polarization="circular"), 5)
+
+    @pytest.mark.parametrize("name, modes", [("chain1d", CHAIN), ("honeycomb", HONEYCOMB)])
+    @pytest.mark.parametrize("beta", [20.0, math.inf])
+    def test_identical_to_per_block_traces(self, name, modes, beta):
+        grid = fq.floquet_greens(modes, fq.BathSpec(gamma=0.05, beta=beta),
+                                 modes.n_max + 3, fbz_grid(modes.omega, 101))
+        for got, want in ((fq.spectral_function(grid), reference_spectral(grid)),
+                          (fq.occupation_function(grid), reference_occupation(grid))):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_block_traces_layout(self):
+        grid = fq.floquet_greens(self.HONEYCOMB, fq.BathSpec(gamma=0.05, beta=5.0), 6,
+                                 fbz_grid(6.0, 11))
+        traces = grid.block_traces(grid.g_keldysh)
+        assert traces.shape == (11, grid.n_blocks)
+        for n in range(-6, 7):
+            assert np.array_equal(traces[:, n + 6],
+                                  reference_block_trace(grid, grid.g_keldysh, n))
 
 
 class TestLindbladRHS:
