@@ -1,107 +1,40 @@
 """Integer-order Bessel functions of the first kind.
 
-Self-contained evaluation of J_n(x) so that every Bessel-renormalized
-quantity in the toolkit (effective hoppings, drive harmonics) rests on
-code that is validated in-house against the standard identities:
+Every Bessel-renormalized quantity in the toolkit (effective hoppings,
+drive harmonics) takes J_n(x) from here. `bessel_j` is a broadcasting
+front to scipy.special.jv that keeps the toolkit's input contract:
+integer orders only and |x| <= 50, which comfortably covers physical
+drive amplitudes. A mode set takes all of its J_n(A) from one call on
+the order array. The tests check it against the standard identities
 
     J_0(0) = 1,  J_n(0) = 0 (n > 0)
     J_{-n}(x) = (-1)^n J_n(x)
     J_0(x)^2 + 2 sum_{n>=1} J_n(x)^2 = 1
 
-Small arguments use the ascending power series; everything else uses
-Miller's downward recurrence, which is numerically stable for all n
-and normalized through the sum identity above. The validated range is
-|x| <= 50, which comfortably covers physical drive amplitudes.
+and against the integral representation.
 """
 
-import math
+import numpy as np
+from scipy import special
 
 _MAX_ARGUMENT = 50.0
-_SERIES_CUTOFF = 2.0
 
 
 def bessel_j(n, x):
-    """J_n(x) for integer n, |x| <= 50, relative accuracy ~1e-14.
+    """J_n(x) for integer n and |x| <= 50, broadcast over arrays of n and x.
 
-    Negative orders and arguments are mapped to positive ones through
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
+    A fractional order, or an argument outside the domain (NaN
+    included), raises ValueError instead of being truncated.
     """
-    n = int(n)
-    x = float(x)
-    if abs(x) > _MAX_ARGUMENT:
+    n = np.asarray(n)
+    x = np.asarray(x, dtype=float)
+    if not np.all(n % 1 == 0):
+        raise ValueError(f"bessel_j needs integer orders, got {n}")
+    if not np.all(np.abs(x) <= _MAX_ARGUMENT):
         raise ValueError(f"bessel_j validated only for |x| <= {_MAX_ARGUMENT}, got {x}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    if x == 0.0:
-        return sign if n == 0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return sign * _series(n, x)
-    return sign * _miller(n, x)
-
-
-def _series(n, x):
-    # ascending series sum_k (-1)^k (x/2)^{n+2k} / (k! (n+k)!)
-    half = 0.5 * x
-    if half == 0.0:  # x underflowed to the denormal floor
-        return 1.0 if n == 0 else 0.0
-    log_lead = n * math.log(half) - math.lgamma(n + 1.0)
-    if log_lead < -745.0:
-        return 0.0
-    term = math.exp(log_lead)
-    total = term
-    for k in range(1, 64):
-        term *= -(half * half) / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return total
-
-
-def _miller(n, x):
-    # downward recurrence J_{m-1} = (2m/x) J_m - J_{m+1}, normalized by
-    # J_0 + 2 J_2 + 2 J_4 + ... = 1; start well above both n and x
-    top = max(n, int(x)) + int(1.5 * math.sqrt(40.0 * max(n, x))) + 16
-    if top % 2:
-        top += 1
-    jp, jc = 0.0, 1e-30
-    norm = 0.0
-    result = jc if n == top else 0.0
-    for m in range(top, 0, -1):
-        jm = (2.0 * m / x) * jc - jp
-        jp, jc = jc, jm
-        if m - 1 == n:
-            result = jc
-        if (m - 1) % 2 == 0:
-            norm += jc if m - 1 == 0 else 2.0 * jc
-        if abs(jc) > 1e250:
-            # rescale mid-stream to dodge overflow for large top
-            jp *= 1e-250
-            jc *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-    return result / norm
+    return special.jv(n, x)
 
 
 def bessel_j0_zero():
-    """First positive root of J_0, found by bisection on the series."""
-    lo, hi = 2.0, 3.0
-    flo = bessel_j(0, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = bessel_j(0, mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    """First positive root of J_0."""
+    return float(special.jn_zeros(0, 1)[0])

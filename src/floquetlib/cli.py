@@ -61,6 +61,7 @@ NUMERIC_DEFAULTS = {
 }
 INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "n_steps", "max_periods",
                 "steps_per_period")
+CSV_BLOCK_ROWS = 8192    # rows formatted and written per block by _write_csv
 
 
 class ConfigError(ValueError):
@@ -261,12 +262,18 @@ def _write_csv(path, header, table):
 
     Every value prints as %.12g, so integral values (branch and replica
     indices) print exactly as str(int) would. The rows are zipped from
-    the columns' Python lists, which formats faster than table.tolist().
+    the columns' Python lists, which formats faster than table.tolist(),
+    and go out CSV_BLOCK_ROWS at a time, so memory stays bounded by one
+    block's text rather than the whole file's.
     """
-    template = ",".join(["%.12g"] * table.shape[1])
-    lines = [header]
-    lines.extend(template % row for row in zip(*table.T.tolist()))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    tmp = path + ".tmp"
+    with open(tmp, "w") as handle:
+        handle.write(header + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            handle.write("".join([line % row for row in zip(*block.T.tolist())]))
+    os.replace(tmp, path)
 
 
 def _write_json(path, payload):

@@ -77,9 +77,8 @@ def haldane_effective(hopping, amplitude, omega, n_cut=60):
     """
     if n_cut < 20:
         raise ValueError("n_cut must be >= 20 for a converged series")
-    series = 0.0
-    for n in range(1, n_cut + 1):
-        series += bessel_j(n, amplitude) ** 2 * np.sin(2.0 * np.pi * n / 3.0) / n
+    ns = np.arange(1, n_cut + 1)
+    series = np.sum(bessel_j(ns, amplitude) ** 2 * np.sin(2.0 * np.pi * ns / 3.0) / ns)
     k_eff = -2.0 * hopping**2 / omega * series
     return HaldaneParameters(j_eff=effective_hopping_1d(hopping, amplitude), k_eff=k_eff)
 

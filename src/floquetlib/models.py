@@ -236,15 +236,10 @@ def fourier_modes(sampler, omega, n_max, n_samples=None):
     return mode_set
 
 
-def _bessel_orders(n_max, x):
-    """Orders n = -n_max..n_max and J_n(x), one evaluation per order."""
-    ns = np.arange(-n_max, n_max + 1)
-    return ns, np.array([bessel_j(n, x) for n in ns])
-
-
 def chain_modes(k, hopping, drive, n_max):
     """Closed-form modes of the driven chain, H_n = -J J_n(z)((-1)^n e^{ik} + e^{-ik})."""
-    ns, jn = _bessel_orders(n_max, drive.amplitude)
+    ns = np.arange(-n_max, n_max + 1)
+    jn = bessel_j(ns, drive.amplitude)
     coeff = -hopping * jn * (((-1.0) ** ns) * np.exp(1j * k) + np.exp(-1j * k))
     return FourierModeSet(drive.omega, coeff.reshape(-1, 1, 1))
 
@@ -267,7 +262,8 @@ def honeycomb_modes(kx, ky, hopping, drive, n_max):
     """
     if drive.polarization != "circular":
         raise ValueError("the driven honeycomb model requires circular polarization")
-    ns, jn = _bessel_orders(n_max, drive.amplitude)
+    ns = np.arange(-n_max, n_max + 1)
+    jn = bessel_j(ns, drive.amplitude)
     bond_phases = np.exp(1j * (HONEYCOMB_DELTAS @ np.array([kx, ky])))
     phis = np.arctan2(HONEYCOMB_DELTAS[:, 1], HONEYCOMB_DELTAS[:, 0])
     bonds = np.sum(bond_phases * np.exp(1j * ns[:, None] * phis), axis=1)

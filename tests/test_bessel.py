@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from floquetlib.bessel import bessel_j, bessel_j0_zero
 
@@ -11,7 +14,7 @@ FIRST_J0_ROOT = 2.404825557695773
 def quad_bessel(n, x, points=20001):
     """Independent oracle: J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt."""
     ts = np.linspace(0.0, np.pi, points)
-    return np.trapezoid(np.cos(n * ts - x * np.sin(ts)), ts) / np.pi
+    return trapezoid(np.cos(n * ts - x * np.sin(ts)), ts) / np.pi
 
 
 def test_zero_argument():
@@ -52,6 +55,35 @@ def test_negative_order_and_argument():
 def test_domain_error():
     with pytest.raises(ValueError):
         bessel_j(0, 50.5)
+
+
+@pytest.mark.parametrize("x", [-50.5, math.nan, math.inf, -math.inf])
+def test_argument_outside_domain_rejected(x):
+    with pytest.raises(ValueError):
+        bessel_j(0, x)
+    with pytest.raises(ValueError):
+        bessel_j(np.arange(3), np.array([1.0, x, 2.0]))
+
+
+@pytest.mark.parametrize("n", [1.5, -0.5, np.array([0, 1, 2.5]), math.nan],
+                         ids=["1.5", "-0.5", "array", "nan"])
+def test_fractional_order_rejected(n):
+    with pytest.raises(ValueError):
+        bessel_j(n, 1.0)
+
+
+def test_integral_float_order_accepted():
+    assert bessel_j(2.0, 1.3) == bessel_j(2, 1.3)
+
+
+def test_order_array_equals_scalar_calls():
+    ns = np.arange(-23, 24)
+    for x in (0.0, 0.4, 1.0, 7.5, -3.2):
+        values = bessel_j(ns, x)
+        assert values.shape == ns.shape
+        assert np.array_equal(values, [bessel_j(int(n), x) for n in ns])
+    xs = np.array([0.2, 1.0, 9.0])
+    assert np.array_equal(bessel_j(3, xs), [bessel_j(3, float(x)) for x in xs])
 
 
 def test_sum_identity_at_fixed_point():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,15 +151,30 @@ class TestValidation:
 
 
 def test_csv_writer_matches_per_value_formatting(tmp_path):
-    rows = [(0.5, 3, -0.0, math.inf, 1e-300, 1e8),
-            (-1.0 / 3.0, -7, 0.0, -math.inf, 2.5e-7, 123456789012.5),
-            (1e8, 0, -0.0, 1e300, -1e-300, 12.0)]
-    path = str(tmp_path / "rows.csv")
-    cli._write_csv(path, "a,b,c,d,e,f", np.array(rows, dtype=float))
-    expected = "a,b,c,d,e,f\n" + "".join(
-        ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in rows)
-    assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
+    special_values = [(0.5, 3, -0.0, math.inf, 1e-300, 1e8),
+                      (-1.0 / 3.0, -7, 0.0, -math.inf, 2.5e-7, 123456789012.5),
+                      (1e8, 0, -0.0, 1e300, -1e-300, 12.0)]
+    several_blocks = [(i / 7.0, -i, 0.0, 1e8 + i, i * 1e-9, 2.5 * i)
+                      for i in range(2 * cli.CSV_BLOCK_ROWS + 5)]
+    for rows in (special_values, several_blocks):
+        path = str(tmp_path / "rows.csv")
+        cli._write_csv(path, "a,b,c,d,e,f", np.array(rows, dtype=float))
+        expected = "a,b,c,d,e,f\n" + "".join(
+            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows)
+        assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
+
+
+def test_csv_writer_memory_bounded_by_one_block(tmp_path):
+    table = np.random.default_rng(0).standard_normal((16 * cli.CSV_BLOCK_ROWS, 4))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(path), "a,b,c,d", table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 class TestRun:

@@ -88,6 +88,16 @@ class TestHaldaneEffective:
             pars = fq.haldane_effective(0.8, amplitude, 12.0)
             assert pars.j_eff == fq.effective_hopping_1d(0.8, amplitude)
 
+    @pytest.mark.parametrize("n_cut", [20, 60, 200])
+    @pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.9])
+    def test_series_matches_per_order_sum(self, n_cut, amplitude):
+        # the array sum against the term-by-term loop it replaced
+        series = 0.0
+        for n in range(1, n_cut + 1):
+            series += fq.bessel_j(n, amplitude) ** 2 * np.sin(2.0 * np.pi * n / 3.0) / n
+        k_eff = fq.haldane_effective(0.9, amplitude, 7.0, n_cut=n_cut).k_eff
+        assert abs(k_eff - (-2.0 * 0.9**2 / 7.0 * series)) < 1e-15
+
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
             fq.haldane_effective(1.0, 1.0, 10.0, n_cut=10)

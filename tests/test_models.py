@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from floquetlib.models import (
     HONEYCOMB_DELTAS,
@@ -284,3 +285,31 @@ def test_dirac_modes_single_harmonic():
     ts = np.linspace(0.0, drive.period, 9)
     for t in ts:
         np.testing.assert_allclose(modes.sample(t), sample_dirac(0.2, 0.1, drive, t), atol=1e-13)
+
+
+class TestClosedFormBesselFactors:
+    """chain_modes/honeycomb_modes against modes built order by order from scipy's J_n."""
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.4, 1.0, 2.7])
+    def test_chain_modes_match_per_order_jv(self, amplitude):
+        drive = DriveProtocol(omega=4.0, amplitude=amplitude)
+        k, n_max = 0.9, 12
+        modes = chain_modes(k, 1.3, drive, n_max)
+        for n in range(-n_max, n_max + 1):
+            expected = -1.3 * jv(n, amplitude) * ((-1.0) ** n * np.exp(1j * k) + np.exp(-1j * k))
+            np.testing.assert_allclose(modes.mode(n), [[expected]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.4, 1.0, 2.7])
+    def test_honeycomb_modes_match_per_order_jv(self, amplitude):
+        drive = DriveProtocol(omega=6.0, amplitude=amplitude, polarization="circular")
+        kx, ky, n_max = 0.4, -0.7, 10
+        modes = honeycomb_modes(kx, ky, 0.8, drive, n_max)
+        bond_phases = np.exp(1j * (HONEYCOMB_DELTAS @ np.array([kx, ky])))
+        phis = np.arctan2(HONEYCOMB_DELTAS[:, 1], HONEYCOMB_DELTAS[:, 0])
+
+        def f(n):
+            return 0.8 * jv(n, amplitude) * (-1j) ** n * np.sum(bond_phases * np.exp(1j * n * phis))
+
+        for n in range(-n_max, n_max + 1):
+            expected = np.array([[0.0, f(n)], [np.conj(f(-n)), 0.0]])
+            np.testing.assert_allclose(modes.mode(n), expected, rtol=0, atol=1e-15)
