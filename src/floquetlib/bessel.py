@@ -17,7 +17,7 @@ and against the integral representation.
 import numpy as np
 from scipy import special
 
-_MAX_ARGUMENT = 50.0
+MAX_ARGUMENT = 50.0
 
 
 def bessel_j(n, x):
@@ -30,8 +30,8 @@ def bessel_j(n, x):
     x = np.asarray(x, dtype=float)
     if not np.all(n % 1 == 0):
         raise ValueError(f"bessel_j needs integer orders, got {n}")
-    if not np.all(np.abs(x) <= _MAX_ARGUMENT):
-        raise ValueError(f"bessel_j validated only for |x| <= {_MAX_ARGUMENT}, got {x}")
+    if not np.all(np.abs(x) <= MAX_ARGUMENT):
+        raise ValueError(f"bessel_j validated only for |x| <= {MAX_ARGUMENT}, got {x}")
     return special.jv(n, x)
 
 

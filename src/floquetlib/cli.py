@@ -32,6 +32,7 @@ with a manifest.json recording the config hash, version and wall time.
 import argparse
 import concurrent.futures
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from . import highfreq, models, open_system, sambe, topology
+from . import bessel, highfreq, models, open_system, sambe, topology
 
 MODELS = ("chain1d", "dirac", "honeycomb", "custom")
 TASKS = ("spectrum", "hfe", "chern", "greens", "ness")
@@ -130,6 +131,10 @@ def validate_config(raw):
     amplitude = drive_raw.get("amplitude", 0.0)
     _require(_is_number(amplitude) and amplitude >= 0, "drive.amplitude",
              f"must be a number >= 0, got {amplitude!r}")
+    if task == "hfe" or (model == "honeycomb" and task != "ness"):
+        # the closed forms take J_n(amplitude) from bessel_j
+        _require(amplitude <= bessel.MAX_ARGUMENT, "drive.amplitude",
+                 f"must be <= {bessel.MAX_ARGUMENT} for Bessel factors, got {amplitude!r}")
     default_pol = "linear" if model == "chain1d" else "circular"
     polarization = drive_raw.get("polarization", default_pol)
     _require(polarization in ("linear", "circular"), "drive.polarization",
@@ -151,6 +156,8 @@ def validate_config(raw):
         if key in INTEGER_KEYS:
             _require(isinstance(value, int) or value.is_integer(), f"numerics.{key}",
                      f"must be an integer, got {value!r}")
+    k_min, k_max = (numerics.get(key, NUMERIC_DEFAULTS[key]) for key in ("k_min", "k_max"))
+    _require(k_max > k_min, "numerics.k_max", f"must exceed k_min = {k_min!r}, got {k_max!r}")
     bath = raw.get("bath", {})
     if task == "greens":
         _require(isinstance(bath, dict), "bath", "must be an object")
@@ -189,6 +196,9 @@ def validate_config(raw):
         _require(model in ("honeycomb", "custom"), "model",
                  "chern task needs a model on a compact zone (honeycomb or custom)")
 
+    curvature = raw.get("write_curvature", False)
+    _require(isinstance(curvature, bool), "write_curvature",
+             f"must be true or false, got {curvature!r}")
     metric = raw.get("summary_metric", "")
     _require(isinstance(metric, str), "summary_metric", "must be a string")
 
@@ -201,7 +211,7 @@ def validate_config(raw):
         bath=dict(bath),
         lindblad=dict(lindblad),
         custom_modes=custom,
-        write_curvature=bool(raw.get("write_curvature", False)),
+        write_curvature=curvature,
         summary_metric=metric,
         raw=copy.deepcopy(raw),
     )
@@ -218,28 +228,23 @@ def validate_config(raw):
 # ---------------------------------------------------------------------------
 # model wiring
 
-def _mode_builder(cfg: RunConfig):
-    """Per-momentum FourierModeSet builder for the configured model."""
+def _model_at(cfg: RunConfig, kx=0.0, ky=0.0):
+    """The configured model at momentum (kx, ky): (H(t) sampler, mode-set builder)."""
     drive, n_max = cfg.drive, cfg.n_max
     if cfg.model == "chain1d":
-        return lambda kx, ky=0.0: models.fourier_modes(
-            lambda t: models.sample_chain_1d(kx, 1.0, drive, t), drive.omega, n_max)
+        sampler = functools.partial(models.sample_chain_1d, kx, 1.0, drive)
+        return sampler, functools.partial(models.fourier_modes, sampler, drive.omega, n_max)
     if cfg.model == "dirac":
-        return lambda kx, ky=0.0: models.dirac_modes(kx, ky, drive)
+        return (functools.partial(models.sample_dirac, kx, ky, drive),
+                functools.partial(models.dirac_modes, kx, ky, drive))
     if cfg.model == "honeycomb":
-        return lambda kx, ky=0.0: models.honeycomb_modes(kx, ky, 1.0, drive, n_max)
-    return lambda kx=0.0, ky=0.0: cfg.custom_modes
+        return (functools.partial(models.sample_honeycomb, kx, ky, 1.0, drive),
+                functools.partial(models.honeycomb_modes, kx, ky, 1.0, drive, n_max))
+    return cfg.custom_modes.sample, lambda: cfg.custom_modes
 
 
-def _sampler(cfg: RunConfig, kx, ky=0.0):
-    drive = cfg.drive
-    if cfg.model == "chain1d":
-        return lambda t: models.sample_chain_1d(kx, 1.0, drive, t)
-    if cfg.model == "dirac":
-        return lambda t: models.sample_dirac(kx, ky, drive, t)
-    if cfg.model == "honeycomb":
-        return lambda t: models.sample_honeycomb(kx, ky, 1.0, drive, t)
-    return cfg.custom_modes.sample
+def _modes(cfg: RunConfig, kx=0.0, ky=0.0):
+    return _model_at(cfg, kx, ky)[1]()
 
 
 def _k_grid(cfg: RunConfig):
@@ -289,11 +294,10 @@ def config_hash(raw):
 # tasks
 
 def task_spectrum(cfg: RunConfig, outdir):
-    builder = _mode_builder(cfg)
     blocks = []
     for k in _k_grid(cfg):
         sol = sambe.select_physical_band(
-            sambe.quasienergies(sambe.build_floquet_matrix(builder(k), cfg.m_cut)))
+            sambe.quasienergies(sambe.build_floquet_matrix(_modes(cfg, k), cfg.m_cut)))
         blocks.append(np.column_stack((
             np.full(sol.dim, k), np.arange(sol.dim), sambe.replica_centers(sol),
             sol.quasienergies, sol.weight0())))
@@ -307,8 +311,7 @@ def task_spectrum(cfg: RunConfig, outdir):
 def task_hfe(cfg: RunConfig, outdir):
     amplitude, omega = cfg.drive.amplitude, cfg.drive.omega
     pars = highfreq.haldane_effective(1.0, amplitude, omega)
-    builder = _mode_builder(cfg)
-    report = highfreq.van_vleck_hf(builder(0.0, 0.0))
+    report = highfreq.van_vleck_hf(_modes(cfg))
     payload = {
         "J_eff": float(pars.j_eff),
         "K_eff": float(pars.k_eff),
@@ -323,8 +326,7 @@ def task_hfe(cfg: RunConfig, outdir):
 
 
 def task_chern(cfg: RunConfig, outdir):
-    builder = _mode_builder(cfg)
-    solver = topology.floquet_band_solver(lambda kx, ky: builder(kx, ky), cfg.m_cut)
+    solver = topology.floquet_band_solver(functools.partial(_modes, cfg), cfg.m_cut)
     grid = topology.band_grid(solver, int(cfg.numeric("Nk")))
     reports = []
     for band in range(grid.n_bands):
@@ -348,13 +350,12 @@ def task_greens(cfg: RunConfig, outdir):
     beta = cfg.bath.get("beta", "inf")
     bath = open_system.BathSpec(gamma=float(cfg.bath["gamma"]),
                                 beta=math.inf if beta == "inf" else float(beta))
-    builder = _mode_builder(cfg)
     omega = cfg.drive.omega
     nu = np.linspace(-0.5 * omega, 0.5 * omega, int(cfg.numeric("nu_points")),
                      endpoint=False)
     blocks = []
     for k in _k_grid(cfg):
-        grid = open_system.floquet_greens(builder(k), bath, cfg.m_cut, nu)
+        grid = open_system.floquet_greens(_modes(cfg, k), bath, cfg.m_cut, nu)
         freqs, spec = open_system.spectral_function(grid)
         _, occ = open_system.occupation_function(grid)
         blocks.append(np.column_stack((freqs, np.full(freqs.size, k), spec, occ)))
@@ -365,7 +366,7 @@ def task_greens(cfg: RunConfig, outdir):
 
 def task_ness(cfg: RunConfig, outdir):
     kx, ky = cfg.lindblad.get("k", [0.0, 0.0])
-    sampler = _sampler(cfg, float(kx), float(ky))
+    sampler, _ = _model_at(cfg, float(kx), float(ky))
     dim = np.asarray(sampler(0.0)).shape[0]
     if dim != 2:
         raise ConfigError("lindblad.k: ness task needs a two-level Hamiltonian at this k")
@@ -540,8 +541,6 @@ def main(argv=None):
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError:
                 raise ConfigError(f"--values: not numeric: {args.values!r}") from None
-            if not values:
-                raise ConfigError("--values: at least one value required")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

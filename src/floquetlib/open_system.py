@@ -2,10 +2,10 @@
 
 Two complementary routes to the dissipative steady state of a driven
 system. The Green's-function route couples a noninteracting system to a
-wide-band free-fermion bath and solves the Dyson equation directly in
-the Floquet matrix representation; the Lindblad route integrates the
-GKSL master equation in time and finds the time-periodic steady state as
-a fixed point of the one-period map.
+wide-band free-fermion bath and solves the Dyson equation in the Floquet
+matrix representation from one eigendecomposition of the Floquet matrix;
+the Lindblad route integrates the GKSL master equation in time and finds
+the time-periodic steady state as a fixed point of the one-period map.
 """
 
 import math
@@ -55,20 +55,21 @@ def bath_self_energy(bath: BathSpec, nu, n, omega):
 
 @dataclass(frozen=True)
 class GreensFunctionGrid:
-    """Retarded and Keldysh Floquet matrices on a frequency grid.
+    """Retarded Floquet matrices and the bath's Keldysh self-energy on a frequency grid.
 
     Frequencies live in the folded zone [-omega/2, omega/2); block index
-    n maps a folded nu to the physical frequency nu + n omega. The
-    advanced function is the blockwise adjoint of the retarded one, so
-    observables that trace it use tr[G^A]_nn = conj tr[G^R]_nn instead.
+    n maps a folded nu to the physical frequency nu + n omega. Only G^R
+    and the diagonal of Sigma^K are stored: the advanced and Keldysh
+    functions are formed on request, and observables read diagonals
+    (tr[G^A]_nn = conj tr[G^R]_nn, and [G^K]_ii from G^R and Sigma^K).
     """
 
     omega: float
     m_cut: int
     dim: int
     nu: np.ndarray
-    g_retarded: np.ndarray   # (n_nu, D, D) with D = (2M+1) dim
-    g_keldysh: np.ndarray
+    g_retarded: np.ndarray       # (n_nu, D, D) with D = (2M+1) dim
+    sigma_keldysh: np.ndarray    # (n_nu, D) diagonal of the bath's Sigma^K
 
     @property
     def n_blocks(self):
@@ -78,34 +79,35 @@ class GreensFunctionGrid:
     def g_advanced(self):
         return self.g_retarded.conj().transpose(0, 2, 1)
 
-    def block_traces(self, matrices):
-        """Traces of every diagonal block: (n_nu, 2M+1), column n + M for block n."""
-        shaped = matrices.reshape(len(self.nu), self.n_blocks, self.dim,
-                                  self.n_blocks, self.dim)
-        return np.einsum("fnini->fn", shaped)
+    @property
+    def g_keldysh(self):
+        """G^K = G^R Sigma^K G^A as (n_nu, D, D), computed on every access."""
+        return (self.g_retarded * self.sigma_keldysh[:, None, :]) @ self.g_advanced
+
+    def block_traces(self, diagonals):
+        """Per-block sums of (n_nu, D) diagonals: (n_nu, 2M+1), column n + M for block n."""
+        return diagonals.reshape(len(self.nu), self.n_blocks, self.dim).sum(axis=2)
 
 
 def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
-    """Dyson equation of a noninteracting driven system, solved per frequency.
+    """Dyson equation of a noninteracting driven system, from one eigendecomposition.
 
-    G^R(nu) = [(nu + m omega) delta_{mn} - H_{m-n} + i gamma delta_{mn}]^{-1}
-    as a Floquet-block matrix inverse, G^A = (G^R)^dagger, and
-    G^K = G^R Sigma_b^K G^A with the diagonal bath Keldysh self-energy.
-    The system self-energy is zero by scope, so the only broadening is
-    the bath's.
+    G^R(nu) = [(nu + m omega) delta_{mn} - H_{m-n} + i gamma delta_{mn}]^{-1}.
+    The bath's retarded self-energy is the scalar -i gamma on every block,
+    so with the Floquet matrix H_F = V E V^dagger, G^R(nu) equals
+    V (nu + i gamma - E)^{-1} V^dagger at every nu. G^A = (G^R)^dagger and
+    G^K = G^R Sigma_b^K G^A are formed on request. The system self-energy
+    is zero by scope, so the only broadening is the bath's.
     """
-    fm = build_floquet_matrix(modes, m_cut)
+    energies, vectors = np.linalg.eigh(build_floquet_matrix(modes, m_cut).matrix)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    d_big = fm.matrix.shape[0]
-    eye = np.eye(d_big)
-    inverse_args = ((nu_grid[:, None, None] + 1j * bath.gamma) * eye - fm.matrix)
-    g_r = np.linalg.inv(inverse_args)
     block_index = np.repeat(np.arange(-m_cut, m_cut + 1), modes.dim)
-    _, sigma_k = bath_self_energy(bath, nu_grid[:, None], block_index, modes.omega)
-    g_k = np.einsum("fij,fj,fkj->fik", g_r, sigma_k, g_r.conj())
+    sigma_r, sigma_k = bath_self_energy(bath, nu_grid[:, None], block_index, modes.omega)
+    resolvent = 1.0 / (nu_grid[:, None] - sigma_r - energies)
+    g_r = (vectors * resolvent[:, None, :]) @ vectors.conj().T
     return GreensFunctionGrid(
         omega=modes.omega, m_cut=m_cut, dim=modes.dim,
-        nu=nu_grid, g_retarded=g_r, g_keldysh=g_k)
+        nu=nu_grid, g_retarded=g_r, sigma_keldysh=sigma_k)
 
 
 def _unfold(grid: GreensFunctionGrid, values):
@@ -123,7 +125,8 @@ def spectral_function(grid: GreensFunctionGrid):
     weight outside the covered window (2M+1 zones wide) is truncated,
     which matters only for the Lorentzian tails.
     """
-    return _unfold(grid, -np.imag(grid.block_traces(grid.g_retarded)) / np.pi)
+    tr_r = grid.block_traces(np.diagonal(grid.g_retarded, axis1=1, axis2=2))
+    return _unfold(grid, -np.imag(tr_r) / np.pi)
 
 
 def occupation_function(grid: GreensFunctionGrid):
@@ -131,10 +134,12 @@ def occupation_function(grid: GreensFunctionGrid):
 
     N = (1/2 pi i) tr [G^<]_{nn} with G^< = (G^K - G^R + G^A)/2, which
     reduces to the spectral function times the Fermi factor in
-    equilibrium, so 0 <= N <= A pointwise.
+    equilibrium, so 0 <= N <= A pointwise. Sigma^K is diagonal, so
+    [G^K]_ii = sum_j |G^R_ij|^2 Sigma^K_j and no Keldysh matrix is formed.
     """
-    tr_r = grid.block_traces(grid.g_retarded)
-    lesser = 0.5 * (grid.block_traces(grid.g_keldysh) - tr_r + tr_r.conj())
+    tr_r = grid.block_traces(np.diagonal(grid.g_retarded, axis1=1, axis2=2))
+    keldysh = np.einsum("fij,fj->fi", np.abs(grid.g_retarded) ** 2, grid.sigma_keldysh)
+    lesser = 0.5 * (grid.block_traces(keldysh) - tr_r + tr_r.conj())
     return _unfold(grid, np.real(lesser / (2j * np.pi)))
 
 

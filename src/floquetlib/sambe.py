@@ -102,11 +102,6 @@ class QuasienergySolution:
     def n_blocks(self):
         return 2 * self.m_cut + 1
 
-    def block_components(self, n):
-        """Rows of every eigenvector living in Fourier block n."""
-        d, m0 = self.dim, self.m_cut
-        return self.vectors[(n + m0) * d:(n + m0 + 1) * d, :]
-
     def fourier_weights(self):
         """w_alpha(n) = |u_alpha^n|^2, shape (2M+1, n_states); columns sum to 1."""
         d = self.dim

@@ -88,7 +88,7 @@ class TestValidation:
         triples = [[0, [[0.3]], [[0.0]]], [1, [[0.2]], [[0.0]]], [-1, [[0.2]], [[0.0]]]]
         cfg = validate_config(spectrum_config(tmp_path, model="custom", custom_modes=triples))
         assert isinstance(cfg.custom_modes, fq.FourierModeSet)
-        assert cli._mode_builder(cfg)(0.4) is cfg.custom_modes
+        assert cli._modes(cfg, 0.4) is cfg.custom_modes
 
     def test_replica_cutoff_below_custom_harmonics(self, tmp_path):
         triples = [[0, [[0.3]], [[0.0]]], [3, [[0.2]], [[0.0]]], [-3, [[0.2]], [[0.0]]]]
@@ -142,12 +142,62 @@ class TestValidation:
             tmp_path, numerics={"n_max": 10.0, "M": 16.0, "n_k": 64.0}))
         assert (cfg.n_max, cfg.m_cut, int(cfg.numeric("n_k"))) == (10, 16, 64)
 
+    @pytest.mark.parametrize("model, task", [("honeycomb", "spectrum"), ("honeycomb", "greens"),
+                                             ("chain1d", "hfe"), ("dirac", "hfe")])
+    def test_amplitude_outside_bessel_domain(self, tmp_path, model, task):
+        polarization = "linear" if model == "chain1d" else "circular"
+        payload = spectrum_config(
+            tmp_path, model=model, task=task, bath={"gamma": 0.1},
+            drive={"omega": 8.0, "amplitude": 60.0, "polarization": polarization})
+        with pytest.raises(ConfigError, match="drive.amplitude"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+
+    def test_large_amplitude_without_bessel_factors(self, tmp_path):
+        validate_config(spectrum_config(tmp_path, drive={"omega": 8.0, "amplitude": 60.0}))
+        validate_config(spectrum_config(
+            tmp_path, model="honeycomb", task="ness", lindblad={"gamma": 0.4},
+            drive={"omega": 8.0, "amplitude": 60.0, "polarization": "circular"}))
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_write_curvature_must_be_boolean(self, tmp_path, value):
+        payload = spectrum_config(tmp_path, model="honeycomb", task="chern",
+                                  drive={"omega": 8.0, "amplitude": 1.0},
+                                  write_curvature=value)
+        with pytest.raises(ConfigError, match="write_curvature"):
+            validate_config(payload)
+
+    @pytest.mark.parametrize("numerics", [{"k_min": 1.0, "k_max": 1.0},
+                                          {"k_min": 1.0, "k_max": -1.0},
+                                          {"k_min": 4.0}, {"k_max": -4.0}])
+    def test_k_range_must_be_increasing(self, tmp_path, numerics):
+        payload = spectrum_config(tmp_path, numerics={"n_k": 4, **numerics})
+        with pytest.raises(ConfigError, match="numerics.k_max"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         good = write_config(tmp_path, spectrum_config(tmp_path))
         assert main(["validate", good]) == 0
         bad = write_config(tmp_path, spectrum_config(tmp_path, drive={"omega": -2.0}),
                            name="bad.json")
         assert main(["validate", bad]) == 2
+
+
+@pytest.mark.parametrize("model", ["chain1d", "dirac", "honeycomb", "custom"])
+def test_model_sampler_and_modes_describe_one_hamiltonian(tmp_path, model):
+    triples = [[0, [[0.3, 0.1], [0.1, -0.3]], [[0.0, 0.0], [0.0, 0.0]]],
+               [1, [[0.0, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+               [-1, [[0.0, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    cfg = validate_config(spectrum_config(
+        tmp_path, model=model, custom_modes=triples,
+        drive={"omega": 8.0, "amplitude": 1.0,
+               "polarization": "linear" if model == "chain1d" else "circular"}))
+    sampler, build = cli._model_at(cfg, 0.7, -0.4)
+    modes = build()
+    for t in np.linspace(0.0, 2.0 * np.pi / 8.0, 7):
+        assert np.max(np.abs(modes.sample(t) - sampler(t))) < 1e-9
 
 
 def test_csv_writer_matches_per_value_formatting(tmp_path):

@@ -40,21 +40,37 @@ def reference_unfold(grid, per_block):
     return axis[order], values[order]
 
 
-def reference_spectral(grid):
+def reference_spectral(grid, g_r):
     return reference_unfold(
-        grid, lambda n: -np.imag(reference_block_trace(grid, grid.g_retarded, n)) / np.pi)
+        grid, lambda n: -np.imag(reference_block_trace(grid, g_r, n)) / np.pi)
 
 
-def reference_occupation(grid):
-    g_a = grid.g_advanced
+def reference_occupation(grid, g_r, g_k):
+    g_a = g_r.conj().transpose(0, 2, 1)
 
     def per_block(n):
-        lesser = 0.5 * (reference_block_trace(grid, grid.g_keldysh, n)
-                        - reference_block_trace(grid, grid.g_retarded, n)
+        lesser = 0.5 * (reference_block_trace(grid, g_k, n)
+                        - reference_block_trace(grid, g_r, n)
                         + reference_block_trace(grid, g_a, n))
         return np.real(lesser / (2j * np.pi))
 
     return reference_unfold(grid, per_block)
+
+
+def dense_dyson(modes, bath, m_cut, nu):
+    """G^R and G^K by one dense inverse per frequency and the full G^R Sigma^K G^A."""
+    big = fq.build_floquet_matrix(modes, m_cut).matrix
+    g_r = np.linalg.inv((nu[:, None, None] + 1j * bath.gamma) * np.eye(len(big)) - big)
+    block_index = np.repeat(np.arange(-m_cut, m_cut + 1), modes.dim)
+    _, sigma_k = fq.bath_self_energy(bath, nu[:, None], block_index, modes.omega)
+    g_k = np.einsum("fij,fj,fkj->fik", g_r, sigma_k, g_r.conj())
+    return g_r, g_k
+
+
+CHAIN = fq.chain_modes(0.9, 1.0, fq.DriveProtocol(omega=5.0, amplitude=1.0), 8)
+HONEYCOMB = fq.honeycomb_modes(
+    0.5, -0.3, 1.0, fq.DriveProtocol(omega=6.0, amplitude=1.2, polarization="circular"), 5)
+MODELS = [("chain1d", CHAIN), ("honeycomb", HONEYCOMB)]
 
 
 class TestBathSelfEnergy:
@@ -209,25 +225,42 @@ class TestOccupationFunction:
         assert above == pytest.approx(0.018496274263404788, rel=1e-6)
 
 
-class TestBlockTraceObservables:
-    CHAIN = fq.chain_modes(0.9, 1.0, fq.DriveProtocol(omega=5.0, amplitude=1.0), 8)
-    HONEYCOMB = fq.honeycomb_modes(
-        0.5, -0.3, 1.0, fq.DriveProtocol(omega=6.0, amplitude=1.2, polarization="circular"), 5)
+class TestDenseDysonOracle:
+    @pytest.mark.parametrize("name, modes", MODELS)
+    @pytest.mark.parametrize("gamma", [0.05, 1e-3])
+    @pytest.mark.parametrize("beta", [20.0, math.inf])
+    def test_observables_match_dense_inverse(self, name, modes, gamma, beta):
+        bath = fq.BathSpec(gamma=gamma, beta=beta)
+        m_cut, nu = modes.n_max + 3, fbz_grid(modes.omega, 101)
+        grid = fq.floquet_greens(modes, bath, m_cut, nu)
+        g_r, g_k = dense_dyson(modes, bath, m_cut, nu)
+        assert np.max(np.abs(grid.g_keldysh - g_k)) < 1e-10 * np.max(np.abs(g_k))
+        for got, want in ((fq.spectral_function(grid), reference_spectral(grid, g_r)),
+                          (fq.occupation_function(grid), reference_occupation(grid, g_r, g_k))):
+            assert np.array_equal(got[0], want[0])
+            assert np.max(np.abs(got[1] - want[1])) < 1e-10
 
-    @pytest.mark.parametrize("name, modes", [("chain1d", CHAIN), ("honeycomb", HONEYCOMB)])
+
+class TestBlockTraceObservables:
+    @pytest.mark.parametrize("name, modes", MODELS)
     @pytest.mark.parametrize("beta", [20.0, math.inf])
     def test_identical_to_per_block_traces(self, name, modes, beta):
         grid = fq.floquet_greens(modes, fq.BathSpec(gamma=0.05, beta=beta),
                                  modes.n_max + 3, fbz_grid(modes.omega, 101))
-        for got, want in ((fq.spectral_function(grid), reference_spectral(grid)),
-                          (fq.occupation_function(grid), reference_occupation(grid))):
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+        freqs, spec = fq.spectral_function(grid)
+        want_freqs, want_spec = reference_spectral(grid, grid.g_retarded)
+        assert np.array_equal(freqs, want_freqs)
+        assert np.array_equal(spec, want_spec)
+        # N reads the diagonal of G^K from G^R, not the Keldysh matrix itself
+        occ_freqs, occ = fq.occupation_function(grid)
+        want_freqs, want_occ = reference_occupation(grid, grid.g_retarded, grid.g_keldysh)
+        assert np.array_equal(occ_freqs, want_freqs)
+        np.testing.assert_allclose(occ, want_occ, rtol=0, atol=1e-14)
 
     def test_block_traces_layout(self):
-        grid = fq.floquet_greens(self.HONEYCOMB, fq.BathSpec(gamma=0.05, beta=5.0), 6,
+        grid = fq.floquet_greens(HONEYCOMB, fq.BathSpec(gamma=0.05, beta=5.0), 6,
                                  fbz_grid(6.0, 11))
-        traces = grid.block_traces(grid.g_keldysh)
+        traces = grid.block_traces(np.diagonal(grid.g_keldysh, axis1=1, axis2=2))
         assert traces.shape == (11, grid.n_blocks)
         for n in range(-6, 7):
             assert np.array_equal(traces[:, n + 6],
