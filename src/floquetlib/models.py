@@ -37,7 +37,7 @@ HONEYCOMB_LATTICE = np.array([
     HONEYCOMB_DELTAS[0] - HONEYCOMB_DELTAS[1],
     HONEYCOMB_DELTAS[0] - HONEYCOMB_DELTAS[2],
 ])
-HONEYCOMB_RECIPROCAL = 2.0 * np.pi * np.linalg.inv(HONEYCOMB_LATTICE).T
+HONEYCOMB_RECIPROCAL = 2.0 * np.pi * np.linalg.solve(HONEYCOMB_LATTICE, np.eye(2)).T
 
 HERMITICITY_TOL = 1e-10
 
