@@ -158,6 +158,14 @@ def validate_config(raw):
                      f"must be an integer, got {value!r}")
     k_min, k_max = (numerics.get(key, NUMERIC_DEFAULTS[key]) for key in ("k_min", "k_max"))
     _require(k_max > k_min, "numerics.k_max", f"must exceed k_min = {k_min!r}, got {k_max!r}")
+    sambe_task = task in ("spectrum", "chern", "greens")
+    if "n_max" not in numerics and (
+            (model in ("chain1d", "honeycomb") and task != "ness")
+            or ("M" not in numerics and sambe_task)):
+        # the default n_max = ceil(A) + 10, and the default M with it, grow without bound
+        _require(amplitude <= bessel.MAX_ARGUMENT, "drive.amplitude",
+                 f"must be <= {bessel.MAX_ARGUMENT} for the default cutoffs, got {amplitude!r}; "
+                 "set numerics.n_max and numerics.M explicitly")
     bath = raw.get("bath", {})
     if task == "greens":
         _require(isinstance(bath, dict), "bath", "must be an object")
@@ -191,6 +199,9 @@ def validate_config(raw):
             custom = models.custom_modes(float(omega), triples)
         except ValueError as exc:
             raise ConfigError(f"custom_modes: {exc}") from None
+        if task == "ness":
+            _require(custom.dim == 2, "custom_modes",
+                     f"ness task needs a two-level model (2x2 modes), got {custom.dim}x{custom.dim}")
 
     if task == "chern":
         _require(model in ("honeycomb", "custom"), "model",
@@ -215,7 +226,7 @@ def validate_config(raw):
         summary_metric=metric,
         raw=copy.deepcopy(raw),
     )
-    if "M" in numerics or task in ("spectrum", "chern", "greens"):
+    if "M" in numerics or sambe_task:
         # the Sambe matrix needs M >= the model's mode cutoff, and replica
         # selection (spectrum, chern) two blocks of margin beyond it
         need = cfg.mode_cutoff + (2 if task in ("spectrum", "chern") else 0)
@@ -367,9 +378,6 @@ def task_greens(cfg: RunConfig, outdir):
 def task_ness(cfg: RunConfig, outdir):
     kx, ky = cfg.lindblad.get("k", [0.0, 0.0])
     sampler, _ = _model_at(cfg, float(kx), float(ky))
-    dim = np.asarray(sampler(0.0)).shape[0]
-    if dim != 2:
-        raise ConfigError("lindblad.k: ness task needs a two-level Hamiltonian at this k")
     gamma = float(cfg.lindblad["gamma"])
     lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     system = open_system.LindbladSystem(hamiltonian=sampler,

@@ -12,7 +12,9 @@ the hopping unless stated):
 * honeycomb geometry is pinned to unit bond length with nearest-neighbor
   vectors delta_1 = (0, 1), delta_2 = (-sqrt3/2, -1/2),
   delta_3 = (sqrt3/2, -1/2); any valid choice works, this one is fixed
-  so regression values are reproducible.
+  so regression values are reproducible;
+* the built-in samplers take a scalar time, giving (d, d), or an array
+  of times, giving t.shape + (d, d) with each row equal to the scalar call.
 """
 
 import warnings
@@ -84,7 +86,7 @@ def sample_chain_1d(k, hopping, drive, t):
     Dispersion -2J cos(k - A(t)) with A(t) = -(E/omega) sin(omega t).
     """
     a = drive.vector_potential_1d(t)
-    return np.array([[-2.0 * hopping * np.cos(k - a)]], dtype=complex)
+    return np.asarray(-2.0 * hopping * np.cos(k - a), dtype=complex)[..., None, None]
 
 
 def sample_dirac(kx, ky, drive, t):
@@ -96,7 +98,8 @@ def sample_dirac(kx, ky, drive, t):
     if drive.polarization != "circular":
         raise ValueError("the driven Dirac model requires circular polarization")
     ax, ay = drive.vector_potential_2d(t)
-    return (kx - ax) * SIGMA_X + (ky - ay) * SIGMA_Y
+    return (np.asarray(kx - ax)[..., None, None] * SIGMA_X
+            + np.asarray(ky - ay)[..., None, None] * SIGMA_Y)
 
 
 def sample_honeycomb(kx, ky, hopping, drive, t):
@@ -107,10 +110,12 @@ def sample_honeycomb(kx, ky, hopping, drive, t):
     """
     if drive.polarization != "circular":
         raise ValueError("the driven honeycomb model requires circular polarization")
-    a = drive.vector_potential_2d(t)
-    kk = np.array([kx, ky]) - a
-    f = hopping * np.sum(np.exp(1j * (HONEYCOMB_DELTAS @ kk)))
-    return np.array([[0.0, f], [np.conj(f), 0.0]], dtype=complex)
+    kk = np.array([kx, ky]) - np.moveaxis(drive.vector_potential_2d(t), 0, -1)
+    f = hopping * np.sum(np.exp(1j * (HONEYCOMB_DELTAS @ kk[..., None])), axis=(-2, -1))
+    h = np.zeros(f.shape + (2, 2), dtype=complex)
+    h[..., 0, 1] = f
+    h[..., 1, 0] = np.conj(f)
+    return h
 
 
 def haldane_bloch(kx, ky, j_eff, k_eff):
@@ -184,9 +189,16 @@ class FourierModeSet:
         return padded[np.where(inside, n + self.n_max, -1)]
 
     def sample(self, t):
-        """Reconstruct H(t) = sum_n H_n exp(-i n omega t)."""
+        """Reconstruct H(t) = sum_n H_n exp(-i n omega t).
+
+        A scalar t gives (d, d); an array of times gives t.shape + (d, d).
+        """
+        t = np.asarray(t)
         ns = np.arange(-self.n_max, self.n_max + 1)
-        return np.tensordot(np.exp(-1j * ns * self.omega * t), self.modes, axes=(0, 0))
+        phases = np.exp(-1j * ns * self.omega * t[..., None])
+        # one row-vector product per time, the same BLAS call as a scalar t
+        h = phases[..., None, :] @ self.modes.reshape(ns.size, -1)
+        return h.reshape(t.shape + (self.dim, self.dim))
 
     def time_reversed(self):
         """Mode set of H(-t): reverses the handedness of a circular drive."""
@@ -196,11 +208,35 @@ class FourierModeSet:
         return float(np.max(np.abs(self.mode(n))))
 
 
+def _sample_times(sampler, ts):
+    """H(t) at every time of the 1-d array ts, as a complex (len(ts), d, d) array.
+
+    The sampler is called once on the whole array, and that result is
+    kept when it has this shape and its first and last rows agree with
+    scalar calls to 1e-12; the built-in samplers pass. Otherwise, or when
+    the array call raises, the sampler is called once per time, so any
+    t -> H callable works and a broken one raises its own error there.
+    """
+    first, last = (np.asarray(sampler(t), dtype=complex) for t in (ts[0], ts[-1]))
+    try:
+        batch = np.asarray(sampler(ts), dtype=complex)
+    except Exception:  # noqa: BLE001 - the per-t calls below re-raise a real fault
+        batch = None
+    if (batch is not None and batch.shape == (len(ts),) + first.shape
+            and np.all(np.abs(batch[0] - first) <= 1e-12)
+            and np.all(np.abs(batch[-1] - last) <= 1e-12)):
+        return batch
+    return np.stack([np.asarray(sampler(t), dtype=complex) for t in ts])
+
+
 def fourier_modes(sampler, omega, n_max, n_samples=None):
     """Fourier modes of a T-periodic Hermitian sampler on a uniform grid.
 
     H_n = (1/N) sum_j exp(i n omega t_j) H(t_j) with t_j = j T / N; for
     periodic integrands the plain Riemann sum is spectrally accurate.
+    The grid is sampled in one call when the sampler takes an array of
+    times and returns (N, d, d), as the built-in samplers do; any other
+    t -> H callable is sampled once per grid point.
     Requires n_samples >= 4 n_max + 1 to keep aliases out of the kept
     window. Warns when the edge mode carries more than 1e-3 of the
     largest mode's weight (cutoff likely too small); scaling by the
@@ -216,7 +252,7 @@ def fourier_modes(sampler, omega, n_max, n_samples=None):
             f"n_samples={n_samples} too small for n_max={n_max}; need >= {4 * n_max + 1}")
     period = 2.0 * np.pi / omega
     ts = np.arange(n_samples) * (period / n_samples)
-    samples = np.stack([np.asarray(sampler(t), dtype=complex) for t in ts])
+    samples = _sample_times(sampler, ts)
     herm = np.max(np.abs(samples - samples.conj().transpose(0, 2, 1)))
     if herm > 1e-9:
         raise ValueError(f"sampler is not Hermitian on the time grid (error {herm:.2e})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import FourierModeSet
+from .models import FourierModeSet, _sample_times
 from .sambe import build_floquet_matrix
 
 
@@ -145,9 +145,15 @@ def occupation_function(grid: GreensFunctionGrid):
 
 @dataclass(frozen=True)
 class LindbladSystem:
-    """Time-periodic system Hamiltonian sampler plus jump operators."""
+    """Time-periodic system Hamiltonian sampler plus jump operators.
 
-    hamiltonian: object        # callable t -> Hermitian (dim, dim)
+    `hamiltonian` is any callable t -> Hermitian (dim, dim). When it also
+    takes an array of times and returns (n, dim, dim), as the built-in
+    samplers do, the RK4 integrator samples each stage's times in one
+    call; otherwise it calls it once per stage time.
+    """
+
+    hamiltonian: object
     jumps: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -169,8 +175,12 @@ class LindbladSystem:
 
 def lindblad_rhs(system: LindbladSystem, rho, t):
     """GKSL right-hand side -i[H, rho] + sum_j (L rho L+ - {L+L, rho}/2)."""
-    rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(system.hamiltonian(t), dtype=complex)
+    return _rhs(system, np.asarray(rho, dtype=complex),
+                np.asarray(system.hamiltonian(t), dtype=complex))
+
+
+def _rhs(system: LindbladSystem, rho, h):
+    """lindblad_rhs with the Hamiltonian h = H(t) already sampled."""
     out = -1j * (h @ rho - rho @ h)
     for op in system.jumps:
         opd = op.conj().T
@@ -214,17 +224,20 @@ def _rk4(system: LindbladSystem, rho, t0, step, n_steps, states=None):
 
     rho is one matrix or a (n, dim, dim) stack: the right-hand side is
     linear and broadcasts over the leading axis, so a stack costs the
-    same sampler calls as one state. When given, states[i] receives the
-    state after step i (states[0] is left to the caller).
+    same sampler calls as one state. The Hamiltonian is sampled up front
+    at the step starts t0 + i step, midpoints and ends. When given,
+    states[i] receives the state after step i (states[0] is left to the
+    caller).
     """
-    t = t0
+    starts = t0 + np.arange(n_steps) * step
+    h_start, h_mid, h_end = (_sample_times(system.hamiltonian, ts)
+                             for ts in (starts, starts + 0.5 * step, starts + step))
     for i in range(n_steps):
-        k1 = lindblad_rhs(system, rho, t)
-        k2 = lindblad_rhs(system, rho + 0.5 * step * k1, t + 0.5 * step)
-        k3 = lindblad_rhs(system, rho + 0.5 * step * k2, t + 0.5 * step)
-        k4 = lindblad_rhs(system, rho + step * k3, t + step)
+        k1 = _rhs(system, rho, h_start[i])
+        k2 = _rhs(system, rho + 0.5 * step * k1, h_mid[i])
+        k3 = _rhs(system, rho + 0.5 * step * k2, h_mid[i])
+        k4 = _rhs(system, rho + step * k3, h_end[i])
         rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (i + 1) * step
         if states is not None:
             states[i + 1] = rho
     return rho

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
+from .models import _sample_times
+
 BRANCH_CUT_TOL = 1e-10
 
 
@@ -29,7 +31,10 @@ def evolve(sampler, t_start, t_end, n_steps):
     Parameters
     ----------
     sampler : callable
-        t -> Hermitian matrix H(t).
+        t -> Hermitian matrix H(t). The midpoints are sampled in one call
+        when the sampler takes an array of times and returns
+        (n_steps, d, d), as the built-in samplers do; any other
+        callable is sampled once per midpoint.
     t_start, t_end : float
         Evolution interval; t_end < t_start is allowed.
     n_steps : int
@@ -44,7 +49,7 @@ def evolve(sampler, t_start, t_end, n_steps):
         return evolve(sampler, t_end, t_start, n_steps).conj().T
     dt = (t_end - t_start) / n_steps
     mids = t_start + dt * (np.arange(n_steps) + 0.5)
-    hs = np.stack([np.asarray(sampler(t), dtype=complex) for t in mids])
+    hs = _sample_times(sampler, mids)
     herm = np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))
     if herm > 1e-9:
         raise ValueError(f"sampler is not Hermitian along the path (error {herm:.2e})")

@@ -154,10 +154,39 @@ class TestValidation:
         assert main(["run", write_config(tmp_path, payload)]) == 2
 
     def test_large_amplitude_without_bessel_factors(self, tmp_path):
-        validate_config(spectrum_config(tmp_path, drive={"omega": 8.0, "amplitude": 60.0}))
+        validate_config(spectrum_config(tmp_path, drive={"omega": 8.0, "amplitude": 60.0},
+                                        numerics={"n_k": 24, "n_max": 70, "M": 76}))
         validate_config(spectrum_config(
             tmp_path, model="honeycomb", task="ness", lindblad={"gamma": 0.4},
             drive={"omega": 8.0, "amplitude": 60.0, "polarization": "circular"}))
+
+    @pytest.mark.parametrize("model, task", [("chain1d", "spectrum"), ("chain1d", "greens"),
+                                             ("dirac", "spectrum"), ("dirac", "greens"),
+                                             ("custom", "spectrum")])
+    def test_default_cutoffs_need_bounded_amplitude(self, tmp_path, model, task):
+        # the default n_max = ceil(A) + 10 would give a ~2e6-wide Sambe matrix here
+        polarization = "linear" if model == "chain1d" else "circular"
+        payload = spectrum_config(
+            tmp_path, model=model, task=task, bath={"gamma": 0.1},
+            custom_modes=[[0, [[0.3]], [[0.0]]]],
+            drive={"omega": 8.0, "amplitude": 1e6, "polarization": polarization})
+        with pytest.raises(ConfigError, match="drive.amplitude.*numerics.n_max"):
+            validate_config(payload)
+        payload["numerics"] = {"n_max": 20, "M": 26}
+        assert validate_config(payload).m_cut == 26
+        if model != "chain1d":
+            # only chain1d builds its modes with n_max; elsewhere an explicit M suffices
+            payload["numerics"] = {"M": 26}
+            validate_config(payload)
+
+    def test_ness_custom_model_must_be_two_level(self, tmp_path):
+        payload = spectrum_config(
+            tmp_path, model="custom", task="ness", lindblad={"gamma": 0.4},
+            custom_modes=[[0, np.diag([0.5, 0.0, -0.5]).tolist(), np.zeros((3, 3)).tolist()]])
+        with pytest.raises(ConfigError, match="custom_modes"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["no", 0, 1, None])
     def test_write_curvature_must_be_boolean(self, tmp_path, value):

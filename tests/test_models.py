@@ -21,10 +21,39 @@ from floquetlib.models import (
     sample_dirac,
     sample_honeycomb,
     suggested_n_max,
+    _sample_times,
 )
 
 GAMMA_POINT = (0.0, 0.0)
 K_POINT = (4.0 * np.pi / (3.0 * np.sqrt(3.0)), 0.0)
+
+LINEAR = DriveProtocol(omega=5.0, amplitude=1.3)
+CIRCULAR = DriveProtocol(omega=5.0, amplitude=1.3, polarization="circular")
+BUILTIN_SAMPLERS = {
+    "chain1d": lambda t: sample_chain_1d(0.7, 1.0, LINEAR, t),
+    "dirac": lambda t: sample_dirac(0.3, -0.2, CIRCULAR, t),
+    "honeycomb": lambda t: sample_honeycomb(0.4, -0.7, 1.0, CIRCULAR, t),
+    "mode_set": honeycomb_modes(0.4, -0.7, 1.0, CIRCULAR, 8).sample,
+    "mode_set_3x3": custom_modes(2.0, [
+        [0, np.diag([0.5, 0.0, -0.5]).tolist(), np.zeros((3, 3)).tolist()],
+        [2, np.eye(3, k=1).tolist(), (0.3 * np.eye(3, k=-1)).tolist()],
+        [-2, np.eye(3, k=-1).tolist(), (-0.3 * np.eye(3, k=1)).tolist()]]).sample,
+}
+
+
+def per_t_samples(sampler, ts):
+    """One sampler call per time: the loop the batched samplers replace."""
+    return np.stack([np.asarray(sampler(t), dtype=complex) for t in ts])
+
+
+def reference_fourier_modes(sampler, omega, n_max):
+    """fourier_modes with one sampler call per grid point (the per-t oracle)."""
+    n_samples = 4 * n_max + 1
+    ts = np.arange(n_samples) * (2.0 * np.pi / omega / n_samples)
+    samples = per_t_samples(sampler, ts)
+    ns = np.arange(-n_max, n_max + 1)
+    raw = np.tensordot(np.exp(1j * ns[:, None] * omega * ts), samples, axes=(1, 0)) / n_samples
+    return 0.5 * (raw + raw[::-1].conj().transpose(0, 2, 1))
 
 
 def test_drive_protocol_validation():
@@ -171,6 +200,55 @@ class TestFourierModes:
                           drive.omega, 3)
 
 
+class TestBatchedSamplers:
+    TIMES = np.linspace(-1.0, 3.0, 37)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
+    def test_time_array_rows_match_scalar_calls(self, name):
+        sampler = BUILTIN_SAMPLERS[name]
+        batch = sampler(self.TIMES)
+        single = sampler(0.25)
+        assert single.ndim == 2 and single.shape[0] == single.shape[1]
+        assert batch.shape == (self.TIMES.size,) + single.shape
+        np.testing.assert_allclose(batch, per_t_samples(sampler, self.TIMES), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
+    def test_builtin_sampled_in_one_array_call(self, name):
+        calls = []
+
+        def counted(t):
+            calls.append(np.ndim(t))
+            return BUILTIN_SAMPLERS[name](t)
+
+        got = _sample_times(counted, self.TIMES)
+        assert sorted(calls) == [0, 0, 1]  # two scalar checks, one array call
+        np.testing.assert_allclose(got, per_t_samples(counted, self.TIMES), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("sampler", [
+        lambda t: float(t) * SIGMA_Z,                         # raises on an array
+        lambda t: SIGMA_Z,                                    # ignores t: one (2, 2) matrix
+        lambda t: np.broadcast_to(np.ravel(t)[0] * SIGMA_Z,   # batched rows all at ts[0]
+                                  np.shape(t) + (2, 2)),
+    ], ids=["raises", "constant", "rows_disagree"])
+    def test_falls_back_to_per_t_calls(self, sampler):
+        got = _sample_times(sampler, self.TIMES)
+        assert np.array_equal(got, per_t_samples(sampler, self.TIMES))
+
+    def test_broken_sampler_raises_its_own_error(self):
+        def broken(t):
+            raise RuntimeError("model failure")
+
+        with pytest.raises(RuntimeError, match="model failure"):
+            _sample_times(broken, self.TIMES)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SAMPLERS))
+    def test_fourier_modes_match_per_t_reference(self, name):
+        omega = 2.0 if name == "mode_set_3x3" else 5.0
+        got = fourier_modes(BUILTIN_SAMPLERS[name], omega, 10)
+        want = reference_fourier_modes(BUILTIN_SAMPLERS[name], omega, 10)
+        np.testing.assert_allclose(got.modes, want, rtol=0, atol=1e-14)
+
+
 class TestModeSetInvariants:
     def test_pairing_enforced(self):
         bad = np.stack([2 * SIGMA_X, np.zeros((2, 2)), SIGMA_X])
@@ -203,7 +281,7 @@ class TestModeSetInvariants:
     def test_numeric_pairing(self, amplitude, omega, k):
         drive = DriveProtocol(omega=omega, amplitude=amplitude, polarization="circular")
         modes = fourier_modes(
-            lambda t: sample_honeycomb(k, 0.4, 1.0, drive, t), omega, 6)
+            lambda t: sample_honeycomb(k, 0.4, 1.0, drive, t), omega, suggested_n_max(amplitude))
         for n in range(0, 7):
             err = np.max(np.abs(modes.mode(-n) - modes.mode(n).conj().T))
             assert err < 1e-10

@@ -10,6 +10,7 @@ import floquetlib as fq
 from floquetlib.models import SIGMA_X, SIGMA_Z
 
 LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+CIRCULAR_DRIVE = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
 
 
 def static_level(energy=0.0, omega=1.0, n_max=0):
@@ -347,7 +348,37 @@ class TestEvolveLindblad:
         assert np.max(np.abs(one_more.final - settle.final)) < 1e-7
 
 
+def reference_one_period_map(system, omega, steps_per_period):
+    """Phi_T column by column, RK4 through lindblad_rhs at each stage time (the per-t oracle)."""
+    step = 2.0 * np.pi / omega / steps_per_period
+    d2 = system.dim ** 2
+    columns = []
+    for rho in np.eye(d2, dtype=complex).reshape(d2, system.dim, system.dim):
+        t = 0.0
+        for i in range(steps_per_period):
+            k1 = fq.lindblad_rhs(system, rho, t)
+            k2 = fq.lindblad_rhs(system, rho + 0.5 * step * k1, t + 0.5 * step)
+            k3 = fq.lindblad_rhs(system, rho + 0.5 * step * k2, t + 0.5 * step)
+            k4 = fq.lindblad_rhs(system, rho + step * k3, t + step)
+            rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = (i + 1) * step
+        columns.append(rho.ravel())
+    return np.array(columns).T
+
+
 class TestOnePeriodMap:
+    @pytest.mark.parametrize("hamiltonian", [
+        lambda t: fq.sample_dirac(0.3, -0.2, CIRCULAR_DRIVE, t),
+        lambda t: fq.sample_honeycomb(0.4, -0.7, 1.0, CIRCULAR_DRIVE, t),
+        fq.dirac_modes(0.3, -0.2, CIRCULAR_DRIVE).sample,
+        lambda t: 0.4 * SIGMA_Z + 0.7 * math.cos(CIRCULAR_DRIVE.omega * t) * SIGMA_X,
+    ], ids=["dirac", "honeycomb", "mode_set", "scalar_only"])
+    def test_matches_per_t_reference(self, hamiltonian):
+        system = fq.LindbladSystem(hamiltonian=hamiltonian, jumps=[np.sqrt(0.4) * LOWERING])
+        phi = fq.one_period_map(system, CIRCULAR_DRIVE.omega, steps_per_period=256)
+        want = reference_one_period_map(system, CIRCULAR_DRIVE.omega, 256)
+        np.testing.assert_allclose(phi, want, rtol=0, atol=1e-13)
+
     def test_matches_one_integrated_period(self):
         omega, gamma = 2.0 * np.pi, 0.4
         system = fq.LindbladSystem(

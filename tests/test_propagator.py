@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from floquetlib.models import SIGMA_X, SIGMA_Z, DriveProtocol, sample_chain_1d, sample_dirac
+from floquetlib.models import (
+    SIGMA_X,
+    SIGMA_Z,
+    DriveProtocol,
+    honeycomb_modes,
+    sample_chain_1d,
+    sample_dirac,
+    sample_honeycomb,
+)
 from floquetlib.propagator import (
     BranchCutError,
     evolve,
@@ -19,7 +27,29 @@ def drive_dirac(omega=5.0, amplitude=1.0):
     return d, (lambda t: sample_dirac(0.3, -0.2, d, t))
 
 
+def reference_evolve(sampler, t_start, t_end, n_steps):
+    """Midpoint-exponential product with one sampler call per step (the per-t oracle)."""
+    dt = (t_end - t_start) / n_steps
+    u = None
+    for j in range(n_steps):
+        energies, frame = np.linalg.eigh(np.asarray(sampler(t_start + dt * (j + 0.5)), complex))
+        step = (frame * np.exp(-1j * dt * energies)) @ frame.conj().T
+        u = step if u is None else step @ u
+    return u
+
+
 class TestEvolve:
+    @pytest.mark.parametrize("sampler", [
+        lambda t: sample_chain_1d(0.7, 1.0, DriveProtocol(omega=5.0, amplitude=1.3), t),
+        drive_dirac()[1],
+        lambda t: sample_honeycomb(0.4, -0.7, 1.0, drive_dirac(6.0, 0.8)[0], t),
+        honeycomb_modes(0.4, -0.7, 1.0, drive_dirac(6.0, 0.8)[0], 8).sample,
+        lambda t: float(t) * SIGMA_Z + SIGMA_X,      # scalar-only: sampled per midpoint
+    ], ids=["chain1d", "dirac", "honeycomb", "mode_set", "scalar_only"])
+    def test_matches_per_t_reference(self, sampler):
+        np.testing.assert_allclose(evolve(sampler, 0.1, 1.3, 512),
+                                   reference_evolve(sampler, 0.1, 1.3, 512), rtol=0, atol=1e-12)
+
     def test_static_half_rotation(self):
         u = evolve(lambda t: SIGMA_Z, 0.0, np.pi, 64)
         np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
