@@ -21,8 +21,7 @@ def main():
         drive = fq.DriveProtocol(omega=OMEGA, amplitude=amplitude,
                                  polarization="circular")
         modes = fq.dirac_modes(0.0, 0.0, drive)
-        sol = fq.select_physical_band(
-            fq.quasienergies(fq.build_floquet_matrix(modes, 12)))
+        sol = fq.physical_band(modes, 12)
         sambe_gap = sol.quasienergies[1] - sol.quasienergies[0]
         sampler = lambda t: fq.sample_dirac(0.0, 0.0, drive, t)
         eps = fq.quasienergies_from_monodromy(

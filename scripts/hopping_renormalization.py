@@ -28,8 +28,7 @@ def measured_hopping(amplitude):
     band = []
     for k in ks:
         modes = fq.chain_modes(k, 1.0, drive, n_max)
-        sol = fq.select_physical_band(
-            fq.quasienergies(fq.build_floquet_matrix(modes, n_max + 6)))
+        sol = fq.physical_band(modes, n_max + 6)
         band.append(sol.quasienergies[0])
     band = np.array(band)
     magnitude = np.ptp(band) / 4.0

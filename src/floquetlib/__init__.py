@@ -41,6 +41,7 @@ from .sambe import (
     evolve_state_floquet,
     floquet_coefficients,
     fold_to_bz,
+    physical_band,
     quasienergies,
     replica_centers,
     select_physical_band,

@@ -307,8 +307,7 @@ def config_hash(raw):
 def task_spectrum(cfg: RunConfig, outdir):
     blocks = []
     for k in _k_grid(cfg):
-        sol = sambe.select_physical_band(
-            sambe.quasienergies(sambe.build_floquet_matrix(_modes(cfg, k), cfg.m_cut)))
+        sol = sambe.physical_band(_modes(cfg, k), cfg.m_cut)
         blocks.append(np.column_stack((
             np.full(sol.dim, k), np.arange(sol.dim), sambe.replica_centers(sol),
             sol.quasienergies, sol.weight0())))
@@ -436,6 +435,17 @@ def _set_by_path(raw, dotted, value):
     node[keys[-1]] = value
 
 
+def _env_workers():
+    """Sweep worker count from FLOQUET_WORKERS (default 4)."""
+    text = os.environ.get("FLOQUET_WORKERS", "4")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ConfigError(f"FLOQUET_WORKERS: not an integer: {text!r}") from None
+    _require(workers >= 1, "FLOQUET_WORKERS", f"must be at least 1, got {workers}")
+    return workers
+
+
 def run_sweep(raw, parameter, values, workers=None):
     """One run per parameter value; aggregate CSV plus per-value directories.
 
@@ -449,6 +459,8 @@ def run_sweep(raw, parameter, values, workers=None):
     clashes = sorted({name for name in names if names.count(name) > 1})
     _require(not clashes, "--values", f"values share an output directory: {clashes}")
     base = validate_config(raw)  # fail fast before spawning work
+    if workers is None:
+        workers = _env_workers()
     root = base.output
     os.makedirs(root, exist_ok=True)
 
@@ -459,8 +471,6 @@ def run_sweep(raw, parameter, values, workers=None):
         cfg = validate_config(raw_v)
         return run_config(cfg)
 
-    if workers is None:
-        workers = int(os.environ.get("FLOQUET_WORKERS", "4"))
     workers = max(1, min(workers, len(values)))
     results, failures = {}, {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

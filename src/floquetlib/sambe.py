@@ -7,12 +7,15 @@ index to |m| <= M makes this a dense Hermitian matrix of dimension
 (2M+1) * dim. Every physical eigenstate reappears as replicas shifted by
 l blocks with quasienergies shifted by -l omega; replica selection keeps
 the copy with the largest Fourier weight in the central block.
+`physical_band` gets that band from a solve restricted to one zone on
+each side of zero, certified exact by the central-weight sum rule.
 """
 
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .models import FourierModeSet
 
@@ -119,12 +122,13 @@ class QuasienergySolution:
         return np.tensordot(phases, comps, axes=(0, 0))
 
 
-def quasienergies(fm: FloquetMatrix):
-    """Full Hermitian eigendecomposition of the extended-space matrix."""
+def _check_hermitian(fm: FloquetMatrix):
     herm = np.max(np.abs(fm.matrix - fm.matrix.conj().T))
     if herm > 1e-9:
         raise ValueError(f"extended-space matrix is not Hermitian (error {herm:.2e})")
-    raw, vecs = np.linalg.eigh(fm.matrix)
+
+
+def _solution(fm: FloquetMatrix, raw, vecs):
     return QuasienergySolution(
         omega=fm.omega,
         m_cut=fm.m_cut,
@@ -134,6 +138,13 @@ def quasienergies(fm: FloquetMatrix):
         raw_energies=raw,
         vectors=vecs,
     )
+
+
+def quasienergies(fm: FloquetMatrix):
+    """Full Hermitian eigendecomposition of the extended-space matrix."""
+    _check_hermitian(fm)
+    raw, vecs = np.linalg.eigh(fm.matrix)
+    return _solution(fm, raw, vecs)
 
 
 def select_physical_band(sol: QuasienergySolution):
@@ -167,6 +178,29 @@ def select_physical_band(sol: QuasienergySolution):
         vectors=sol.vectors[:, order],
         physical=True,
     )
+
+
+def physical_band(modes: FourierModeSet, m_cut):
+    """select_physical_band of the full solution, from a windowed solve.
+
+    Solves only the eigenpairs with raw energy in (-omega, omega] (LAPACK
+    MRRR, ?heevr). The central-block rows of the unitary eigenvector
+    matrix have unit norm, so the central weights w0 of all eigenpairs
+    sum to dim. When the window holds at least dim states and the weight
+    it misses, dim - sum(w0 in window), is below the smallest of the dim
+    largest window weights, no state outside the window can displace a
+    picked one and the selection equals the full one. Otherwise this
+    falls back to the full solve.
+    """
+    fm = build_floquet_matrix(modes, m_cut)
+    _check_hermitian(fm)
+    raw, vecs = scipy.linalg.eigh(fm.matrix, subset_by_value=(-fm.omega, fm.omega),
+                                  driver="evr")
+    window = _solution(fm, raw, vecs)
+    w0 = np.sort(window.weight0())[::-1]
+    if w0.size >= fm.dim and fm.dim - np.sum(w0) < w0[fm.dim - 1]:
+        return select_physical_band(window)
+    return select_physical_band(quasienergies(fm))
 
 
 def replica_centers(sol: QuasienergySolution):
@@ -215,7 +249,6 @@ def convergence_scan(modes: FourierModeSet, m_values):
         raise ValueError("m_values must be ascending")
     bands = {}
     for m in m_values:
-        sol = select_physical_band(quasienergies(build_floquet_matrix(modes, m)))
-        bands[m] = np.sort(sol.quasienergies)
+        bands[m] = np.sort(physical_band(modes, m).quasienergies)
     reference = bands[m_values[-1]]
     return [(m, float(np.max(np.abs(bands[m] - reference)))) for m in m_values]

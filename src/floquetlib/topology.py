@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import HONEYCOMB_RECIPROCAL
-from .sambe import build_floquet_matrix, quasienergies, select_physical_band
+from .sambe import physical_band
 
 GAP_CLOSURE_TOL = 1e-6
 QUANTIZATION_TOL = 1e-3
@@ -163,8 +163,7 @@ def floquet_band_solver(mode_builder, m_cut):
     """
 
     def solver(kx, ky):
-        modes = mode_builder(kx, ky)
-        sol = select_physical_band(quasienergies(build_floquet_matrix(modes, m_cut)))
+        sol = physical_band(mode_builder(kx, ky), m_cut)
         return sol.quasienergies, sol.vectors
 
     return solver

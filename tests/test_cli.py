@@ -499,3 +499,18 @@ def test_env_worker_override(tmp_path, monkeypatch):
     assert main(["sweep", path, "--param", "drive.omega", "--values", "5.0,6.0"]) == 0
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("text", ["two", "2.0", "0"])
+def test_env_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.setenv("FLOQUET_WORKERS", text)
+    payload = {
+        "model": "dirac",
+        "drive": {"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
+        "task": "hfe",
+        "output": str(tmp_path / "sweep"),
+    }
+    path = write_config(tmp_path, payload)
+    assert main(["sweep", path, "--param", "drive.omega", "--values", "5.0,6.0"]) == 2
+    assert "FLOQUET_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()

@@ -230,6 +230,115 @@ class TestSelectPhysicalBand:
         np.testing.assert_array_equal(fq.replica_centers(sol), [0, 0])
 
 
+def seeded_modes(model, seed):
+    """A random k-point of `model` under a seeded drive, omega 4-12, A 0.2-2."""
+    rng = np.random.default_rng(seed)
+    omega, amplitude = rng.uniform(4.0, 12.0), rng.uniform(0.2, 2.0)
+    kx, ky = rng.uniform(-np.pi, np.pi, 2)
+    n_max = fq.suggested_n_max(amplitude)
+    if model == "chain1d":
+        return fq.chain_modes(kx, 1.0, fq.DriveProtocol(omega=omega, amplitude=amplitude), n_max)
+    circular = fq.DriveProtocol(omega=omega, amplitude=amplitude, polarization="circular")
+    if model == "honeycomb":
+        return fq.honeycomb_modes(kx, ky, 1.0, circular, n_max)
+    if model == "dirac":
+        return fq.dirac_modes(kx, ky, circular)
+    h0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h1 = amplitude * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) / 2.0
+    return fq.FourierModeSet(omega, np.stack([h1.conj().T, (h0 + h0.conj().T) / 2.0, h1]))
+
+
+@pytest.fixture
+def full_solves(monkeypatch):
+    """Count the full quasienergies solves that physical_band falls back to."""
+    calls = []
+    full = fq.sambe.quasienergies
+
+    def counted(fm):
+        calls.append(fm)
+        return full(fm)
+
+    monkeypatch.setattr(fq.sambe, "quasienergies", counted)
+    return calls
+
+
+def full_route(modes, m_cut):
+    return fq.select_physical_band(fq.quasienergies(fq.build_floquet_matrix(modes, m_cut)))
+
+
+class TestPhysicalBand:
+    @pytest.mark.parametrize("model", ["chain1d", "honeycomb", "dirac", "custom3"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_full_route(self, model, seed, full_solves):
+        modes = seeded_modes(model, seed)
+        m_cut = modes.n_max + 6
+        window = fq.physical_band(modes, m_cut)
+        assert not full_solves  # the certificate held: no fallback
+        full = full_route(modes, m_cut)
+        assert window.physical and window.n_states == modes.dim
+        assert np.max(np.abs(window.quasienergies - full.quasienergies)) < 1e-12
+        assert np.max(np.abs(window.weight0() - full.weight0())) < 1e-12
+        # the same replica of every state: equal up to eigensolver rounding
+        assert np.max(np.abs(window.raw_energies - full.raw_energies)) < 1e-12
+        np.testing.assert_array_equal(fq.replica_centers(window), fq.replica_centers(full))
+
+    def test_level_outside_window_falls_back(self, full_solves):
+        # the central replica of the level at 1.5 omega lies outside (-omega, omega]
+        omega = 5.0
+        modes = static_modes(np.diag([0.3, 1.5 * omega]), omega)
+        phys = fq.physical_band(modes, 3)
+        assert len(full_solves) == 1
+        full = full_route(modes, 3)
+        np.testing.assert_array_equal(phys.quasienergies, full.quasienergies)
+        # sorted by folded quasienergy: 7.5 folds to -2.5
+        np.testing.assert_array_equal(phys.raw_energies, [1.5 * omega, 0.3])
+        np.testing.assert_array_equal(phys.weight0(), [1.0, 1.0])
+
+    def test_missed_weight_above_weakest_pick_falls_back(self, full_solves):
+        # H_1 dresses the level at 7.2 with the one at -0.2: the window
+        # weights are 1, 0.8, 0.2, 0.2, ..., so it misses 0.8 of the central
+        # weight, more than its third largest w0 and less than its largest
+        omega = 5.0
+        h0 = np.diag([0.2, 7.2, -0.2]).astype(complex)
+        h1 = np.zeros((3, 3), dtype=complex)
+        h1[1, 2] = 1.6
+        modes = fq.FourierModeSet(omega, np.stack([h1.conj().T, h0, h1]))
+        phys = fq.physical_band(modes, 3)
+        assert len(full_solves) == 1
+        np.testing.assert_allclose(phys.raw_energies, [8.0, -1.0, 0.2], atol=1e-12)
+        np.testing.assert_allclose(phys.weight0(), [0.8, 0.8, 1.0], atol=1e-12)
+
+    def test_window_with_too_few_states_falls_back(self, full_solves):
+        # at M = 2 no replica of the levels at 4 and 6 omega reaches the window
+        omega = 5.0
+        modes = static_modes(np.diag([0.3, 4.0 * omega, 6.0 * omega]), omega)
+        phys = fq.physical_band(modes, 2)
+        assert len(full_solves) == 1
+        np.testing.assert_array_equal(phys.raw_energies, full_route(modes, 2).raw_energies)
+
+    def test_strong_drive_warns_through_window(self, full_solves):
+        # weakest picked w0 is 0.43; the window misses 0.38 of the weight
+        drive = fq.DriveProtocol(omega=3.0, amplitude=2.0, polarization="circular")
+        modes = fq.dirac_modes(1.3, 0.0, drive)
+        with pytest.warns(UserWarning, match="ambiguous"):
+            phys = fq.physical_band(modes, 9)
+        assert not full_solves
+        with pytest.warns(UserWarning, match="ambiguous"):
+            full = full_route(modes, 9)
+        assert np.max(np.abs(phys.weight0() - full.weight0())) < 1e-12
+
+    def test_requires_margin(self):
+        drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
+        with pytest.raises(ValueError, match="n_max"):
+            fq.physical_band(fq.dirac_modes(0.0, 0.0, drive), 2)
+
+    def test_rejects_non_hermitian(self):
+        modes = static_modes(SIGMA_Z, 5.0, n_max=1)
+        modes.modes[1, 0, 1] = 0.5  # breaks H_0 = H_0^dagger after validation
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fq.physical_band(modes, 3)
+
+
 class TestInvariants:
     def test_replica_covariance(self):
         drive = fq.DriveProtocol(omega=8.0, amplitude=0.5, polarization="circular")
