@@ -147,7 +147,7 @@ def quasienergies(fm: FloquetMatrix):
     return _solution(fm, raw, vecs)
 
 
-def select_physical_band(sol: QuasienergySolution):
+def select_physical_band(sol: QuasienergySolution, *, _stacklevel=2):
     """Keep one replica per physical state: the dim largest central weights.
 
     For every physical state the replica whose Fourier weight peaks in
@@ -156,7 +156,8 @@ def select_physical_band(sol: QuasienergySolution):
     retained weight drops below 0.5, where the identification becomes
     ambiguous under strong driving. Requires M >= n_max + 2 so the
     retained states are away from the truncation edges. The result is
-    sorted by folded quasienergy.
+    sorted by folded quasienergy. `_stacklevel` lets a library wrapper
+    attribute the warning to its own caller.
     """
     if sol.physical:
         return sol
@@ -169,7 +170,7 @@ def select_physical_band(sol: QuasienergySolution):
         warnings.warn(
             f"weakest central Fourier weight {np.min(w0[picked]):.3f} < 0.5: "
             "replica identification is ambiguous at this drive strength",
-            stacklevel=2)
+            stacklevel=_stacklevel)
     order = picked[np.argsort(sol.quasienergies[picked], kind="stable")]
     return replace(
         sol,
@@ -199,8 +200,8 @@ def physical_band(modes: FourierModeSet, m_cut):
     window = _solution(fm, raw, vecs)
     w0 = np.sort(window.weight0())[::-1]
     if w0.size >= fm.dim and fm.dim - np.sum(w0) < w0[fm.dim - 1]:
-        return select_physical_band(window)
-    return select_physical_band(quasienergies(fm))
+        return select_physical_band(window, _stacklevel=3)
+    return select_physical_band(quasienergies(fm), _stacklevel=3)
 
 
 def replica_centers(sol: QuasienergySolution):

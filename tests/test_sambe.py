@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,9 +322,10 @@ class TestPhysicalBand:
         # weakest picked w0 is 0.43; the window misses 0.38 of the weight
         drive = fq.DriveProtocol(omega=3.0, amplitude=2.0, polarization="circular")
         modes = fq.dirac_modes(1.3, 0.0, drive)
-        with pytest.warns(UserWarning, match="ambiguous"):
+        with pytest.warns(UserWarning, match="ambiguous") as record:
             phys = fq.physical_band(modes, 9)
         assert not full_solves
+        assert [w.filename for w in record] == [__file__]  # names the caller
         with pytest.warns(UserWarning, match="ambiguous"):
             full = full_route(modes, 9)
         assert np.max(np.abs(phys.weight0() - full.weight0())) < 1e-12
@@ -332,11 +335,18 @@ class TestPhysicalBand:
         with pytest.raises(ValueError, match="n_max"):
             fq.physical_band(fq.dirac_modes(0.0, 0.0, drive), 2)
 
-    def test_rejects_non_hermitian(self):
-        modes = static_modes(SIGMA_Z, 5.0, n_max=1)
-        modes.modes[1, 0, 1] = 0.5  # breaks H_0 = H_0^dagger after validation
+    def test_rejects_non_hermitian(self, monkeypatch):
+        build = fq.sambe.build_floquet_matrix
+
+        def skewed(modes, m_cut):
+            fm = build(modes, m_cut)
+            matrix = fm.matrix.copy()
+            matrix[0, 1] += 0.5
+            return replace(fm, matrix=matrix)
+
+        monkeypatch.setattr(fq.sambe, "build_floquet_matrix", skewed)
         with pytest.raises(ValueError, match="not Hermitian"):
-            fq.physical_band(modes, 3)
+            fq.physical_band(static_modes(SIGMA_Z, 5.0, n_max=1), 3)
 
 
 class TestInvariants:
