@@ -26,7 +26,8 @@ A config is a JSON object:
 All numerics have defaults; energies are in units of the hopping (J = 1).
 Exit codes: 0 success, 2 config/schema error, 3 solver error. Outputs are
 deterministic for a fixed config and written atomically (temp + rename),
-with a manifest.json recording the config hash, version and wall time.
+with a manifest.json recording the config hash, version, the numerics the
+task used after defaults, and wall time.
 """
 
 import argparse
@@ -62,6 +63,14 @@ NUMERIC_DEFAULTS = {
 }
 INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "n_steps", "max_periods",
                 "steps_per_period")
+# numerics each task uses, recorded after defaults in its manifest.json
+TASK_NUMERICS = {
+    "spectrum": ("n_max", "M", "n_k", "k_min", "k_max"),
+    "hfe": ("n_max",),
+    "chern": ("n_max", "M", "Nk"),
+    "greens": ("n_max", "M", "n_k", "k_min", "k_max", "nu_points"),
+    "ness": ("tol", "max_periods", "steps_per_period"),
+}
 CSV_BLOCK_ROWS = 8192    # rows formatted and written per block by _write_csv
 
 
@@ -95,6 +104,13 @@ class RunConfig:
     def m_cut(self):
         got = self.numerics.get("M")
         return int(got) if got is not None else max(self.n_max, self.mode_cutoff) + 6
+
+    def resolved_numerics(self):
+        """The numerics of TASK_NUMERICS[task] with defaults filled in."""
+        cutoffs = {"n_max": self.n_max, "M": self.m_cut}
+        return {key: (int if key in INTEGER_KEYS else float)(
+                    cutoffs[key] if key in cutoffs else self.numeric(key))
+                for key in TASK_NUMERICS[self.task]}
 
     @property
     def mode_cutoff(self):
@@ -276,20 +292,185 @@ def _write_atomic(path, text):
 def _write_csv(path, header, table):
     """Write an (n_rows, n_cols) float array under a header line.
 
-    Every value prints as %.12g, so integral values (branch and replica
-    indices) print exactly as str(int) would. The rows are zipped from
-    the columns' Python lists, which formats faster than table.tolist(),
-    and go out CSV_BLOCK_ROWS at a time, so memory stays bounded by one
-    block's text rather than the whole file's.
+    Every value prints exactly as '%.12g' % v would, so integral values
+    (branch and replica indices) print as str(int) would. The table goes
+    out CSV_BLOCK_ROWS rows at a time, each block turned into bytes by a
+    numpy kernel (`_csv_bytes`) with no Python call per value:
+
+    * per cell, e = floor(log10|x|) and the 12-digit mantissa m = rint(s),
+      s = |x| 10^(11-e); m = 10^12 carries into e + 1;
+    * the digits come from a table of 4-digit groups and go into a
+      fixed-width slot holding every byte %.12g may print; a keep mask
+      looked up by (notation, significant digits, exponent width, sign)
+      selects the bytes the cell's text uses, and one boolean compress
+      per block cuts the text out of the slots.
+
+    rint(s) is %.12g's correctly rounded mantissa when s is in
+    [10^11, 10^12) and not within s 2^-48 of a decimal tie, 16 times the
+    worst error of the scaling. The other cells (log10 misses the decade
+    just below a power of ten), nan, inf and magnitudes outside
+    [1e-290, 1e290] fall back to '%.12g' % v itself (`_exact_text`),
+    written into their slot.
+
+    Memory stays bounded by one block, not the file: the kernel's arrays
+    are the uint8 slots and bool keep mask (36 bytes each per cell), the
+    output and narrow integer keys, under 100 bytes per cell against
+    about 16 bytes of text.
     """
-    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    template = np.tile(np.frombuffer(_SLOT_TEMPLATE, np.uint8), (table.shape[1], 1))
+    template[:-1, -1] = ord(",")
     tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(header + "\n")
+    with open(tmp, "wb") as handle:
+        handle.write(header.encode() + b"\n")
         for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            handle.write("".join([line % row for row in zip(*block.T.tolist())]))
+            handle.write(_csv_bytes(table[start:start + CSV_BLOCK_ROWS], template))
     os.replace(tmp, path)
+
+
+# The %.12g kernel. A cell's text is cut from a fixed slot holding every byte
+# %.12g may print:
+#   sign | "0.000" | d0..d11 | d0..d11 | exponent field | separator
+# The first digit copy gives the digits before the dot. In the second a dot
+# overwrites the last of those, so the dot and the digits after it are one
+# run. The exponent field is "e+ddd", or "e+dd" right-aligned. The template's
+# "\n" becomes "," for all but the last column.
+_SLOT_TEMPLATE = b"-0.000" + b"0" * 24 + b"e+000\n"
+_SLOT = len(_SLOT_TEMPLATE)
+_INT, _FRAC, _EXP = 6, 18, 30   # slot positions of the two digit copies and the exponent
+_EXPONENT, _ZERO = 16, 17       # notation classes after the fixed ones, 0..15 for e = -4..11
+_TIE_GUARD = 2.0 ** -48         # relative; the scaled value is within 2^-52 relative of exact
+_MIN_ABS, _MAX_ABS = 1e-290, 1e290
+_POW_RANGE = 305                # covers 10^(11 - e) for every e of [_MIN_ABS, _MAX_ABS]
+# the 4-digit groups "0000".."9999": the ASCII bytes of each in one uint32,
+# and the number of trailing zeros of each
+_GROUP_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+_GROUPS = _GROUP_DIGITS.view(np.uint32).ravel()
+_GROUP_ZEROS = np.cumprod(_GROUP_DIGITS[:, ::-1] == ord("0"), axis=1, dtype=np.int8).sum(
+    axis=1, dtype=np.int8)
+# |x| 10^k as one multiplication (k >= 0) or division (k < 0) by a correctly
+# rounded power of ten, exact for |k| <= 22; the other factor is 1
+_POWERS = np.array([float(10 ** k) for k in range(_POW_RANGE + 1)])
+_UP = np.concatenate([np.ones(_POW_RANGE), _POWERS])
+_DOWN = np.concatenate([_POWERS[:0:-1], np.ones(_POW_RANGE + 1)])
+
+
+def _exponent_fields():
+    """The 5-byte exponent field of e = -400..400, one void item each."""
+    e = np.arange(-400, 401)
+    digits = np.abs(e)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    sign = np.where(e < 0, ord("-"), ord("+"))
+    wide = np.abs(e) >= 100
+    fields = np.column_stack((np.where(wide, ord("e"), ord("0")), np.where(wide, sign, ord("e")),
+                              np.where(wide, digits[:, 0], sign), digits[:, 1:]))
+    return fields.astype(np.uint8).view("V5")[:, 0]
+
+
+_EXP_FIELDS = _exponent_fields()
+
+
+def _keep_table():
+    """Keep masks indexed by ((class * 12 + n_digits - 1) * 2 + wide) * 2 + negative."""
+    cls = np.arange(18)[:, None, None, None, None]
+    nd = np.arange(1, 13)[:, None, None, None]
+    wide = np.array([False, True])[:, None, None]   # exponent of 3 digits
+    neg = np.array([False, True])[:, None]
+    pos = np.arange(_SLOT)
+    e = cls - 4
+    expo = cls == _EXPONENT
+    small = (cls < _EXPONENT) & (e < 0)             # fixed notation, 0.000ddd
+    large = (cls < _EXPONENT) & (e >= 0)            # fixed notation, dd.ddd
+    lead = np.where(large, e, np.where(expo, 0, -1))  # last digit before the dot
+    i = pos - _INT
+    f = pos - _FRAC
+    keep = (((pos == 0) & neg)
+            | ((pos == 1) & ((cls == _ZERO) | small))
+            | ((pos == 2) & small)
+            | ((pos >= 3) & (pos < _INT) & small & (pos - 3 < -e - 1))
+            | ((i >= 0) & (i <= lead))
+            | ((f == lead) & (lead >= 0) & (nd > lead + 1))          # the dot
+            | ((f > lead) & (f < nd) & (cls != _ZERO))
+            | ((pos >= _EXP) & (pos < _SLOT - 1) & expo & ((pos > _EXP) | wide))
+            | (pos == _SLOT - 1))
+    return keep.reshape(-1, _SLOT)
+
+
+_KEEP = _keep_table()
+
+
+def _exact_text(values):
+    """'%.12g' % v of each value, as fixed-width bytes (the kernel's fallback)."""
+    return np.array(["%.12g" % v for v in values.tolist()], dtype=f"S{_SLOT - 1}")
+
+
+def _bytes_field(slot, start, width):
+    """Bytes start:start+width of every slot, one void item per slot."""
+    return slot[:, start:start + width].view(f"V{width}")[:, 0]
+
+
+def _csv_bytes(block, template):
+    """CSV text of an (n_rows, n_cols) float block as a 1-d uint8 array.
+
+    `template` is an (n_cols, _SLOT) uint8 array, each row a slot template
+    ending in that column's separator.
+    """
+    x = block.ravel()
+    a = np.abs(x)
+    zero = a == 0
+    certain = (a >= _MIN_ABS) & (a <= _MAX_ABS)
+    a[~certain] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int16)
+    k = _POW_RANGE + 11 - e.astype(np.intp)
+    s = a * _UP.take(k) / _DOWN.take(k)
+    del a, k
+    m = np.rint(s)
+    # rint(s) is the correctly rounded mantissa unless s is this close to a
+    # tie, or log10 missed the decade (next to a power of ten)
+    certain &= np.abs(s - np.floor(s) - 0.5) > s * _TIE_GUARD
+    certain &= (s >= 1e11) & (s < 1e12)
+    del s
+    carry = m == 1e12
+    m[carry] = 1e11
+    e += carry
+    m[~certain] = 1e11
+    e[~certain] = 0
+    m = m.astype(np.int64)
+    head = m // 10 ** 4             # floor division is much faster than np.divmod
+    lo = m - head * 10 ** 4
+    hi = head // 10 ** 4
+    mid = head - hi * 10 ** 4
+    del m, head
+    zeros = np.where(lo > 0, _GROUP_ZEROS.take(lo),
+                     4 + np.where(mid > 0, _GROUP_ZEROS.take(mid), 4 + _GROUP_ZEROS.take(hi)))
+    digits = np.empty((x.size, 3), np.uint32)
+    for j, group in enumerate((hi, mid, lo)):
+        digits[:, j] = _GROUPS.take(group)
+    del hi, mid, lo
+    fixed = (e >= -4) & (e <= 11)
+    cls = np.where(zero, _ZERO, np.where(fixed, e + 4, _EXPONENT))
+    key = (((cls * 12 + 11 - zeros) * 2 + (np.abs(e) >= 100)) * 2
+           + np.signbit(x)).astype(np.int16)
+    del cls, zeros
+
+    slot = np.empty((x.size, _SLOT), np.uint8)
+    slot.view(f"V{_SLOT}").reshape(len(block), -1)[:] = template.view(f"V{_SLOT}")[:, 0]
+    digits = digits.view("V12")[:, 0]
+    _bytes_field(slot, _INT, 12)[:] = digits
+    _bytes_field(slot, _FRAC, 12)[:] = digits
+    del digits
+    _bytes_field(slot, _EXP, 5)[:] = _EXP_FIELDS.take(e + 400)
+    # the dot after digit e in fixed notation, after d0 in exponent form; for
+    # e < 0 it lands on an unused digit of the first copy
+    lead = np.where(fixed, e, 0)
+    slot.ravel()[np.arange(_FRAC, slot.size, _SLOT) + lead] = ord(".")
+    del e, fixed, lead
+    keep = _KEEP.take(key, axis=0)
+    del key
+    exact = np.flatnonzero(~(certain | zero))
+    if exact.size:
+        text = _exact_text(x[exact]).view(np.uint8).reshape(exact.size, _SLOT - 1)
+        slot[exact, :-1] = text
+        keep[exact, :-1] = text != 0
+    return slot[keep]
 
 
 def _write_json(path, payload):
@@ -416,6 +597,7 @@ def run_config(cfg: RunConfig):
         "config_sha256": config_hash(cfg.raw),
         "version": __version__,
         "task": cfg.task,
+        "numerics": cfg.resolved_numerics(),
         "wall_time_s": time.monotonic() - started,
     }
     _write_json(os.path.join(outdir, "manifest.json"), manifest)

@@ -145,7 +145,8 @@ class FourierModeSet:
     at index n + n_max, so `dim` and `n_max` follow from its shape and
     H_{-n} sits at the mirrored index. Construction rejects an even
     leading axis or non-square modes and enforces the Hermitian pairing
-    H_{-n} = H_n^dagger to 1e-10.
+    H_{-n} = H_n^dagger to 1e-10. The set keeps its own read-only copy of
+    the modes, so no later write can break the pairing.
     """
 
     omega: float
@@ -154,7 +155,8 @@ class FourierModeSet:
     def __post_init__(self):
         if self.omega <= 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        modes = np.asarray(self.modes, dtype=complex)
+        # a copy: asarray would alias a complex input, which setflags would then freeze
+        modes = np.array(self.modes, dtype=complex)
         if modes.ndim != 3 or modes.shape[0] % 2 == 0 or modes.shape[1] != modes.shape[2]:
             raise ValueError(
                 f"modes must have shape (2 n_max + 1, d, d), got {modes.shape}")
@@ -164,6 +166,7 @@ class FourierModeSet:
             raise ValueError(
                 f"modes violate H_-n = H_n^dagger at n={abs(worst - modes.shape[0] // 2)} "
                 f"(error {errs[worst]:.2e})")
+        modes.setflags(write=False)
         object.__setattr__(self, "modes", modes)
 
     @property
@@ -177,8 +180,8 @@ class FourierModeSet:
     def mode(self, n):
         """H_n, zero where |n| > n_max.
 
-        An integer n gives the stored (d, d) block itself, not a copy; an
-        integer array gives the stack of shape n.shape + (d, d).
+        An integer n gives a read-only view of the stored (d, d) block; an
+        integer array gives a new stack of shape n.shape + (d, d).
         """
         n = np.asarray(n)
         inside = np.abs(n) <= self.n_max

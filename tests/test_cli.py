@@ -244,6 +244,61 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
         assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
 
 
+def torture_doubles(rng):
+    """About 1M doubles covering every branch of the %.12g kernel."""
+    def signed(values):
+        return values * rng.choice([-1.0, 1.0], values.size)
+
+    # exact 13-digit ties T = r 5^q (r odd), stored exactly as x = T 10^-q = r 2^-q,
+    # and T 10^p for the p where T 5^p fits in 53 bits
+    ties = []
+    for q in range(1, 19):
+        r = rng.integers(10 ** 12 // 5 ** q + 1, 10 ** 13 // 5 ** q, 2000) | 1
+        ties.append(r * 2.0 ** -q)
+    for p in range(6):
+        t = (rng.integers(10 ** 11, 10 ** 12, 2000) * 10 + 5)
+        ties.append((t[t * 5 ** p < 2 ** 53] * 10 ** p).astype(float))
+    ties = np.concatenate(ties)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.array([9.999999999995e-5, 999999999999.5, 1e12, 99999999999.95, 1e-290, 1e290,
+                      9.99999999999e-5, 9.9999999999949e-5, 0.0001, 1e-5, 5e-324,
+                      2.2250738585072014e-308, 1.7976931348623157e308])
+    near = np.concatenate([ties, powers, edges])
+    with np.errstate(over="ignore"):  # the neighbour above the largest double is inf
+        above = np.nextafter(near, np.inf)
+        above2 = np.nextafter(above, np.inf)
+    values = np.concatenate([
+        signed(rng.uniform(1.0, 10.0, 350_000) * 10.0 ** rng.integers(-6, 14, 350_000)),
+        signed(rng.uniform(1.0, 10.0, 200_000) * 10.0 ** rng.integers(-307, 308, 200_000)),
+        signed(rng.integers(1, 2 ** 52, 20_000).view(float)),          # subnormals
+        signed(rng.integers(0, 10 ** 15, 50_000).astype(float)),       # integer-valued
+        signed(rng.integers(0, 100, 50_000).astype(float)),
+        rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(float),  # any bit pattern
+        signed(near), signed(above), signed(above2), signed(np.nextafter(near, 0.0)),
+        signed(np.nextafter(np.nextafter(near, 0.0), 0.0)),
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan] * 100),
+    ])
+    rng.shuffle(values)
+    return values[:values.size // 5 * 5]
+
+
+def test_csv_kernel_matches_per_value_formatting(tmp_path, monkeypatch):
+    values = torture_doubles(np.random.default_rng(2026))
+    assert values.size >= 1_000_000
+    exact = []
+    monkeypatch.setattr(cli, "_exact_text",
+                        lambda v, inner=cli._exact_text: exact.append(v.size) or inner(v))
+    path = tmp_path / "torture.csv"
+    cli._write_csv(str(path), "a,b,c,d,e", values.reshape(-1, 5))
+    expected = "a,b,c,d,e\n" + "".join(
+        f"{a:.12g},{b:.12g},{c:.12g},{d:.12g},{e:.12g}\n"
+        for a, b, c, d, e in values.reshape(-1, 5).tolist())
+    assert path.read_bytes() == expected.encode()
+    # the fallback ran; ties, their neighbours and out-of-range values are a
+    # quarter of these cells, and the kernel formats the rest
+    assert 0 < sum(exact) < 0.3 * values.size
+
+
 def test_csv_writer_memory_bounded_by_one_block(tmp_path):
     table = np.random.default_rng(0).standard_normal((16 * cli.CSV_BLOCK_ROWS, 4))
     path = tmp_path / "big.csv"
@@ -348,6 +403,31 @@ class TestRun:
                 for j in range(2):
                     values.extend((rho[i, j].real, rho[i, j].imag))
             assert line == ",".join(f"{v:.12g}" for v in values)
+
+    @pytest.mark.parametrize("model, task, extra, expected", [
+        ("chain1d", "spectrum", {},
+         {"n_max": 11, "M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
+        # M = max(n_max, mode cutoff) + 6 with the custom harmonics past n_max = 10
+        ("custom", "spectrum",
+         {"custom_modes": [[0, [[0.5]], [[0.0]]], [12, [[0.1]], [[0.0]]], [-12, [[0.1]], [[0.0]]]]},
+         {"n_max": 10, "M": 18, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
+        ("dirac", "hfe", {}, {"n_max": 11}),
+        ("honeycomb", "chern", {}, {"n_max": 11, "M": 17, "Nk": 24}),
+        ("chain1d", "greens", {"bath": {"gamma": 0.05}},
+         {"n_max": 11, "M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
+          "nu_points": 401}),
+        ("dirac", "ness", {"lindblad": {"gamma": 0.4}},
+         {"tol": 1e-9, "max_periods": 2000, "steps_per_period": 256}),
+    ])
+    def test_manifest_records_default_numerics(self, tmp_path, model, task, extra, expected):
+        amplitude = 0.0 if model == "custom" else 1.0
+        payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
+                   "drive": {"omega": 8.0, "amplitude": amplitude}, **extra}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["numerics"] == expected
+        assert all(type(value) is type(expected[key])
+                   for key, value in manifest["numerics"].items())
 
     def test_greens_task(self, tmp_path):
         payload = {

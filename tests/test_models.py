@@ -274,6 +274,18 @@ class TestModeSetInvariants:
         with pytest.raises(ValueError):
             FourierModeSet(1.0, np.stack([np.zeros((2, 2)), SIGMA_X]))
 
+    def test_validated_modes_are_read_only(self):
+        stack = np.stack([SIGMA_X, SIGMA_Z, SIGMA_X])
+        modes = FourierModeSet(1.0, stack)
+        with pytest.raises(ValueError, match="read-only"):
+            modes.modes[2, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            modes.mode(1)[0, 1] = 0.5
+        assert np.array_equal(modes.mode(1), SIGMA_X)
+        # the caller's own array is copied, not frozen
+        stack[2, 0, 1] = 0.5
+        assert modes.modes[2, 0, 1] == 1.0
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.1, max_value=3.0),
            st.floats(min_value=1.0, max_value=10.0),
