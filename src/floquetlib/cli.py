@@ -13,17 +13,18 @@ A config is a JSON object:
       "drive": {"omega": 8.0, "amplitude": 1.0, "polarization": "linear"},
       "task": "spectrum" | "hfe" | "chern" | "greens" | "ness",
       "output": "out_dir",
-      "numerics": {"n_max": ..., "M": ..., "n_steps": ..., "Nk": ...,
-                   "nu_points": ..., "n_k": ..., "k_min": ..., "k_max": ...,
-                   "tol": ..., "max_periods": ..., "steps_per_period": ...},
+      "numerics": {"n_max": ..., "M": ..., "Nk": ..., "nu_points": ...,
+                   "n_k": ..., "k_min": ..., "k_max": ..., "tol": ...,
+                   "max_periods": ..., "steps_per_period": ...},
       "bath": {"gamma": 0.05, "beta": 20.0},          # greens only
       "lindblad": {"gamma": 0.4, "k": [0.0, 0.0]},    # ness only
       "custom_modes": [[n, re_matrix, im_matrix], ...],  # custom only
       "write_curvature": true,                        # chern, optional
-      "summary_metric": "J_eff"                       # sweep, optional
+      "summary_metric": "J_eff"                       # hfe, optional
     }
 
-All numerics have defaults; energies are in units of the hopping (J = 1).
+All numerics have defaults and every number must be finite; energies are
+in units of the hopping (J = 1).
 Exit codes: 0 success, 2 config/schema error, 3 solver error. Outputs are
 deterministic for a fixed config and written atomically (temp + rename),
 with a manifest.json recording the config hash, version, the numerics the
@@ -51,7 +52,6 @@ MODELS = ("chain1d", "dirac", "honeycomb", "custom")
 TASKS = ("spectrum", "hfe", "chern", "greens", "ness")
 
 NUMERIC_DEFAULTS = {
-    "n_steps": 4096,
     "Nk": 24,
     "nu_points": 401,
     "n_k": 64,
@@ -61,8 +61,7 @@ NUMERIC_DEFAULTS = {
     "max_periods": 2000,
     "steps_per_period": 256,
 }
-INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "n_steps", "max_periods",
-                "steps_per_period")
+INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "max_periods", "steps_per_period")
 # numerics each task uses, recorded after defaults in its manifest.json
 TASK_NUMERICS = {
     "spectrum": ("n_max", "M", "n_k", "k_min", "k_max"),
@@ -71,6 +70,7 @@ TASK_NUMERICS = {
     "greens": ("n_max", "M", "n_k", "k_min", "k_max", "nu_points"),
     "ness": ("tol", "max_periods", "steps_per_period"),
 }
+HFE_REPORT = ("J_eff", "K_eff", "dirac_gap", "correction_norm")   # the keys of hfe.json
 CSV_BLOCK_ROWS = 8192    # rows formatted and written per block by _write_csv
 
 
@@ -80,46 +80,27 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A validated config whose settings are final: defaults filled in, typed."""
     model: str
     task: str
     drive: models.DriveProtocol
     output: str
-    numerics: dict = field(default_factory=dict)
-    bath: dict = field(default_factory=dict)
-    lindblad: dict = field(default_factory=dict)
+    numerics: dict                              # NUMERIC_DEFAULTS keys plus n_max and M
+    bath: open_system.BathSpec = None           # greens only
+    lindblad_gamma: float = 0.0                 # ness only
+    lindblad_k: tuple = (0.0, 0.0)              # ness only
     custom_modes: models.FourierModeSet = None
     write_curvature: bool = False
-    summary_metric: str = ""
+    summary_metric: str = ""                    # an HFE_REPORT key for hfe
     raw: dict = field(default_factory=dict)
-
-    def numeric(self, key):
-        return self.numerics.get(key, NUMERIC_DEFAULTS.get(key))
 
     @property
     def n_max(self):
-        got = self.numerics.get("n_max")
-        return int(got) if got is not None else models.suggested_n_max(self.drive.amplitude)
+        return self.numerics["n_max"]
 
     @property
     def m_cut(self):
-        got = self.numerics.get("M")
-        return int(got) if got is not None else max(self.n_max, self.mode_cutoff) + 6
-
-    def resolved_numerics(self):
-        """The numerics of TASK_NUMERICS[task] with defaults filled in."""
-        cutoffs = {"n_max": self.n_max, "M": self.m_cut}
-        return {key: (int if key in INTEGER_KEYS else float)(
-                    cutoffs[key] if key in cutoffs else self.numeric(key))
-                for key in TASK_NUMERICS[self.task]}
-
-    @property
-    def mode_cutoff(self):
-        """Largest harmonic in the model's mode sets."""
-        if self.model == "dirac":
-            return 1
-        if self.model == "custom":
-            return self.custom_modes.n_max
-        return self.n_max
+        return self.numerics["M"]
 
 
 def _require(cond, key, message):
@@ -129,11 +110,21 @@ def _require(cond, key, message):
 
 def _is_number(value):
     # bool is an int subclass; JSON true/false must not pass as numbers
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)     # json reads NaN and Infinity
+    except OverflowError:               # an integer beyond the float range
+        return False
 
 
 def validate_config(raw):
-    """Parse a config dict into a RunConfig, raising ConfigError on violations."""
+    """Parse a config dict into a RunConfig, raising ConfigError on violations.
+
+    Every check and default of a config setting lives here: the tasks
+    read the RunConfig's fields as they are, and the manifest records its
+    numerics.
+    """
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
     model = raw.get("model")
     _require(model in MODELS, "model", f"must be one of {MODELS}, got {model!r}")
@@ -161,9 +152,9 @@ def validate_config(raw):
     output = raw.get("output")
     _require(isinstance(output, str) and output, "output", "must be a non-empty path")
 
-    numerics = raw.get("numerics", {})
-    _require(isinstance(numerics, dict), "numerics", "must be an object")
-    for key, value in numerics.items():
+    given = raw.get("numerics", {})
+    _require(isinstance(given, dict), "numerics", "must be an object")
+    for key, value in given.items():
         _require(key in NUMERIC_DEFAULTS or key in ("n_max", "M"), f"numerics.{key}",
                  "unknown numerics key")
         _require(_is_number(value), f"numerics.{key}", "must be a number")
@@ -172,29 +163,34 @@ def validate_config(raw):
         if key in INTEGER_KEYS:
             _require(isinstance(value, int) or value.is_integer(), f"numerics.{key}",
                      f"must be an integer, got {value!r}")
-    k_min, k_max = (numerics.get(key, NUMERIC_DEFAULTS[key]) for key in ("k_min", "k_max"))
+    numerics = {key: (int if key in INTEGER_KEYS else float)(value)
+                for key, value in {**NUMERIC_DEFAULTS, **given}.items()}
+    k_min, k_max = numerics["k_min"], numerics["k_max"]
     _require(k_max > k_min, "numerics.k_max", f"must exceed k_min = {k_min!r}, got {k_max!r}")
     sambe_task = task in ("spectrum", "chern", "greens")
-    if "n_max" not in numerics and (
+    if "n_max" not in given and (
             (model in ("chain1d", "honeycomb") and task != "ness")
-            or ("M" not in numerics and sambe_task)):
+            or ("M" not in given and sambe_task)):
         # the default n_max = ceil(A) + 10, and the default M with it, grow without bound
         _require(amplitude <= bessel.MAX_ARGUMENT, "drive.amplitude",
                  f"must be <= {bessel.MAX_ARGUMENT} for the default cutoffs, got {amplitude!r}; "
                  "set numerics.n_max and numerics.M explicitly")
-    bath = raw.get("bath", {})
+    bath = None
     if task == "greens":
-        _require(isinstance(bath, dict), "bath", "must be an object")
-        gamma = bath.get("gamma")
+        bath_raw = raw.get("bath", {})
+        _require(isinstance(bath_raw, dict), "bath", "must be an object")
+        gamma = bath_raw.get("gamma")
         _require(_is_number(gamma) and gamma > 0, "bath.gamma",
                  "greens task needs a positive bath.gamma")
-        beta = bath.get("beta", "inf")
-        if beta != "inf":
-            _require(_is_number(beta) and beta > 0, "bath.beta",
-                     "must be positive or the string 'inf'")
+        beta = bath_raw.get("beta", "inf")
+        _require(beta == "inf" or (_is_number(beta) and beta > 0), "bath.beta",
+                 "must be positive or the string 'inf'")
+        bath = open_system.BathSpec(gamma=float(gamma),
+                                    beta=math.inf if beta == "inf" else float(beta))
 
-    lindblad = raw.get("lindblad", {})
+    lindblad_gamma, lindblad_k = 0.0, (0.0, 0.0)
     if task == "ness":
+        lindblad = raw.get("lindblad", {})
         _require(isinstance(lindblad, dict), "lindblad", "must be an object")
         gamma = lindblad.get("gamma")
         _require(_is_number(gamma) and gamma > 0, "lindblad.gamma",
@@ -205,6 +201,7 @@ def validate_config(raw):
         _require(isinstance(kpt, list) and len(kpt) == 2
                  and all(_is_number(v) for v in kpt), "lindblad.k",
                  "must be a [kx, ky] pair")
+        lindblad_gamma, lindblad_k = float(gamma), (float(kpt[0]), float(kpt[1]))
 
     custom = None
     if model == "custom":
@@ -228,28 +225,28 @@ def validate_config(raw):
              f"must be true or false, got {curvature!r}")
     metric = raw.get("summary_metric", "")
     _require(isinstance(metric, str), "summary_metric", "must be a string")
+    if task == "hfe":
+        metric = metric or "J_eff"
+        _require(metric in HFE_REPORT, "summary_metric",
+                 f"{metric!r} not in hfe report {sorted(HFE_REPORT)}")
 
-    cfg = RunConfig(
-        model=model, task=task,
-        drive=models.DriveProtocol(omega=float(omega), amplitude=float(amplitude),
-                                   polarization=polarization),
-        output=output,
-        numerics=dict(numerics),
-        bath=dict(bath),
-        lindblad=dict(lindblad),
-        custom_modes=custom,
-        write_curvature=curvature,
-        summary_metric=metric,
-        raw=copy.deepcopy(raw),
-    )
-    if "M" in numerics or sambe_task:
+    drive = models.DriveProtocol(omega=float(omega), amplitude=float(amplitude),
+                                 polarization=polarization)
+    n_max = numerics.setdefault("n_max", models.suggested_n_max(drive.amplitude))
+    # the largest harmonic in the model's mode sets
+    mode_cutoff = 1 if model == "dirac" else custom.n_max if custom else n_max
+    m_cut = numerics.setdefault("M", max(n_max, mode_cutoff) + 6)
+    if "M" in given or sambe_task:
         # the Sambe matrix needs M >= the model's mode cutoff, and replica
         # selection (spectrum, chern) two blocks of margin beyond it
-        need = cfg.mode_cutoff + (2 if task in ("spectrum", "chern") else 0)
-        _require(cfg.m_cut >= need, "numerics.M",
-                 f"must be >= {need} for mode cutoff {cfg.mode_cutoff} in task {task!r}, "
-                 f"got {cfg.m_cut}")
-    return cfg
+        need = mode_cutoff + (2 if task in ("spectrum", "chern") else 0)
+        _require(m_cut >= need, "numerics.M",
+                 f"must be >= {need} for mode cutoff {mode_cutoff} in task {task!r}, "
+                 f"got {m_cut}")
+    return RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
+                     bath=bath, lindblad_gamma=lindblad_gamma, lindblad_k=lindblad_k,
+                     custom_modes=custom, write_curvature=curvature, summary_metric=metric,
+                     raw=copy.deepcopy(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +272,8 @@ def _modes(cfg: RunConfig, kx=0.0, ky=0.0):
 
 
 def _k_grid(cfg: RunConfig):
-    n_k = int(cfg.numeric("n_k"))
-    return np.linspace(cfg.numeric("k_min"), cfg.numeric("k_max"), n_k, endpoint=False)
+    numerics = cfg.numerics
+    return np.linspace(numerics["k_min"], numerics["k_max"], numerics["n_k"], endpoint=False)
 
 
 # ---------------------------------------------------------------------------
@@ -503,22 +500,16 @@ def task_hfe(cfg: RunConfig, outdir):
     amplitude, omega = cfg.drive.amplitude, cfg.drive.omega
     pars = highfreq.haldane_effective(1.0, amplitude, omega)
     report = highfreq.van_vleck_hf(_modes(cfg))
-    payload = {
-        "J_eff": float(pars.j_eff),
-        "K_eff": float(pars.k_eff),
-        "dirac_gap": float(highfreq.dirac_gap(amplitude, omega)),
-        "correction_norm": report.correction_norm,
-    }
+    payload = dict(zip(HFE_REPORT, (float(pars.j_eff), float(pars.k_eff),
+                                    float(highfreq.dirac_gap(amplitude, omega)),
+                                    report.correction_norm)))
     _write_json(os.path.join(outdir, "hfe.json"), payload)
-    metric = cfg.summary_metric or "J_eff"
-    if metric not in payload:
-        raise ConfigError(f"summary_metric: {metric!r} not in hfe report {sorted(payload)}")
-    return {"summary_metric": payload[metric], **payload}
+    return {"summary_metric": payload[cfg.summary_metric], **payload}
 
 
 def task_chern(cfg: RunConfig, outdir):
     solver = topology.floquet_band_solver(functools.partial(_modes, cfg), cfg.m_cut)
-    grid = topology.band_grid(solver, int(cfg.numeric("Nk")))
+    grid = topology.band_grid(solver, cfg.numerics["Nk"])
     reports = []
     for band in range(grid.n_bands):
         fieldvals = topology.berry_curvature_grid(grid, band)
@@ -538,15 +529,11 @@ def task_chern(cfg: RunConfig, outdir):
 
 
 def task_greens(cfg: RunConfig, outdir):
-    beta = cfg.bath.get("beta", "inf")
-    bath = open_system.BathSpec(gamma=float(cfg.bath["gamma"]),
-                                beta=math.inf if beta == "inf" else float(beta))
     omega = cfg.drive.omega
-    nu = np.linspace(-0.5 * omega, 0.5 * omega, int(cfg.numeric("nu_points")),
-                     endpoint=False)
+    nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
     blocks = []
     for k in _k_grid(cfg):
-        grid = open_system.floquet_greens(_modes(cfg, k), bath, cfg.m_cut, nu)
+        grid = open_system.floquet_greens(_modes(cfg, k), cfg.bath, cfg.m_cut, nu)
         freqs, spec = open_system.spectral_function(grid)
         _, occ = open_system.occupation_function(grid)
         blocks.append(np.column_stack((freqs, np.full(freqs.size, k), spec, occ)))
@@ -556,17 +543,13 @@ def task_greens(cfg: RunConfig, outdir):
 
 
 def task_ness(cfg: RunConfig, outdir):
-    kx, ky = cfg.lindblad.get("k", [0.0, 0.0])
-    sampler, _ = _model_at(cfg, float(kx), float(ky))
-    gamma = float(cfg.lindblad["gamma"])
+    sampler, _ = _model_at(cfg, *cfg.lindblad_k)
     lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     system = open_system.LindbladSystem(hamiltonian=sampler,
-                                        jumps=[np.sqrt(gamma) * lowering])
-    ness = open_system.find_ness(
-        system, cfg.drive.omega,
-        tol=float(cfg.numeric("tol")),
-        max_periods=int(cfg.numeric("max_periods")),
-        steps_per_period=int(cfg.numeric("steps_per_period")))
+                                        jumps=[np.sqrt(cfg.lindblad_gamma) * lowering])
+    ness = open_system.find_ness(system, cfg.drive.omega, tol=cfg.numerics["tol"],
+                                 max_periods=cfg.numerics["max_periods"],
+                                 steps_per_period=cfg.numerics["steps_per_period"])
     header = ["t"]
     for i in range(2):
         for j in range(2):
@@ -597,7 +580,7 @@ def run_config(cfg: RunConfig):
         "config_sha256": config_hash(cfg.raw),
         "version": __version__,
         "task": cfg.task,
-        "numerics": cfg.resolved_numerics(),
+        "numerics": {key: cfg.numerics[key] for key in TASK_NUMERICS[cfg.task]},
         "wall_time_s": time.monotonic() - started,
     }
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
@@ -683,11 +666,14 @@ def run_sweep(raw, parameter, values, workers=None):
 def _load_raw(path):
     try:
         with open(path) as handle:
-            return json.load(handle)
+            raw = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from None
+    # --output and --set write into the root before validate_config sees it
+    _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
+    return raw
 
 
 def _apply_overrides(raw, overrides):

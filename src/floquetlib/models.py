@@ -340,6 +340,8 @@ def custom_modes(omega, triples):
         raise ValueError(f"custom mode indices repeat: {ns.tolist()}")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"custom modes are not square matrices (shape {mats.shape[1:]})")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("custom mode matrices must be finite")
     n_max = int(np.max(np.abs(ns)))
     modes = np.zeros((2 * n_max + 1,) + mats.shape[1:], dtype=complex)
     modes[ns + n_max] = mats

@@ -77,7 +77,8 @@ class TestValidation:
         [[0, [[1.0, 0.0], [0.0, 1.0]]]],                             # not (n, re, im)
         [[0, [[0.0]], [[0.0]]], [1, [[1.0]], [[0.0]]],
          [-1, [[2.0]], [[0.0]]]],                                    # H_-1 != H_1^dagger
-    ], ids=["nonsquare", "not_a_triple", "pairing"])
+        [[0, [[math.nan]], [[0.0]]]],                                # json reads NaN
+    ], ids=["nonsquare", "not_a_triple", "pairing", "non_finite"])
     def test_malformed_custom_modes_are_config_errors(self, tmp_path, triples):
         payload = spectrum_config(tmp_path, model="custom", custom_modes=triples)
         with pytest.raises(ConfigError, match="custom_modes"):
@@ -130,7 +131,7 @@ class TestValidation:
         payload["numerics"]["M"] = 7
         validate_config(payload)
 
-    @pytest.mark.parametrize("key", ["n_max", "M", "n_k", "Nk", "nu_points", "n_steps",
+    @pytest.mark.parametrize("key", ["n_max", "M", "n_k", "Nk", "nu_points",
                                      "max_periods", "steps_per_period"])
     def test_rejects_nonintegral_integer_keys(self, tmp_path, key):
         payload = spectrum_config(tmp_path, numerics={key: 20.7})
@@ -140,7 +141,29 @@ class TestValidation:
     def test_accepts_integral_floats(self, tmp_path):
         cfg = validate_config(spectrum_config(
             tmp_path, numerics={"n_max": 10.0, "M": 16.0, "n_k": 64.0}))
-        assert (cfg.n_max, cfg.m_cut, int(cfg.numeric("n_k"))) == (10, 16, 64)
+        assert (cfg.n_max, cfg.m_cut, cfg.numerics["n_k"]) == (10, 16, 64)
+        assert all(type(cfg.numerics[key]) is int for key in cli.INTEGER_KEYS)
+
+    def test_rejects_unused_n_steps_key(self, tmp_path):
+        payload = spectrum_config(tmp_path, numerics={"n_steps": 4096})
+        with pytest.raises(ConfigError, match="numerics.n_steps: unknown numerics key"):
+            validate_config(payload)
+
+    @pytest.mark.parametrize("key", ["drive.omega", "drive.amplitude", "numerics.k_max",
+                                     "numerics.tol", "bath.gamma", "lindblad.k"])
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, key):
+        # json reads NaN and Infinity, and --set passes them on
+        task = {"numerics.tol": "ness", "bath.gamma": "greens", "lindblad.k": "ness"}
+        payload = spectrum_config(
+            tmp_path, model="dirac", task=task.get(key, "spectrum"),
+            drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
+            numerics={"n_max": 20, "M": 26}, bath={"gamma": 0.1},
+            lindblad={"gamma": 0.4, "k": [0.0, 0.0]})
+        validate_config(payload)
+        for value in (math.inf, -math.inf, math.nan, 10 ** 400):
+            cli._set_by_path(payload, key, [value, 0.0] if key == "lindblad.k" else value)
+            with pytest.raises(ConfigError, match=key):
+                validate_config(payload)
 
     @pytest.mark.parametrize("model, task", [("honeycomb", "spectrum"), ("honeycomb", "greens"),
                                              ("chain1d", "hfe"), ("dirac", "hfe")])
@@ -204,6 +227,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="numerics.k_max"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_hfe_metric_fails_before_any_output(self, tmp_path, capsys):
+        payload = spectrum_config(tmp_path, task="hfe", summary_metric="bogus")
+        path = write_config(tmp_path, payload)
+        assert main(["validate", path]) == 2
+        assert "summary_metric" in capsys.readouterr().err
+        assert main(["run", path]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--output", "out"), ("--set", "output=out")])
+    def test_non_object_root_is_config_error(self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[1, 2]")
+        assert main(["run", "list.json", flag, value]) == 2
+        assert "<root>" in capsys.readouterr().err
+        assert main(["validate", "list.json"]) == 2
         assert not (tmp_path / "out").exists()
 
     def test_validate_subcommand_exit_codes(self, tmp_path):
