@@ -15,7 +15,7 @@ A config is a JSON object:
       "output": "out_dir",
       "numerics": {"n_max": ..., "M": ..., "Nk": ..., "nu_points": ...,
                    "n_k": ..., "k_min": ..., "k_max": ..., "tol": ...,
-                   "max_periods": ..., "steps_per_period": ...},
+                   "steps_per_period": ...},
       "bath": {"gamma": 0.05, "beta": 20.0},          # greens only
       "lindblad": {"gamma": 0.4, "k": [0.0, 0.0]},    # ness only
       "custom_modes": [[n, re_matrix, im_matrix], ...],  # custom only
@@ -58,17 +58,16 @@ NUMERIC_DEFAULTS = {
     "k_min": -math.pi,
     "k_max": math.pi,
     "tol": 1e-9,
-    "max_periods": 2000,
     "steps_per_period": 256,
 }
-INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "max_periods", "steps_per_period")
+INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "steps_per_period")
 # numerics each task uses, recorded after defaults in its manifest.json
 TASK_NUMERICS = {
     "spectrum": ("n_max", "M", "n_k", "k_min", "k_max"),
     "hfe": ("n_max",),
     "chern": ("n_max", "M", "Nk"),
     "greens": ("n_max", "M", "n_k", "k_min", "k_max", "nu_points"),
-    "ness": ("tol", "max_periods", "steps_per_period"),
+    "ness": ("tol", "steps_per_period"),
 }
 HFE_REPORT = ("J_eff", "K_eff", "dirac_gap", "correction_norm")   # the keys of hfe.json
 CSV_BLOCK_ROWS = 8192    # rows formatted and written per block by _write_csv
@@ -548,7 +547,6 @@ def task_ness(cfg: RunConfig, outdir):
     system = open_system.LindbladSystem(hamiltonian=sampler,
                                         jumps=[np.sqrt(cfg.lindblad_gamma) * lowering])
     ness = open_system.find_ness(system, cfg.drive.omega, tol=cfg.numerics["tol"],
-                                 max_periods=cfg.numerics["max_periods"],
                                  steps_per_period=cfg.numerics["steps_per_period"])
     header = ["t"]
     for i in range(2):
@@ -558,7 +556,7 @@ def task_ness(cfg: RunConfig, outdir):
     table = np.column_stack((ness.times, ness.states.reshape(-1, 4).view(float)))
     _write_csv(os.path.join(outdir, "ness.csv"), ",".join(header), table)
     purity = float(np.real(np.trace(ness.rho0 @ ness.rho0)))
-    return {"summary_metric": purity, "residual": ness.residual, "periods": ness.periods}
+    return {"summary_metric": purity, "residual": ness.residual, "gap": ness.gap}
 
 
 TASK_RUNNERS = {
@@ -619,6 +617,9 @@ def run_sweep(raw, parameter, values, workers=None):
     """
     if not values:
         raise ConfigError("--values: at least one value required")
+    # float() reads nan, inf and 1e400, which manifest.json cannot hold
+    _require(all(math.isfinite(v) for v in values), "--values",
+             f"every value must be finite, got {list(values)}")
     leaf = parameter.split(".")[-1]
     names = [f"{leaf}_{value:.10g}" for value in values]
     clashes = sorted({name for name in names if names.count(name) > 1})

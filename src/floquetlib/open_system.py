@@ -272,12 +272,13 @@ def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
 
 @dataclass(frozen=True)
 class PeriodicSteadyState:
-    """One period of the converged time-periodic steady state."""
+    """One period of the steady state, with its fixed-point residual and the map's gap."""
 
     times: np.ndarray
     states: np.ndarray
     residual: float
-    periods: int
+    gap: float
+    periods = 2     # RK4 periods integrated: one for Phi_T, one for the trajectory
 
     @property
     def rho0(self):
@@ -304,37 +305,33 @@ def one_period_map(system: LindbladSystem, omega, steps_per_period=256):
     return images.reshape(d2, d2).T
 
 
-def find_ness(system: LindbladSystem, omega, tol=1e-9, max_periods=2000,
-              steps_per_period=256):
-    """Time-periodic steady state as a fixed point of the one-period map.
+def find_ness(system: LindbladSystem, omega, tol=1e-9, steps_per_period=256):
+    """Time-periodic steady state as the fixed point of the one-period map.
 
     Builds the RK4 one-period map Phi_T once as a dim^2 x dim^2 matrix
-    (one_period_map) and iterates rho -> Phi_T(rho) as a matrix-vector
-    product from the maximally mixed state until the stroboscopic change
-    drops below tol; `periods` counts these iterations, exactly as if
-    each period were integrated. Then returns the state sampled over one
-    integrated period (endpoints included, so states[-1] vs states[0]
-    shows the periodicity residual directly). Raises on non-convergence
-    with the final residual in the message. Requires dissipation: at
-    least one nonzero jump operator.
+    (one_period_map) and solves (Phi_T - I) rho = 0 with tr rho = 1 as one
+    (dim^2 + 1) x dim^2 least-squares problem. The error in rho is about
+    the residual |Phi_T rho - rho|_inf over the gap 1 - |lambda_2| of
+    Phi_T, so raises unless residual < tol * gap; a steady state that is
+    not unique has gap 0 and always raises. Then returns the state
+    sampled over one integrated period (endpoints included, so states[-1]
+    vs states[0] shows the periodicity residual directly). Requires
+    dissipation: at least one nonzero jump operator.
     """
     if not system.jumps or all(np.max(np.abs(op)) == 0.0 for op in system.jumps):
         raise ValueError("steady-state search needs at least one nonzero jump operator")
     period = 2.0 * np.pi / omega
     phi = one_period_map(system, omega, steps_per_period)
     dim = system.dim
-    rho = (np.eye(dim, dtype=complex) / dim).ravel()
-    residual = np.inf
-    for iteration in range(1, max_periods + 1):
-        nxt = phi @ rho
-        residual = float(np.max(np.abs(nxt - rho)))
-        rho = nxt
-        if residual < tol:
-            final = evolve_lindblad(system, rho.reshape(dim, dim), (0.0, period),
-                                    period / steps_per_period)
-            return PeriodicSteadyState(
-                times=final.times, states=final.states,
-                residual=residual, periods=iteration)
-    raise RuntimeError(
-        f"steady state not converged after {max_periods} periods "
-        f"(residual {residual:.3e}, tol {tol})")
+    lhs = np.vstack((phi - np.eye(dim ** 2), np.eye(dim).ravel()))
+    rho = np.linalg.lstsq(lhs, np.append(np.zeros(dim ** 2), 1.0), rcond=None)[0]
+    residual = float(np.max(np.abs(phi @ rho - rho)))
+    gap = float(1.0 - np.sort(np.abs(np.linalg.eigvals(phi)))[-2])
+    if not residual < tol * gap:
+        raise RuntimeError(
+            f"steady state not certified: residual {residual:.3e} is not below "
+            f"tol {tol} times the gap {gap:.3e} of the one-period map")
+    final = evolve_lindblad(system, rho.reshape(dim, dim), (0.0, period),
+                            period / steps_per_period)
+    return PeriodicSteadyState(times=final.times, states=final.states,
+                               residual=residual, gap=gap)

@@ -132,7 +132,7 @@ class TestValidation:
         validate_config(payload)
 
     @pytest.mark.parametrize("key", ["n_max", "M", "n_k", "Nk", "nu_points",
-                                     "max_periods", "steps_per_period"])
+                                     "steps_per_period"])
     def test_rejects_nonintegral_integer_keys(self, tmp_path, key):
         payload = spectrum_config(tmp_path, numerics={key: 20.7})
         with pytest.raises(ConfigError, match=f"numerics.{key}"):
@@ -148,6 +148,15 @@ class TestValidation:
         payload = spectrum_config(tmp_path, numerics={"n_steps": 4096})
         with pytest.raises(ConfigError, match="numerics.n_steps: unknown numerics key"):
             validate_config(payload)
+
+    def test_rejects_removed_max_periods_key(self, tmp_path):
+        payload = {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0},
+                   "task": "ness", "output": str(tmp_path / "out"),
+                   "lindblad": {"gamma": 0.4}, "numerics": {"max_periods": 2000}}
+        with pytest.raises(ConfigError, match="numerics.max_periods: unknown numerics key"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["drive.omega", "drive.amplitude", "numerics.k_max",
                                      "numerics.tol", "bath.gamma", "lindblad.k"])
@@ -421,6 +430,18 @@ class TestRun:
         # periodic steady state: first and last sampled matrices agree
         assert max(abs(a - b) for a, b in zip(first[1:], last[1:])) < 1e-7
 
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-4])
+    def test_ness_at_weak_damping(self, tmp_path, capsys, gamma):
+        payload = {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0},
+                   "task": "ness", "output": str(tmp_path / "out"),
+                   "lindblad": {"gamma": gamma}}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["residual"] <= 1e-12
+        assert 0.0 < summary["gap"] < 10.0 * gamma
+        rows = np.loadtxt(tmp_path / "out" / "ness.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[-1, 1:] - rows[0, 1:])) <= 1e-12
+
     def test_ness_columns_row_major(self, tmp_path):
         drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
         payload = {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0},
@@ -457,7 +478,7 @@ class TestRun:
          {"n_max": 11, "M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
           "nu_points": 401}),
         ("dirac", "ness", {"lindblad": {"gamma": 0.4}},
-         {"tol": 1e-9, "max_periods": 2000, "steps_per_period": 256}),
+         {"tol": 1e-9, "steps_per_period": 256}),
     ])
     def test_manifest_records_default_numerics(self, tmp_path, model, task, extra, expected):
         amplitude = 0.0 if model == "custom" else 1.0
@@ -573,6 +594,16 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
         with pytest.raises(ConfigError, match="--values"):
             cli.run_sweep(spectrum_config(tmp_path, task="hfe"), "drive.amplitude", [1.0, 1.0])
+
+    @pytest.mark.parametrize("values", ["nan,inf", "0.5,1e400", "0.5,-inf"])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, values):
+        path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
+        assert main(["sweep", path, "--param", "drive.amplitude", "--values", values]) == 2
+        assert "--values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="--values"):
+            cli.run_sweep(spectrum_config(tmp_path, task="hfe"), "drive.amplitude",
+                          [0.5, math.nan])
 
     def test_failures_recorded_not_fatal(self, tmp_path):
         payload = {
