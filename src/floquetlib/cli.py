@@ -24,7 +24,8 @@ A config is a JSON object:
     }
 
 All numerics have defaults and every number must be finite; energies are
-in units of the hopping (J = 1).
+in units of the hopping (J = 1). A key outside this schema is a config
+error, in the config and in a sweep's --param alike.
 Exit codes: 0 success, 2 config/schema error, 3 solver error. Outputs are
 deterministic for a fixed config and written atomically (temp + rename),
 with a manifest.json recording the config hash, version, the numerics the
@@ -61,6 +62,16 @@ NUMERIC_DEFAULTS = {
     "steps_per_period": 256,
 }
 INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "steps_per_period")
+# the keys a config may hold, by section ("" is the top level); validate_config
+# and the sweep's --param read them
+CONFIG_KEYS = {
+    "": ("model", "drive", "task", "output", "numerics", "bath", "lindblad",
+         "custom_modes", "write_curvature", "summary_metric"),
+    "drive": ("omega", "amplitude", "polarization"),
+    "numerics": (*NUMERIC_DEFAULTS, "n_max", "M"),
+    "bath": ("gamma", "beta"),
+    "lindblad": ("gamma", "k"),
+}
 # numerics each task uses, recorded after defaults in its manifest.json
 TASK_NUMERICS = {
     "spectrum": ("n_max", "M", "n_k", "k_min", "k_max"),
@@ -125,6 +136,11 @@ def validate_config(raw):
     numerics.
     """
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
+    for section, known in CONFIG_KEYS.items():
+        node = raw.get(section) if section else raw
+        for key in node if isinstance(node, dict) else ():
+            _require(key in known, f"{section}.{key}" if section else key,
+                     f"unknown {section or 'top-level'} key")
     model = raw.get("model")
     _require(model in MODELS, "model", f"must be one of {MODELS}, got {model!r}")
     task = raw.get("task")
@@ -145,17 +161,15 @@ def validate_config(raw):
     polarization = drive_raw.get("polarization", default_pol)
     _require(polarization in ("linear", "circular"), "drive.polarization",
              f"must be 'linear' or 'circular', got {polarization!r}")
-    if model in ("dirac", "honeycomb"):
-        _require(polarization == "circular", "drive.polarization",
-                 f"model {model!r} is defined for circular polarization")
+    if model != "custom":
+        _require(polarization == default_pol, "drive.polarization",
+                 f"model {model!r} is defined for {default_pol} polarization")
     output = raw.get("output")
     _require(isinstance(output, str) and output, "output", "must be a non-empty path")
 
     given = raw.get("numerics", {})
     _require(isinstance(given, dict), "numerics", "must be an object")
     for key, value in given.items():
-        _require(key in NUMERIC_DEFAULTS or key in ("n_max", "M"), f"numerics.{key}",
-                 "unknown numerics key")
         _require(_is_number(value), f"numerics.{key}", "must be a number")
         if key not in ("k_min", "k_max"):
             _require(value > 0, f"numerics.{key}", f"must be positive, got {value!r}")
@@ -615,6 +629,8 @@ def run_sweep(raw, parameter, values, workers=None):
     Individual failures do not stop the sweep; they are recorded in the
     manifest and skipped in the aggregate.
     """
+    section, _, key = parameter.rpartition(".")
+    _require(key in CONFIG_KEYS.get(section, ()), "--param", f"unknown config key {parameter!r}")
     if not values:
         raise ConfigError("--values: at least one value required")
     # float() reads nan, inf and 1e400, which manifest.json cannot hold
@@ -627,6 +643,8 @@ def run_sweep(raw, parameter, values, workers=None):
     base = validate_config(raw)  # fail fast before spawning work
     if workers is None:
         workers = _env_workers()
+    _require(isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1,
+             "workers", f"must be an integer >= 1, got {workers!r}")
     root = base.output
     os.makedirs(root, exist_ok=True)
 
@@ -637,7 +655,7 @@ def run_sweep(raw, parameter, values, workers=None):
         cfg = validate_config(raw_v)
         return run_config(cfg)
 
-    workers = max(1, min(workers, len(values)))
+    workers = min(workers, len(values))
     results, failures = {}, {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(one, v, name): v for v, name in zip(values, names)}

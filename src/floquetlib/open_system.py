@@ -10,7 +10,7 @@ the time-periodic steady state as a fixed point of the one-period map.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,24 +149,28 @@ class LindbladSystem:
 
     `hamiltonian` is any callable t -> Hermitian (dim, dim). When it also
     takes an array of times and returns (n, dim, dim), as the built-in
-    samplers do, the RK4 integrator samples each stage's times in one
-    call; otherwise it calls it once per stage time.
+    samplers do, the RK4 integrator samples its whole time grid in one
+    call; otherwise it calls it once per grid time. The jumps are kept as
+    a tuple of read-only copies, so K = sum_j L_j^dagger L_j, built once
+    here, cannot go stale.
     """
 
     hamiltonian: object
-    jumps: list = field(default_factory=list)
+    jumps: tuple = ()
 
     def __post_init__(self):
-        h0 = np.asarray(self.hamiltonian(0.0))
-        dim = h0.shape[0]
+        dim = np.asarray(self.hamiltonian(0.0)).shape[0]
         cleaned = []
         for j, op in enumerate(self.jumps):
-            arr = np.asarray(op, dtype=complex)
+            arr = np.array(op, dtype=complex)
             if arr.shape != (dim, dim):
                 raise ValueError(f"jump operator {j} has shape {arr.shape}, expected {(dim, dim)}")
+            arr.setflags(write=False)
             cleaned.append(arr)
-        object.__setattr__(self, "jumps", cleaned)
+        object.__setattr__(self, "jumps", tuple(cleaned))
         object.__setattr__(self, "_dim", dim)
+        # H_eff = H + _shift with _shift = -(i/2) K
+        object.__setattr__(self, "_shift", -0.5j * sum(op.conj().T @ op for op in cleaned))
 
     @property
     def dim(self):
@@ -175,17 +179,15 @@ class LindbladSystem:
 
 def lindblad_rhs(system: LindbladSystem, rho, t):
     """GKSL right-hand side -i[H, rho] + sum_j (L rho L+ - {L+L, rho}/2)."""
-    return _rhs(system, np.asarray(rho, dtype=complex),
-                np.asarray(system.hamiltonian(t), dtype=complex))
+    h_eff = np.asarray(system.hamiltonian(t), dtype=complex) + system._shift
+    return _rhs(system, np.asarray(rho, dtype=complex), h_eff)
 
 
-def _rhs(system: LindbladSystem, rho, h):
-    """lindblad_rhs with the Hamiltonian h = H(t) already sampled."""
-    out = -1j * (h @ rho - rho @ h)
+def _rhs(system: LindbladSystem, rho, h_eff):
+    """lindblad_rhs as -i(H_eff rho - rho H_eff+) + sum_j L rho L+, H_eff already formed."""
+    out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
     for op in system.jumps:
-        opd = op.conj().T
-        anti = opd @ op
-        out += op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
+        out += op @ rho @ op.conj().T
     return out
 
 
@@ -224,28 +226,28 @@ def _rk4(system: LindbladSystem, rho, t0, step, n_steps, states=None):
 
     rho is one matrix or a (n, dim, dim) stack: the right-hand side is
     linear and broadcasts over the leading axis, so a stack costs the
-    same sampler calls as one state. The Hamiltonian is sampled up front
-    at the step starts t0 + i step, midpoints and ends. When given,
-    states[i] receives the state after step i (states[0] is left to the
-    caller).
+    same sampler calls as one state. The Hamiltonian is sampled up front,
+    in one call, on the 2 n_steps + 1 points of the half-step grid: step
+    i starts at point 2i, has its midpoint at 2i + 1 and ends at 2i + 2.
+    When given, states[i] receives the state after step i (states[0] is
+    left to the caller). Warns, naming the caller's caller, when the
+    trace of any state drifts by more than 1e-6.
     """
-    starts = t0 + np.arange(n_steps) * step
-    h_start, h_mid, h_end = (_sample_times(system.hamiltonian, ts)
-                             for ts in (starts, starts + 0.5 * step, starts + step))
+    h_eff = system._shift + _sample_times(
+        system.hamiltonian, t0 + np.arange(2 * n_steps + 1) * (0.5 * step))
+    traces = np.trace(rho, axis1=-2, axis2=-1)
     for i in range(n_steps):
-        k1 = _rhs(system, rho, h_start[i])
-        k2 = _rhs(system, rho + 0.5 * step * k1, h_mid[i])
-        k3 = _rhs(system, rho + 0.5 * step * k2, h_mid[i])
-        k4 = _rhs(system, rho + step * k3, h_end[i])
+        k1 = _rhs(system, rho, h_eff[2 * i])
+        k2 = _rhs(system, rho + 0.5 * step * k1, h_eff[2 * i + 1])
+        k3 = _rhs(system, rho + 0.5 * step * k2, h_eff[2 * i + 1])
+        k4 = _rhs(system, rho + step * k3, h_eff[2 * i + 2])
         rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if states is not None:
             states[i + 1] = rho
-    return rho
-
-
-def _warn_trace_drift(drift):
+    drift = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - traces))
     if drift > 1e-6:
         warnings.warn(f"trace drift {drift:.2e} > 1e-6 over the trajectory", stacklevel=3)
+    return rho
 
 
 def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
@@ -263,7 +265,6 @@ def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
     states = np.empty((n_steps + 1, system.dim, system.dim), dtype=complex)
     states[0] = rho
     rho = _rk4(system, rho, t0, step, n_steps, states)
-    _warn_trace_drift(abs(np.trace(rho) - np.trace(states[0])))
     floor = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
     if floor < -1e-6:
         warnings.warn(f"density matrix developed negativity {floor:.2e}", stacklevel=2)
@@ -299,10 +300,7 @@ def one_period_map(system: LindbladSystem, omega, steps_per_period=256):
     n_steps, step = _step_grid(system, 0.0, period, period / steps_per_period)
     d2 = system.dim ** 2
     basis = np.eye(d2, dtype=complex).reshape(d2, system.dim, system.dim)
-    images = _rk4(system, basis, 0.0, step, n_steps)
-    traces = np.trace(images, axis1=1, axis2=2) - np.trace(basis, axis1=1, axis2=2)
-    _warn_trace_drift(float(np.max(np.abs(traces))))
-    return images.reshape(d2, d2).T
+    return _rk4(system, basis, 0.0, step, n_steps).reshape(d2, d2).T
 
 
 def find_ness(system: LindbladSystem, omega, tol=1e-9, steps_per_period=256):

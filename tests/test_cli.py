@@ -238,6 +238,25 @@ class TestValidation:
         assert main(["run", write_config(tmp_path, payload)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, extra", [
+        ("write_curvatures", {"write_curvatures": True}),
+        ("bath.gama", {"bath": {"gama": 1}}),
+        ("drive.amplitud", {"drive": {"omega": 8.0, "amplitud": 2.0}}),
+        ("lindblad.gama", {"lindblad": {"gamma": 0.4, "gama": 1}}),
+    ])
+    def test_unknown_keys_are_config_errors(self, tmp_path, capsys, key, extra):
+        payload = spectrum_config(tmp_path, **extra)
+        with pytest.raises(ConfigError, match=f"^{key}: unknown"):
+            validate_config(payload)
+        assert main(["validate", write_config(tmp_path, payload)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_rejects_circular_chain(self, tmp_path):
+        payload = spectrum_config(
+            tmp_path, drive={"omega": 8.0, "amplitude": 1.0, "polarization": "circular"})
+        with pytest.raises(ConfigError, match="drive.polarization.*linear"):
+            validate_config(payload)
+
     def test_unknown_hfe_metric_fails_before_any_output(self, tmp_path, capsys):
         payload = spectrum_config(tmp_path, task="hfe", summary_metric="bogus")
         path = write_config(tmp_path, payload)
@@ -604,6 +623,23 @@ class TestSweep:
         with pytest.raises(ConfigError, match="--values"):
             cli.run_sweep(spectrum_config(tmp_path, task="hfe"), "drive.amplitude",
                           [0.5, math.nan])
+
+    @pytest.mark.parametrize("param", ["drive.amplitud", "numerics.n_steps", "amplitude",
+                                       "lindblad.k.0", "drive.omega.x"])
+    def test_unknown_param_rejected_before_any_output(self, tmp_path, capsys, param):
+        path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
+        assert main(["sweep", path, "--param", param, "--values", "1,2,3"]) == 2
+        assert param in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="--param"):
+            cli.run_sweep(spectrum_config(tmp_path, task="hfe"), param, [1.0, 2.0])
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, "2", True])
+    def test_library_worker_count_is_a_config_error(self, tmp_path, workers):
+        with pytest.raises(ConfigError, match="^workers: "):
+            cli.run_sweep(spectrum_config(tmp_path, task="hfe"), "drive.omega", [8.0, 9.0],
+                          workers=workers)
+        assert not (tmp_path / "out").exists()
 
     def test_failures_recorded_not_fatal(self, tmp_path):
         payload = {

@@ -301,7 +301,60 @@ class TestLindbladRHS:
         assert abs(np.trace(fq.lindblad_rhs(system, rho, 0.0))) < 1e-12
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_textbook_form(self, seed):
+        # -i[H, rho] + sum_j (L rho L+ - {L+L, rho}/2), for a non-Hermitian rho and a stack
+        rng = np.random.default_rng(seed)
+
+        def random_matrix(scale=1.0):
+            return scale * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+
+        h = random_matrix()
+        h = h + h.conj().T
+        jumps = [random_matrix(0.7), random_matrix(0.4)]
+        system = fq.LindbladSystem(hamiltonian=lambda t: h, jumps=jumps)
+
+        def textbook(rho):
+            out = -1j * (h @ rho - rho @ h)
+            for op in jumps:
+                anti = op.conj().T @ op
+                out = out + op @ rho @ op.conj().T - 0.5 * (anti @ rho + rho @ anti)
+            return out
+
+        rho = random_matrix()
+        stack = np.array([random_matrix() for _ in range(4)])
+        np.testing.assert_allclose(fq.lindblad_rhs(system, rho, 0.0), textbook(rho),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(fq.lindblad_rhs(system, stack, 0.0),
+                                   [textbook(r) for r in stack], rtol=0, atol=1e-13)
+
+    def test_jumps_are_read_only_copies(self):
+        jump = np.sqrt(0.4) * LOWERING
+        system = fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z, jumps=[jump])
+        with pytest.raises(ValueError):
+            system.jumps[0][0, 1] = 5.0
+        jump[0, 1] = 2.0
+        assert system.jumps[0][0, 1] == pytest.approx(np.sqrt(0.4))
+
+
 class TestEvolveLindblad:
+    def test_samples_the_half_step_grid_in_one_call(self):
+        modes = fq.dirac_modes(0.3, -0.2, CIRCULAR_DRIVE)
+        array_calls = []
+
+        def sampler(t):
+            if np.ndim(t) > 0:
+                array_calls.append(np.array(t))
+            return modes.sample(t)
+
+        system = fq.LindbladSystem(hamiltonian=sampler, jumps=[np.sqrt(0.4) * LOWERING])
+        period = 2.0 * np.pi / CIRCULAR_DRIVE.omega
+        traj = fq.evolve_lindblad(system, np.eye(2) / 2, (0.0, period), period / 64)
+        assert len(traj.times) == 65
+        assert len(array_calls) == 1
+        np.testing.assert_allclose(array_calls[0], np.arange(129) * (period / 128),
+                                   rtol=0, atol=1e-15)
+
     def test_undriven_decay(self):
         gamma = 0.5
         system = fq.LindbladSystem(hamiltonian=lambda t: 0.5 * SIGMA_Z,
@@ -328,6 +381,18 @@ class TestEvolveLindblad:
         excited = np.diag([0.0, 1.0]).astype(complex)
         traj = fq.evolve_lindblad(system, excited, (0.0, 1.0), 1e-3)
         assert abs(np.trace(traj.final) - 1.0) < 1e-9
+
+    def test_trace_drift_warning_names_the_caller(self):
+        # a sampler that breaks the Hermitian contract: its anti-Hermitian
+        # part i a enters H_eff rho - rho H_eff^dagger and scales rho by exp(2 a t)
+        system = fq.LindbladSystem(hamiltonian=lambda t: 0.5j * np.eye(2),
+                                   jumps=[np.sqrt(0.5) * LOWERING])
+        rho0 = np.eye(2, dtype=complex) / 2
+        with pytest.warns(UserWarning, match="trace drift") as record:
+            fq.evolve_lindblad(system, rho0, (0.0, 1.0), 1e-2)
+        with pytest.warns(UserWarning, match="trace drift") as record_map:
+            fq.one_period_map(system, 2.0 * np.pi, steps_per_period=128)
+        assert [w.filename for w in (*record, *record_map)] == [__file__, __file__]
 
     def test_rejects_unstable_step(self):
         system = fq.LindbladSystem(hamiltonian=lambda t: 30.0 * SIGMA_Z,
