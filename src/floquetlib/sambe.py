@@ -19,6 +19,9 @@ import scipy.linalg
 
 from .models import FourierModeSet
 
+# blocks replica selection keeps between the mode cutoff and the edges |m| = M
+SELECTION_MARGIN = 2
+
 
 def fold_to_bz(epsilon, omega):
     """Fold an energy into the quasienergy zone [-omega/2, omega/2).
@@ -107,9 +110,7 @@ class QuasienergySolution:
 
     def fourier_weights(self):
         """w_alpha(n) = |u_alpha^n|^2, shape (2M+1, n_states); columns sum to 1."""
-        d = self.dim
-        comps = self.vectors.reshape(self.n_blocks, d, self.n_states)
-        return np.sum(np.abs(comps) ** 2, axis=1)
+        return fourier_weights(self.vectors, self.dim)
 
     def weight0(self):
         return self.fourier_weights()[self.m_cut]
@@ -120,6 +121,15 @@ class QuasienergySolution:
         phases = np.exp(-1j * ns * self.omega * t)
         comps = self.vectors.reshape(self.n_blocks, self.dim, self.n_states)
         return np.tensordot(phases, comps, axes=(0, 0))
+
+
+def fourier_weights(vectors, dim):
+    """Block weights of extended vectors: (..., (2M+1) dim, n) -> (..., 2M+1, n).
+
+    The states are columns; leading axes (a k-grid, say) pass through.
+    """
+    comps = vectors.reshape(*vectors.shape[:-2], -1, dim, vectors.shape[-1])
+    return np.sum(np.abs(comps) ** 2, axis=-2)
 
 
 def _check_hermitian(fm: FloquetMatrix):
@@ -154,16 +164,16 @@ def select_physical_band(sol: QuasienergySolution, *, _stacklevel=2):
     the central block maximizes w(0), so taking the dim states with the
     largest w(0) retains exactly one copy each. Warns when the weakest
     retained weight drops below 0.5, where the identification becomes
-    ambiguous under strong driving. Requires M >= n_max + 2 so the
-    retained states are away from the truncation edges. The result is
+    ambiguous under strong driving. Requires M >= n_max + SELECTION_MARGIN
+    so the retained states are away from the truncation edges. The result is
     sorted by folded quasienergy. `_stacklevel` lets a library wrapper
     attribute the warning to its own caller.
     """
     if sol.physical:
         return sol
-    if sol.m_cut < sol.n_max + 2:
-        raise ValueError(
-            f"replica selection needs M >= n_max + 2 (got M={sol.m_cut}, n_max={sol.n_max})")
+    if sol.m_cut < sol.n_max + SELECTION_MARGIN:
+        raise ValueError(f"replica selection needs M >= n_max + {SELECTION_MARGIN} "
+                         f"(got M={sol.m_cut}, n_max={sol.n_max})")
     w0 = sol.weight0()
     picked = np.argsort(w0)[::-1][:sol.dim]
     if np.min(w0[picked]) < 0.5:

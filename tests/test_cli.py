@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class TestValidation:
         cfg = validate_config(spectrum_config(tmp_path))
         assert cfg.model == "chain1d"
         assert cfg.n_max == 11  # ceil(1) + 10
-        assert cfg.m_cut == 17
+        assert cfg.m_cut == 13  # n_max + 2
 
     def test_rejects_negative_omega(self, tmp_path):
         payload = spectrum_config(tmp_path, drive={"omega": -1.0})
@@ -106,18 +107,54 @@ class TestValidation:
         payload = spectrum_config(tmp_path, model="custom", custom_modes=triples,
                                   numerics={"n_k": 2})
         cfg = validate_config(payload)
-        assert (cfg.n_max, cfg.m_cut) == (11, 23)
+        assert (cfg.n_max, cfg.m_cut) == (11, 19)
         assert main(["run", write_config(tmp_path, payload)]) == 0
-        # the built-in models keep n_max + 6
+        # the built-in models take n_max + 2
         honeycomb = spectrum_config(
             tmp_path, model="honeycomb",
             drive={"omega": 10.0, "amplitude": 1.0, "polarization": "circular"})
-        assert validate_config(honeycomb).m_cut == 17
+        assert validate_config(honeycomb).m_cut == 13
+        # dirac's mode cutoff is 1, but the default still counts n_max
         dirac = spectrum_config(
             tmp_path, model="dirac",
             drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
             numerics={"n_max": 3})
-        assert validate_config(dirac).m_cut == 9
+        assert validate_config(dirac).m_cut == 5
+
+    @pytest.mark.parametrize("model", ["chain1d", "honeycomb", "dirac"])
+    def test_default_greens_replica_cutoff_is_n_max_plus_6(self, tmp_path, model):
+        # greens' M sets the zones of the unfolded axis, so it keeps the wide default
+        polarization = "linear" if model == "chain1d" else "circular"
+        payload = spectrum_config(
+            tmp_path, model=model, task="greens", bath={"gamma": 0.1},
+            drive={"omega": 8.0, "amplitude": 1.0, "polarization": polarization})
+        assert validate_config(payload).m_cut == 17
+        payload["numerics"] = {"n_max": 4}
+        assert validate_config(payload).m_cut == 10
+
+    @pytest.mark.parametrize("key, value, reader", [
+        ("bath", {"gamma": 0.1}, "greens"),
+        ("lindblad", {"gamma": 0.3}, "ness"),
+        ("summary_metric", "J_eff", "hfe"),
+        ("write_curvature", True, "chern"),
+    ])
+    @pytest.mark.parametrize("task", ["spectrum", "hfe", "chern", "greens", "ness"])
+    def test_sections_of_other_tasks_are_config_errors(self, tmp_path, capsys, key, value,
+                                                       reader, task):
+        payload = spectrum_config(
+            tmp_path, model="honeycomb", task=task,
+            drive={"omega": 8.0, "amplitude": 1.0, "polarization": "circular"})
+        payload.update({"greens": {"bath": {"gamma": 0.1}},
+                        "ness": {"lindblad": {"gamma": 0.3}}}.get(task, {}))
+        validate_config(payload)
+        payload[key] = value
+        if task == reader:
+            validate_config(payload)
+            return
+        with pytest.raises(ConfigError, match=f"^{key}: only the {reader} task reads it"):
+            validate_config(payload)
+        assert main(["validate", write_config(tmp_path, payload)]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["spectrum", "chern"])
     def test_replica_selection_needs_margin(self, tmp_path, task):
@@ -162,12 +199,14 @@ class TestValidation:
                                      "numerics.tol", "bath.gamma", "lindblad.k"])
     def test_non_finite_numbers_are_config_errors(self, tmp_path, key):
         # json reads NaN and Infinity, and --set passes them on
-        task = {"numerics.tol": "ness", "bath.gamma": "greens", "lindblad.k": "ness"}
+        task = {"numerics.tol": "ness", "bath.gamma": "greens", "lindblad.k": "ness"}.get(
+            key, "spectrum")
+        sections = {"greens": {"bath": {"gamma": 0.1}},
+                    "ness": {"lindblad": {"gamma": 0.4, "k": [0.0, 0.0]}}}
         payload = spectrum_config(
-            tmp_path, model="dirac", task=task.get(key, "spectrum"),
+            tmp_path, model="dirac", task=task,
             drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
-            numerics={"n_max": 20, "M": 26}, bath={"gamma": 0.1},
-            lindblad={"gamma": 0.4, "k": [0.0, 0.0]})
+            numerics={"n_max": 20, "M": 26}, **sections.get(task, {}))
         validate_config(payload)
         for value in (math.inf, -math.inf, math.nan, 10 ** 400):
             cli._set_by_path(payload, key, [value, 0.0] if key == "lindblad.k" else value)
@@ -179,8 +218,9 @@ class TestValidation:
     def test_amplitude_outside_bessel_domain(self, tmp_path, model, task):
         polarization = "linear" if model == "chain1d" else "circular"
         payload = spectrum_config(
-            tmp_path, model=model, task=task, bath={"gamma": 0.1},
-            drive={"omega": 8.0, "amplitude": 60.0, "polarization": polarization})
+            tmp_path, model=model, task=task,
+            drive={"omega": 8.0, "amplitude": 60.0, "polarization": polarization},
+            **({"bath": {"gamma": 0.1}} if task == "greens" else {}))
         with pytest.raises(ConfigError, match="drive.amplitude"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
@@ -199,9 +239,9 @@ class TestValidation:
         # the default n_max = ceil(A) + 10 would give a ~2e6-wide Sambe matrix here
         polarization = "linear" if model == "chain1d" else "circular"
         payload = spectrum_config(
-            tmp_path, model=model, task=task, bath={"gamma": 0.1},
-            custom_modes=[[0, [[0.3]], [[0.0]]]],
-            drive={"omega": 8.0, "amplitude": 1e6, "polarization": polarization})
+            tmp_path, model=model, task=task, custom_modes=[[0, [[0.3]], [[0.0]]]],
+            drive={"omega": 8.0, "amplitude": 1e6, "polarization": polarization},
+            **({"bath": {"gamma": 0.1}} if task == "greens" else {}))
         with pytest.raises(ConfigError, match="drive.amplitude.*numerics.n_max"):
             validate_config(payload)
         payload["numerics"] = {"n_max": 20, "M": 26}
@@ -486,13 +526,13 @@ class TestRun:
 
     @pytest.mark.parametrize("model, task, extra, expected", [
         ("chain1d", "spectrum", {},
-         {"n_max": 11, "M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
-        # M = max(n_max, mode cutoff) + 6 with the custom harmonics past n_max = 10
+         {"n_max": 11, "M": 13, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
+        # M = max(n_max, mode cutoff) + 2 with the custom harmonics past n_max = 10
         ("custom", "spectrum",
          {"custom_modes": [[0, [[0.5]], [[0.0]]], [12, [[0.1]], [[0.0]]], [-12, [[0.1]], [[0.0]]]]},
-         {"n_max": 10, "M": 18, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
+         {"n_max": 10, "M": 14, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
         ("dirac", "hfe", {}, {"n_max": 11}),
-        ("honeycomb", "chern", {}, {"n_max": 11, "M": 17, "Nk": 24}),
+        ("honeycomb", "chern", {}, {"n_max": 11, "M": 13, "Nk": 24}),
         ("chain1d", "greens", {"bath": {"gamma": 0.05}},
          {"n_max": 11, "M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
           "nu_points": 401}),
@@ -545,6 +585,56 @@ class TestRun:
             assert curvature[0] == "kx,ky,F"
             assert len(curvature) == 1 + 12 * 12
 
+    @pytest.mark.parametrize("model", ["chain1d", "honeycomb"])
+    def test_default_replica_cutoff_matches_wide_cutoff(self, tmp_path, model):
+        polarization = "linear" if model == "chain1d" else "circular"
+        tables = []
+        for name, numerics in (("default", {"n_k": 16}), ("wide", {"n_k": 16, "M": 17})):
+            payload = spectrum_config(
+                tmp_path, model=model, output=str(tmp_path / name), numerics=numerics,
+                drive={"omega": 8.0, "amplitude": 1.0, "polarization": polarization})
+            assert main(["run", write_config(tmp_path, payload)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["numerics"]["M"] == (13 if name == "default" else 17)
+            assert manifest["diagnostics"]["edge_weight"] < 1e-20
+            tables.append(np.loadtxt(tmp_path / name / "spectrum.csv", delimiter=",",
+                                     skiprows=1))
+        default, wide = tables
+        np.testing.assert_array_equal(default[:, :3], wide[:, :3])
+        assert np.max(np.abs(fq.fold_to_bz(default[:, 3] - wide[:, 3], 8.0))) < 1e-12
+        assert np.max(np.abs(default[:, 4] - wide[:, 4])) < 1e-12
+
+    def test_chern_at_default_replica_cutoff(self, tmp_path):
+        payload = {"model": "honeycomb",
+                   "drive": {"omega": 8.0, "amplitude": 1.0, "polarization": "circular"},
+                   "task": "chern", "output": str(tmp_path / "out"), "numerics": {"Nk": 12}}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        report = json.loads((tmp_path / "out" / "chern.json").read_text())
+        assert [band["chern"] for band in report["bands"]] == [1, -1]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["numerics"]["M"] == 13
+        assert manifest["diagnostics"]["edge_weight"] < 1e-20
+
+    @pytest.mark.parametrize("model, task, omega, amplitude, numerics", [
+        # the default cutoff at a slow, strong drive
+        ("honeycomb", "spectrum", 2.0, 3.0, {"n_k": 4}),
+        ("honeycomb", "chern", 2.0, 3.0, {"Nk": 4}),
+        # an explicit M too small for the drive
+        ("dirac", "spectrum", 5.0, 1.0, {"n_max": 1, "M": 4, "n_k": 8}),
+    ])
+    def test_truncation_certificate_warns_once(self, tmp_path, model, task, omega, amplitude,
+                                               numerics):
+        payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
+                   "drive": {"omega": omega, "amplitude": amplitude}, "numerics": numerics}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.run_config(validate_config(payload))
+        assert len(caught) == 1
+        assert "numerics.M" in str(caught[0].message)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["diagnostics"]["edge_weight"] > cli.EDGE_WEIGHT_TOL
+        assert f"{manifest['diagnostics']['edge_weight']:.1e}" in str(caught[0].message)
+
     def test_curvature_rows_i_outer_j_inner(self, tmp_path):
         nk = 6
         drive = fq.DriveProtocol(omega=10.0, amplitude=1.0, polarization="circular")
@@ -554,7 +644,7 @@ class TestRun:
                    "numerics": {"Nk": nk, "n_max": 6}, "write_curvature": True}
         assert main(["run", write_config(tmp_path, payload)]) == 0
         solver = fq.floquet_band_solver(
-            lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, 6), 12)
+            lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, 6), 8)
         grid = fq.band_grid(solver, nk)
         for band in range(2):
             flux = fq.berry_curvature_grid(grid, band).flux
@@ -625,7 +715,11 @@ class TestSweep:
                           [0.5, math.nan])
 
     @pytest.mark.parametrize("param", ["drive.amplitud", "numerics.n_steps", "amplitude",
-                                       "lindblad.k.0", "drive.omega.x"])
+                                       "lindblad.k.0", "drive.omega.x",
+                                       # known keys that are not numeric settings
+                                       "output", "model", "task", "drive.polarization",
+                                       "custom_modes", "lindblad.k", "summary_metric",
+                                       "write_curvature", "drive", "numerics"])
     def test_unknown_param_rejected_before_any_output(self, tmp_path, capsys, param):
         path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
         assert main(["sweep", path, "--param", param, "--values", "1,2,3"]) == 2
