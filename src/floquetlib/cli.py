@@ -13,24 +13,14 @@ A config is a JSON object:
       "drive": {"omega": 8.0, "amplitude": 1.0, "polarization": "linear"},
       "task": "spectrum" | "hfe" | "chern" | "greens" | "ness",
       "output": "out_dir",
-      "numerics": {"n_max": ..., "M": ..., "Nk": ..., "nu_points": ...,
-                   "n_k": ..., "k_min": ..., "k_max": ..., "tol": ...,
-                   "steps_per_period": ...},
-      "bath": {"gamma": 0.05, "beta": 20.0},          # greens only
-      "lindblad": {"gamma": 0.4, "k": [0.0, 0.0]},    # ness only
-      "custom_modes": [[n, re_matrix, im_matrix], ...],  # custom only
-      "write_curvature": true,                        # chern, optional
-      "summary_metric": "J_eff"                       # hfe, optional
+      "numerics": {"n_k": 64}          # and the other settings TASK_KEYS lists
     }
 
 All numerics have defaults and every number must be finite; energies are
-in units of the hopping (J = 1). A key outside this schema is a config
-error, and so is a section the task never reads (bath, lindblad,
-summary_metric, write_curvature outside their task). A sweep's --param
-must name a numeric key. The replica cutoff M defaults to
-max(n_max, mode cutoff) + 2 for spectrum and chern, the margin replica
-selection needs, and + 6 for greens, where M also sets the zones of the
-unfolded frequency axis.
+in units of the hopping (J = 1). A key the run does not read is a config
+error that names it: TASK_KEYS lists the settings each task reads, and a
+sweep's --param may name the numeric ones. The replica cutoff M defaults to
+max(n_max, mode cutoff) + 2 for spectrum and chern, + 6 for greens.
 Exit codes: 0 success, 2 config/schema error, 3 solver error. Outputs are
 deterministic for a fixed config and written atomically (temp + rename),
 with a manifest.json recording the config hash, version, the numerics the
@@ -71,30 +61,24 @@ NUMERIC_DEFAULTS = {
     "steps_per_period": 256,
 }
 INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "steps_per_period")
-# the keys a config may hold, by section ("" is the top level), checked by
-# validate_config
-CONFIG_KEYS = {
-    "": ("model", "drive", "task", "output", "numerics", "bath", "lindblad",
-         "custom_modes", "write_curvature", "summary_metric"),
-    "drive": ("omega", "amplitude", "polarization"),
-    "numerics": (*NUMERIC_DEFAULTS, "n_max", "M"),
-    "bath": ("gamma", "beta"),
-    "lindblad": ("gamma", "k"),
+# the settings each task reads beyond model, task, output and drive.*, as dotted
+# keys; validate_config rejects every other key, and the manifest's numerics and
+# a sweep's --param come from here
+_SAMBE = ("numerics.n_max", "numerics.M", "custom_modes")
+_K_LINE = ("numerics.n_k", "numerics.k_min", "numerics.k_max")
+TASK_KEYS = {
+    "spectrum": (*_SAMBE, *_K_LINE),
+    "hfe": ("numerics.n_max", "custom_modes", "summary_metric"),
+    "chern": (*_SAMBE, "numerics.Nk", "write_curvature"),
+    "greens": (*_SAMBE, *_K_LINE, "numerics.nu_points", "bath.gamma", "bath.beta"),
+    "ness": ("numerics.tol", "numerics.steps_per_period", "custom_modes", "lindblad.gamma",
+             "lindblad.k"),
 }
-# the sections only one task reads; any other task rejects them
-TASK_ONLY_KEYS = {"bath": "greens", "lindblad": "ness", "summary_metric": "hfe",
-                  "write_curvature": "chern"}
-# the settings a sweep's --param may vary: the numeric ones
-SWEEP_KEYS = ("drive.omega", "drive.amplitude", "bath.gamma", "bath.beta", "lindblad.gamma",
-              *(f"numerics.{key}" for key in CONFIG_KEYS["numerics"]))
-# numerics each task uses, recorded after defaults in its manifest.json
-TASK_NUMERICS = {
-    "spectrum": ("n_max", "M", "n_k", "k_min", "k_max"),
-    "hfe": ("n_max",),
-    "chern": ("n_max", "M", "Nk"),
-    "greens": ("n_max", "M", "n_k", "k_min", "k_max", "nu_points"),
-    "ness": ("tol", "steps_per_period"),
-}
+# the models a setting is limited to: custom_modes defines the custom model, and
+# its Hamiltonian does not depend on k
+MODEL_KEYS = {"custom_modes": ("custom",), "lindblad.k": ("chain1d", "dirac", "honeycomb")}
+TASK_NUMERICS = {task: tuple(key.partition(".")[2] for key in keys if key.startswith("numerics."))
+                 for task, keys in TASK_KEYS.items()}
 HFE_REPORT = ("J_eff", "K_eff", "dirac_gap", "correction_norm")   # the keys of hfe.json
 # the physical band's largest Fourier weight in the edge blocks |m| = M above
 # which spectrum and chern warn; see _certify_cutoff
@@ -119,7 +103,7 @@ class RunConfig:
     lindblad_k: tuple = (0.0, 0.0)              # ness only
     custom_modes: models.FourierModeSet = None
     write_curvature: bool = False
-    summary_metric: str = ""                    # an HFE_REPORT key for hfe
+    summary_metric: str = "J_eff"               # the HFE_REPORT key hfe sums up
     raw: dict = field(default_factory=dict)
 
     @property
@@ -146,6 +130,16 @@ def _is_number(value):
         return False
 
 
+def _reads(model, task):
+    """The keys a run of `task` on `model` reads, each section with its dotted keys."""
+    keys = ["model", "task", "output", "drive.omega", "drive.amplitude", "drive.polarization",
+            *(key for key in TASK_KEYS[task] if model in MODEL_KEYS.get(key, MODELS))]
+    return {*keys, *(key.partition(".")[0] for key in keys)}
+
+
+_KNOWN_KEYS = set().union(*(_reads(model, task) for model in MODELS for task in TASKS))
+
+
 def validate_config(raw):
     """Parse a config dict into a RunConfig, raising ConfigError on violations.
 
@@ -154,20 +148,28 @@ def validate_config(raw):
     numerics.
     """
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
-    for section, known in CONFIG_KEYS.items():
-        node = raw.get(section) if section else raw
-        for key in node if isinstance(node, dict) else ():
-            _require(key in known, f"{section}.{key}" if section else key,
-                     f"unknown {section or 'top-level'} key")
+    given = []      # every key of the config, a section's dotted keys after it
+    for key, value in raw.items():
+        _require(key in _KNOWN_KEYS and "." not in key, key, "unknown top-level key")
+        given.append(key)
+        if any(known.startswith(f"{key}.") for known in _KNOWN_KEYS):
+            _require(isinstance(value, dict), key, "must be an object")
+            given += [f"{key}.{sub}" for sub in value]
+    for key in given:
+        _require(key in _KNOWN_KEYS, key, f"unknown {key.partition('.')[0]} key")
     model = raw.get("model")
     _require(model in MODELS, "model", f"must be one of {MODELS}, got {model!r}")
     task = raw.get("task")
     _require(task in TASKS, "task", f"must be one of {TASKS}, got {task!r}")
-    for key, reader in TASK_ONLY_KEYS.items():
-        _require(key not in raw or task == reader, key,
-                 f"only the {reader} task reads it, not {task!r}")
-    drive_raw = raw.get("drive")
-    _require(isinstance(drive_raw, dict), "drive", "must be an object")
+    reads = _reads(model, task)
+    for key in (key for key in given if key not in reads):
+        tasks = [other for other in TASKS if key in _reads(model, other)]
+        kind, actual, names = ("task", task, tasks) if tasks else (
+            "model", model, [other for other in MODELS if key in _reads(other, task)])
+        readers = f"{', '.join(names[:-1])} and {names[-1]} {kind}s read" if names[1:] \
+            else f"{names[0]} {kind} reads"
+        raise ConfigError(f"{key}: only the {readers} it, not {actual!r}")
+    drive_raw = raw.get("drive", {})
     omega = drive_raw.get("omega")
     _require(_is_number(omega) and omega > 0, "drive.omega",
              f"must be a positive number, got {omega!r}")
@@ -189,7 +191,6 @@ def validate_config(raw):
     _require(isinstance(output, str) and output, "output", "must be a non-empty path")
 
     given = raw.get("numerics", {})
-    _require(isinstance(given, dict), "numerics", "must be an object")
     for key, value in given.items():
         _require(_is_number(value), f"numerics.{key}", "must be a number")
         if key not in ("k_min", "k_max"):
@@ -201,10 +202,9 @@ def validate_config(raw):
                 for key, value in {**NUMERIC_DEFAULTS, **given}.items()}
     k_min, k_max = numerics["k_min"], numerics["k_max"]
     _require(k_max > k_min, "numerics.k_max", f"must exceed k_min = {k_min!r}, got {k_max!r}")
-    sambe_task = task in ("spectrum", "chern", "greens")
     if "n_max" not in given and (
-            (model in ("chain1d", "honeycomb") and task != "ness")
-            or ("M" not in given and sambe_task)):
+            (model in ("chain1d", "honeycomb") and "numerics.n_max" in reads)
+            or ("M" not in given and "numerics.M" in reads)):
         # the default n_max = ceil(A) + 10, and the default M with it, grow without bound
         _require(amplitude <= bessel.MAX_ARGUMENT, "drive.amplitude",
                  f"must be <= {bessel.MAX_ARGUMENT} for the default cutoffs, got {amplitude!r}; "
@@ -212,7 +212,6 @@ def validate_config(raw):
     bath = None
     if task == "greens":
         bath_raw = raw.get("bath", {})
-        _require(isinstance(bath_raw, dict), "bath", "must be an object")
         gamma = bath_raw.get("gamma")
         _require(_is_number(gamma) and gamma > 0, "bath.gamma",
                  "greens task needs a positive bath.gamma")
@@ -225,7 +224,6 @@ def validate_config(raw):
     lindblad_gamma, lindblad_k = 0.0, (0.0, 0.0)
     if task == "ness":
         lindblad = raw.get("lindblad", {})
-        _require(isinstance(lindblad, dict), "lindblad", "must be an object")
         gamma = lindblad.get("gamma")
         _require(_is_number(gamma) and gamma > 0, "lindblad.gamma",
                  "ness task needs a positive lindblad.gamma")
@@ -257,12 +255,9 @@ def validate_config(raw):
     curvature = raw.get("write_curvature", False)
     _require(isinstance(curvature, bool), "write_curvature",
              f"must be true or false, got {curvature!r}")
-    metric = raw.get("summary_metric", "")
-    _require(isinstance(metric, str), "summary_metric", "must be a string")
-    if task == "hfe":
-        metric = metric or "J_eff"
-        _require(metric in HFE_REPORT, "summary_metric",
-                 f"{metric!r} not in hfe report {sorted(HFE_REPORT)}")
+    metric = raw.get("summary_metric", "J_eff")     # given only to hfe
+    _require(metric in HFE_REPORT, "summary_metric",
+             f"{metric!r} not in hfe report {sorted(HFE_REPORT)}")
 
     drive = models.DriveProtocol(omega=float(omega), amplitude=float(amplitude),
                                  polarization=polarization)
@@ -275,7 +270,7 @@ def validate_config(raw):
     # sets how many zones the unfolded frequency axis covers.
     margin = sambe.SELECTION_MARGIN if task in ("spectrum", "chern") else 0
     m_cut = numerics.setdefault("M", max(n_max, mode_cutoff) + (margin or 6))
-    if "M" in given or sambe_task:
+    if "numerics.M" in reads:
         need = mode_cutoff + margin
         _require(m_cut >= need, "numerics.M",
                  f"must be >= {need} for mode cutoff {mode_cutoff} in task {task!r}, "
@@ -682,8 +677,6 @@ def run_sweep(raw, parameter, values, workers=None):
     Individual failures do not stop the sweep; they are recorded in the
     manifest and skipped in the aggregate.
     """
-    _require(parameter in SWEEP_KEYS, "--param",
-             f"must name a numeric config key, one of {list(SWEEP_KEYS)}; got {parameter!r}")
     if not values:
         raise ConfigError("--values: at least one value required")
     # float() reads nan, inf and 1e400, which manifest.json cannot hold
@@ -694,6 +687,11 @@ def run_sweep(raw, parameter, values, workers=None):
     clashes = sorted({name for name in names if names.count(name) > 1})
     _require(not clashes, "--values", f"values share an output directory: {clashes}")
     base = validate_config(raw)  # fail fast before spawning work
+    # the numeric settings the run reads: every dotted key but the [kx, ky] pair
+    numeric = ["drive.omega", "drive.amplitude",
+               *(key for key in TASK_KEYS[base.task] if "." in key and key != "lindblad.k")]
+    _require(parameter in numeric, "--param", f"must name a numeric setting the {base.task!r} "
+             f"task reads, one of {numeric}; got {parameter!r}")
     if workers is None:
         workers = _env_workers()
     _require(isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1,

@@ -23,9 +23,10 @@ def spectrum_config(tmp_path, **overrides):
         "drive": {"omega": 8.0, "amplitude": 1.0},
         "task": "spectrum",
         "output": str(tmp_path / "out"),
-        "numerics": {"n_k": 24},
     }
     payload.update(overrides)
+    if payload["task"] in ("spectrum", "greens"):     # the tasks that read n_k
+        payload.setdefault("numerics", {"n_k": 24})
     return payload
 
 
@@ -161,7 +162,7 @@ class TestValidation:
         payload = spectrum_config(
             tmp_path, model="honeycomb", task=task,
             drive={"omega": 10.0, "amplitude": 1.0, "polarization": "circular"},
-            numerics={"n_max": 5, "M": 6, "n_k": 4, "Nk": 4})
+            numerics={"n_max": 5, "M": 6, ("n_k" if task == "spectrum" else "Nk"): 4})
         with pytest.raises(ConfigError, match="numerics.M"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
@@ -171,8 +172,14 @@ class TestValidation:
     @pytest.mark.parametrize("key", ["n_max", "M", "n_k", "Nk", "nu_points",
                                      "steps_per_period"])
     def test_rejects_nonintegral_integer_keys(self, tmp_path, key):
-        payload = spectrum_config(tmp_path, numerics={key: 20.7})
-        with pytest.raises(ConfigError, match=f"numerics.{key}"):
+        task = {"Nk": "chern", "nu_points": "greens", "steps_per_period": "ness"}.get(
+            key, "spectrum")
+        sections = {"greens": {"bath": {"gamma": 0.1}}, "ness": {"lindblad": {"gamma": 0.4}}}
+        payload = spectrum_config(
+            tmp_path, model="honeycomb", task=task, numerics={key: 20.7},
+            drive={"omega": 8.0, "amplitude": 1.0, "polarization": "circular"},
+            **sections.get(task, {}))
+        with pytest.raises(ConfigError, match=f"numerics.{key}: must be an integer"):
             validate_config(payload)
 
     def test_accepts_integral_floats(self, tmp_path):
@@ -206,7 +213,7 @@ class TestValidation:
         payload = spectrum_config(
             tmp_path, model="dirac", task=task,
             drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
-            numerics={"n_max": 20, "M": 26}, **sections.get(task, {}))
+            numerics={} if task == "ness" else {"n_max": 20, "M": 26}, **sections.get(task, {}))
         validate_config(payload)
         for value in (math.inf, -math.inf, math.nan, 10 ** 400):
             cli._set_by_path(payload, key, [value, 0.0] if key == "lindblad.k" else value)
@@ -239,9 +246,10 @@ class TestValidation:
         # the default n_max = ceil(A) + 10 would give a ~2e6-wide Sambe matrix here
         polarization = "linear" if model == "chain1d" else "circular"
         payload = spectrum_config(
-            tmp_path, model=model, task=task, custom_modes=[[0, [[0.3]], [[0.0]]]],
+            tmp_path, model=model, task=task,
             drive={"omega": 8.0, "amplitude": 1e6, "polarization": polarization},
-            **({"bath": {"gamma": 0.1}} if task == "greens" else {}))
+            **({"bath": {"gamma": 0.1}} if task == "greens" else {}),
+            **({"custom_modes": [[0, [[0.3]], [[0.0]]]]} if model == "custom" else {}))
         with pytest.raises(ConfigError, match="drive.amplitude.*numerics.n_max"):
             validate_config(payload)
         payload["numerics"] = {"n_max": 20, "M": 26}
@@ -283,6 +291,7 @@ class TestValidation:
         ("bath.gama", {"bath": {"gama": 1}}),
         ("drive.amplitud", {"drive": {"omega": 8.0, "amplitud": 2.0}}),
         ("lindblad.gama", {"lindblad": {"gamma": 0.4, "gama": 1}}),
+        ("numerics.n_k", {"numerics.n_k": 8}),        # a dotted name is not a path
     ])
     def test_unknown_keys_are_config_errors(self, tmp_path, capsys, key, extra):
         payload = spectrum_config(tmp_path, **extra)
@@ -322,13 +331,68 @@ class TestValidation:
         assert main(["validate", bad]) == 2
 
 
+# a valid value of every setting in cli.TASK_KEYS
+SETTING_VALUES = {
+    "numerics.n_max": 6, "numerics.M": 8, "numerics.n_k": 4, "numerics.k_min": -1.0,
+    "numerics.k_max": 1.0, "numerics.Nk": 4, "numerics.nu_points": 11, "numerics.tol": 1e-8,
+    "numerics.steps_per_period": 64, "bath.gamma": 0.1, "bath.beta": 20.0,
+    "lindblad.gamma": 0.4, "lindblad.k": [0.1, -0.2], "summary_metric": "K_eff",
+    "write_curvature": True,
+    "custom_modes": [[0, [[0.3, 0.1], [0.1, -0.3]], [[0.0, 0.0], [0.0, 0.0]]],
+                     [1, [[0.0, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                     [-1, [[0.0, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+}
+
+
+@pytest.mark.parametrize("model", ["honeycomb", "custom"])
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_config_holds_exactly_the_keys_the_run_reads(tmp_path, capsys, model, task):
+    assert set(SETTING_VALUES) == {key for keys in cli.TASK_KEYS.values() for key in keys}
+    reads = [key for key in cli.TASK_KEYS[task] if model in cli.MODEL_KEYS.get(key, cli.MODELS)]
+    payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
+               "drive": {"omega": 8.0, "amplitude": 1.0, "polarization": "circular"}}
+    for key in reads:
+        cli._set_by_path(payload, key, SETTING_VALUES[key])
+    validate_config(payload)
+    for key in sorted(set(SETTING_VALUES) - set(reads)):
+        extra = json.loads(json.dumps(payload))
+        section = key.partition(".")[0]
+        # a section the run does not read at all is named as the section
+        name = key if section == key or section in extra else section
+        cli._set_by_path(extra, key, SETTING_VALUES[key])
+        with pytest.raises(ConfigError, match=f"^{name}: only the "):
+            validate_config(extra)
+        assert main(["validate", write_config(tmp_path, extra)]) == 2
+        assert f"config error: {name}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, key, message", [
+    # the custom model's Hamiltonian does not depend on k
+    ("custom", "lindblad.k", "only the chain1d, dirac and honeycomb models read it, not 'custom'"),
+    ("dirac", "custom_modes", "only the custom model reads it, not 'dirac'"),
+], ids=["custom-lindblad.k", "dirac-custom_modes"])
+def test_settings_of_other_models_are_config_errors(tmp_path, capsys, model, key, message):
+    payload = {"model": model, "task": "ness", "output": str(tmp_path / "out"),
+               "drive": {"omega": 5.0, "amplitude": 1.0}, "lindblad": {"gamma": 0.4}}
+    if model == "custom":
+        payload["custom_modes"] = SETTING_VALUES["custom_modes"]
+    validate_config(payload)
+    cli._set_by_path(payload, key, SETTING_VALUES[key])
+    with pytest.raises(ConfigError, match=f"^{key}: {message}$"):
+        validate_config(payload)
+    assert main(["run", write_config(tmp_path, payload)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("model", ["chain1d", "dirac", "honeycomb", "custom"])
 def test_model_sampler_and_modes_describe_one_hamiltonian(tmp_path, model):
     triples = [[0, [[0.3, 0.1], [0.1, -0.3]], [[0.0, 0.0], [0.0, 0.0]]],
                [1, [[0.0, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
                [-1, [[0.0, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
     cfg = validate_config(spectrum_config(
-        tmp_path, model=model, custom_modes=triples,
+        tmp_path, model=model, **({"custom_modes": triples} if model == "custom" else {}),
         drive={"omega": 8.0, "amplitude": 1.0,
                "polarization": "linear" if model == "chain1d" else "circular"}))
     sampler, build = cli._model_at(cfg, 0.7, -0.4)
@@ -727,6 +791,23 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
         with pytest.raises(ConfigError, match="--param"):
             cli.run_sweep(spectrum_config(tmp_path, task="hfe"), param, [1.0, 2.0])
+
+    @pytest.mark.parametrize("task, param", [
+        ("spectrum", "numerics.nu_points"), ("spectrum", "numerics.tol"),
+        ("spectrum", "bath.gamma"), ("hfe", "numerics.M"), ("greens", "lindblad.gamma"),
+        ("ness", "numerics.n_max"), ("ness", "lindblad.k")])
+    def test_param_the_task_does_not_read_rejected(self, tmp_path, capsys, task, param):
+        # each value would repeat one run
+        payload = spectrum_config(
+            tmp_path, model="dirac", task=task,
+            drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
+            **{"greens": {"bath": {"gamma": 0.1}},
+               "ness": {"lindblad": {"gamma": 0.4}}}.get(task, {}))
+        path = write_config(tmp_path, payload)
+        assert main(["sweep", path, "--param", param, "--values", "5,9"]) == 2
+        assert f"--param: must name a numeric setting the {task!r} task reads" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5, "2", True])
     def test_library_worker_count_is_a_config_error(self, tmp_path, workers):
