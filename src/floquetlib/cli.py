@@ -18,16 +18,17 @@ A config is a JSON object:
 
 All numerics have defaults and every number must be finite; energies are
 in units of the hopping (J = 1). A key the run does not read is a config
-error that names it: TASK_KEYS lists the settings each task reads, and a
-sweep's --param may name the numeric ones. The replica cutoff M defaults to
-max(n_max, mode cutoff) + 2 for spectrum and chern, + 6 for greens.
-Exit codes: 0 success, 2 config/schema error, 3 solver error. Outputs are
-deterministic for a fixed config and written atomically (temp + rename),
-with a manifest.json recording the config hash, version, the numerics the
-task used after defaults, and wall time. For spectrum and chern it also
-holds "diagnostics": {"edge_weight": ...}, the physical band's largest
-Fourier weight in the edge blocks |m| = M over all k; above 1e-13 the run
-warns that numerics.M is too small.
+error that names it: TASK_KEYS lists the settings each task reads,
+MODEL_KEYS the models some are limited to, and a sweep's --param may name
+the numeric ones. HFE_REPORT lists the closed forms hfe reports per model.
+The replica cutoff M defaults to max(n_max, mode cutoff) + 2 for spectrum
+and chern, + 6 for greens. Exit codes: 0 success, 2 config/schema error,
+3 solver error. Outputs are deterministic for a fixed config and written
+atomically (temp + rename), with a manifest.json recording the config
+hash, version, the numerics the run read after defaults, and wall time.
+For spectrum and chern it also holds "diagnostics": {"edge_weight": ...},
+the physical band's largest Fourier weight in the edge blocks |m| = M over
+all k; above 1e-13 the run warns that numerics.M is too small.
 """
 
 import argparse
@@ -46,9 +47,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from . import bessel, highfreq, models, open_system, sambe, topology
+from . import highfreq, models, open_system, sambe, topology
 
-MODELS = ("chain1d", "dirac", "honeycomb", "custom")
+# the keys of each model's hfe.json: its closed forms, then the norm of the
+# commutator correction; the first is the default summary_metric
+HFE_REPORT = {"chain1d": ("J_eff", "correction_norm"), "dirac": ("dirac_gap", "correction_norm"),
+              "honeycomb": ("J_eff", "K_eff", "correction_norm"), "custom": ("correction_norm",)}
+MODELS = tuple(HFE_REPORT)
 TASKS = ("spectrum", "hfe", "chern", "greens", "ness")
 
 NUMERIC_DEFAULTS = {
@@ -62,8 +67,8 @@ NUMERIC_DEFAULTS = {
 }
 INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "steps_per_period")
 # the settings each task reads beyond model, task, output and drive.*, as dotted
-# keys; validate_config rejects every other key, and the manifest's numerics and
-# a sweep's --param come from here
+# keys; with MODEL_KEYS they say what a run reads (_reads): validate_config rejects
+# every other key, and the manifest's numerics and a sweep's --param come from there
 _SAMBE = ("numerics.n_max", "numerics.M", "custom_modes")
 _K_LINE = ("numerics.n_k", "numerics.k_min", "numerics.k_max")
 TASK_KEYS = {
@@ -74,12 +79,13 @@ TASK_KEYS = {
     "ness": ("numerics.tol", "numerics.steps_per_period", "custom_modes", "lindblad.gamma",
              "lindblad.k"),
 }
-# the models a setting is limited to: custom_modes defines the custom model, and
-# its Hamiltonian does not depend on k
-MODEL_KEYS = {"custom_modes": ("custom",), "lindblad.k": ("chain1d", "dirac", "honeycomb")}
-TASK_NUMERICS = {task: tuple(key.partition(".")[2] for key in keys if key.startswith("numerics."))
-                 for task, keys in TASK_KEYS.items()}
-HFE_REPORT = ("J_eff", "K_eff", "dirac_gap", "correction_norm")   # the keys of hfe.json
+# the models a setting is limited to: custom_modes alone defines the custom model (no k,
+# amplitude or polarization); n_max cuts chain1d and honeycomb modes (dirac has one harmonic)
+_BUILT_IN = ("chain1d", "dirac", "honeycomb")
+MODEL_KEYS = {"custom_modes": ("custom",), "lindblad.k": _BUILT_IN, "drive.amplitude": _BUILT_IN,
+              "drive.polarization": _BUILT_IN, "numerics.n_max": ("chain1d", "honeycomb")}
+# the largest A at which n_max = ceil(A) + 10, and M with it, may default
+MAX_DEFAULT_AMPLITUDE = 50.0
 # the physical band's largest Fourier weight in the edge blocks |m| = M above
 # which spectrum and chern warn; see _certify_cutoff
 EDGE_WEIGHT_TOL = 1e-13
@@ -97,13 +103,13 @@ class RunConfig:
     task: str
     drive: models.DriveProtocol
     output: str
-    numerics: dict                              # NUMERIC_DEFAULTS keys plus n_max and M
+    numerics: dict                              # the numerics the run reads, after defaults
     bath: open_system.BathSpec = None           # greens only
     lindblad_gamma: float = 0.0                 # ness only
     lindblad_k: tuple = (0.0, 0.0)              # ness only
     custom_modes: models.FourierModeSet = None
     write_curvature: bool = False
-    summary_metric: str = "J_eff"               # the HFE_REPORT key hfe sums up
+    summary_metric: str = "J_eff"               # the hfe.json key hfe sums up
     raw: dict = field(default_factory=dict)
 
     @property
@@ -132,9 +138,10 @@ def _is_number(value):
 
 def _reads(model, task):
     """The keys a run of `task` on `model` reads, each section with its dotted keys."""
-    keys = ["model", "task", "output", "drive.omega", "drive.amplitude", "drive.polarization",
-            *(key for key in TASK_KEYS[task] if model in MODEL_KEYS.get(key, MODELS))]
-    return {*keys, *(key.partition(".")[0] for key in keys)}
+    keys = [key for key in ("model", "task", "output", "drive.omega", "drive.amplitude",
+                            "drive.polarization", *TASK_KEYS[task])
+            if model in MODEL_KEYS.get(key, MODELS)]
+    return dict.fromkeys([*keys, *(key.partition(".")[0] for key in keys)])
 
 
 _KNOWN_KEYS = set().union(*(_reads(model, task) for model in MODELS for task in TASKS))
@@ -164,8 +171,8 @@ def validate_config(raw):
     reads = _reads(model, task)
     for key in (key for key in given if key not in reads):
         tasks = [other for other in TASKS if key in _reads(model, other)]
-        kind, actual, names = ("task", task, tasks) if tasks else (
-            "model", model, [other for other in MODELS if key in _reads(other, task)])
+        # a known key that no task reads on this model is limited by MODEL_KEYS
+        kind, actual, names = ("task", task, tasks) if tasks else ("model", model, MODEL_KEYS[key])
         readers = f"{', '.join(names[:-1])} and {names[-1]} {kind}s read" if names[1:] \
             else f"{names[0]} {kind} reads"
         raise ConfigError(f"{key}: only the {readers} it, not {actual!r}")
@@ -176,17 +183,10 @@ def validate_config(raw):
     amplitude = drive_raw.get("amplitude", 0.0)
     _require(_is_number(amplitude) and amplitude >= 0, "drive.amplitude",
              f"must be a number >= 0, got {amplitude!r}")
-    if task == "hfe" or (model == "honeycomb" and task != "ness"):
-        # the closed forms take J_n(amplitude) from bessel_j
-        _require(amplitude <= bessel.MAX_ARGUMENT, "drive.amplitude",
-                 f"must be <= {bessel.MAX_ARGUMENT} for Bessel factors, got {amplitude!r}")
     default_pol = "linear" if model == "chain1d" else "circular"
     polarization = drive_raw.get("polarization", default_pol)
-    _require(polarization in ("linear", "circular"), "drive.polarization",
-             f"must be 'linear' or 'circular', got {polarization!r}")
-    if model != "custom":
-        _require(polarization == default_pol, "drive.polarization",
-                 f"model {model!r} is defined for {default_pol} polarization")
+    _require(polarization == default_pol, "drive.polarization",
+             f"model {model!r} is defined for {default_pol} polarization, got {polarization!r}")
     output = raw.get("output")
     _require(isinstance(output, str) and output, "output", "must be a non-empty path")
 
@@ -203,11 +203,9 @@ def validate_config(raw):
     k_min, k_max = numerics["k_min"], numerics["k_max"]
     _require(k_max > k_min, "numerics.k_max", f"must exceed k_min = {k_min!r}, got {k_max!r}")
     if "n_max" not in given and (
-            (model in ("chain1d", "honeycomb") and "numerics.n_max" in reads)
-            or ("M" not in given and "numerics.M" in reads)):
-        # the default n_max = ceil(A) + 10, and the default M with it, grow without bound
-        _require(amplitude <= bessel.MAX_ARGUMENT, "drive.amplitude",
-                 f"must be <= {bessel.MAX_ARGUMENT} for the default cutoffs, got {amplitude!r}; "
+            "numerics.n_max" in reads or ("M" not in given and "numerics.M" in reads)):
+        _require(amplitude <= MAX_DEFAULT_AMPLITUDE, "drive.amplitude",
+                 f"must be <= {MAX_DEFAULT_AMPLITUDE} for the default cutoffs, got {amplitude!r}; "
                  "set numerics.n_max and numerics.M explicitly")
     bath = None
     if task == "greens":
@@ -255,9 +253,9 @@ def validate_config(raw):
     curvature = raw.get("write_curvature", False)
     _require(isinstance(curvature, bool), "write_curvature",
              f"must be true or false, got {curvature!r}")
-    metric = raw.get("summary_metric", "J_eff")     # given only to hfe
-    _require(metric in HFE_REPORT, "summary_metric",
-             f"{metric!r} not in hfe report {sorted(HFE_REPORT)}")
+    metric = raw.get("summary_metric", HFE_REPORT[model][0])     # given only to hfe
+    _require(metric in HFE_REPORT[model], "summary_metric",
+             f"{metric!r} not in the {model!r} hfe report {list(HFE_REPORT[model])}")
 
     drive = models.DriveProtocol(omega=float(omega), amplitude=float(amplitude),
                                  polarization=polarization)
@@ -275,6 +273,7 @@ def validate_config(raw):
         _require(m_cut >= need, "numerics.M",
                  f"must be >= {need} for mode cutoff {mode_cutoff} in task {task!r}, "
                  f"got {m_cut}")
+    numerics = {key: value for key, value in numerics.items() if f"numerics.{key}" in reads}
     return RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
                      bath=bath, lindblad_gamma=lindblad_gamma, lindblad_k=lindblad_k,
                      custom_modes=custom, write_curvature=curvature, summary_metric=metric,
@@ -286,7 +285,7 @@ def validate_config(raw):
 
 def _model_at(cfg: RunConfig, kx=0.0, ky=0.0):
     """The configured model at momentum (kx, ky): (H(t) sampler, mode-set builder)."""
-    drive, n_max = cfg.drive, cfg.n_max
+    drive, n_max = cfg.drive, cfg.numerics.get("n_max")     # n_max of chain1d and honeycomb
     if cfg.model == "chain1d":
         sampler = functools.partial(models.sample_chain_1d, kx, 1.0, drive)
         return sampler, functools.partial(models.fourier_modes, sampler, drive.omega, n_max)
@@ -552,11 +551,11 @@ def task_spectrum(cfg: RunConfig, outdir):
 
 def task_hfe(cfg: RunConfig, outdir):
     amplitude, omega = cfg.drive.amplitude, cfg.drive.omega
-    pars = highfreq.haldane_effective(1.0, amplitude, omega)
-    report = highfreq.van_vleck_hf(_modes(cfg))
-    payload = dict(zip(HFE_REPORT, (float(pars.j_eff), float(pars.k_eff),
-                                    float(highfreq.dirac_gap(amplitude, omega)),
-                                    report.correction_norm)))
+    report = {"J_eff": lambda: highfreq.effective_hopping_1d(1.0, amplitude),
+              "K_eff": lambda: highfreq.haldane_effective(1.0, amplitude, omega).k_eff,
+              "dirac_gap": lambda: highfreq.dirac_gap(amplitude, omega),
+              "correction_norm": lambda: highfreq.van_vleck_hf(_modes(cfg)).correction_norm}
+    payload = {key: float(report[key]()) for key in HFE_REPORT[cfg.model]}
     _write_json(os.path.join(outdir, "hfe.json"), payload)
     return {"summary_metric": payload[cfg.summary_metric], **payload}
 
@@ -638,7 +637,7 @@ def run_config(cfg: RunConfig):
         "config_sha256": config_hash(cfg.raw),
         "version": __version__,
         "task": cfg.task,
-        "numerics": {key: cfg.numerics[key] for key in TASK_NUMERICS[cfg.task]},
+        "numerics": cfg.numerics,
         "wall_time_s": time.monotonic() - started,
     }
     if "diagnostics" in summary:
@@ -687,11 +686,11 @@ def run_sweep(raw, parameter, values, workers=None):
     clashes = sorted({name for name in names if names.count(name) > 1})
     _require(not clashes, "--values", f"values share an output directory: {clashes}")
     base = validate_config(raw)  # fail fast before spawning work
-    # the numeric settings the run reads: every dotted key but the [kx, ky] pair
-    numeric = ["drive.omega", "drive.amplitude",
-               *(key for key in TASK_KEYS[base.task] if "." in key and key != "lindblad.k")]
+    # the numeric settings the run reads: every dotted key but two non-numeric ones
+    numeric = [key for key in _reads(base.model, base.task)
+               if "." in key and key not in ("drive.polarization", "lindblad.k")]
     _require(parameter in numeric, "--param", f"must name a numeric setting the {base.task!r} "
-             f"task reads, one of {numeric}; got {parameter!r}")
+             f"task reads on {base.model!r}, one of {numeric}; got {parameter!r}")
     if workers is None:
         workers = _env_workers()
     _require(isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1,

@@ -232,27 +232,22 @@ def _sample_times(sampler, ts):
     return np.stack([np.asarray(sampler(t), dtype=complex) for t in ts])
 
 
-def fourier_modes(sampler, omega, n_max, n_samples=None):
+def fourier_modes(sampler, omega, n_max):
     """Fourier modes of a T-periodic Hermitian sampler on a uniform grid.
 
-    H_n = (1/N) sum_j exp(i n omega t_j) H(t_j) with t_j = j T / N; for
+    H_n = (1/N) sum_j exp(i n omega t_j) H(t_j) with t_j = j T / N and
+    N = 4 n_max + 1, which keeps aliases out of the kept window; for
     periodic integrands the plain Riemann sum is spectrally accurate.
     The grid is sampled in one call when the sampler takes an array of
     times and returns (N, d, d), as the built-in samplers do; any other
-    t -> H callable is sampled once per grid point.
-    Requires n_samples >= 4 n_max + 1 to keep aliases out of the kept
-    window. Warns when the edge mode carries more than 1e-3 of the
-    largest mode's weight (cutoff likely too small); scaling by the
-    largest mode rather than H_0 keeps the check quiet when the time
-    average itself is tuned to zero.
+    t -> H callable is sampled once per grid point. Warns when the edge
+    mode carries more than 1e-3 of the largest mode's weight (cutoff
+    likely too small); scaling by the largest mode rather than H_0 keeps
+    the check quiet when the time average itself is tuned to zero.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_samples is None:
-        n_samples = 4 * n_max + 1
-    if n_samples < 4 * n_max + 1:
-        raise ValueError(
-            f"n_samples={n_samples} too small for n_max={n_max}; need >= {4 * n_max + 1}")
+    n_samples = 4 * n_max + 1
     period = 2.0 * np.pi / omega
     ts = np.arange(n_samples) * (period / n_samples)
     samples = _sample_times(sampler, ts)

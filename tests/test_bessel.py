@@ -29,7 +29,7 @@ def test_first_root_of_j0():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 9, 14])
-@pytest.mark.parametrize("x", [0.3, 1.0, 2.0, 5.0, 12.0, 27.0, 50.0])
+@pytest.mark.parametrize("x", [0.3, 1.0, 2.0, 5.0, 12.0, 27.0, 50.0, 200.0])
 def test_against_integral_representation(n, x):
     ref = quad_bessel(n, x)
     assert abs(bessel_j(n, x) - ref) < 1e-12 * max(1.0, abs(ref))
@@ -52,12 +52,7 @@ def test_negative_order_and_argument():
             assert bessel_j(n, -x) == pytest.approx((-1.0) ** n * bessel_j(n, x), abs=1e-15)
 
 
-def test_domain_error():
-    with pytest.raises(ValueError):
-        bessel_j(0, 50.5)
-
-
-@pytest.mark.parametrize("x", [-50.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_argument_outside_domain_rejected(x):
     with pytest.raises(ValueError):
         bessel_j(0, x)
@@ -93,15 +88,16 @@ def test_sum_identity_at_fixed_point():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
+@given(st.floats(min_value=0.0, max_value=200.0, allow_nan=False))
 def test_sum_identity(x):
-    total = bessel_j(0, x) ** 2 + 2.0 * sum(bessel_j(n, x) ** 2 for n in range(1, 80))
+    # J_n(x) is negligible once n passes x + 6 x^(1/3) + 10
+    total = bessel_j(0, x) ** 2 + 2.0 * np.sum(bessel_j(np.arange(1, int(x) + 60), x) ** 2)
     assert abs(total - 1.0) < 1e-11
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=20),
-       st.floats(min_value=1e-3, max_value=50.0, allow_nan=False))
+       st.floats(min_value=1e-3, max_value=200.0, allow_nan=False))
 def test_recurrence(n, x):
     # J_{n-1} + J_{n+1} = (2n/x) J_n
     lhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)

@@ -18,13 +18,11 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def spectrum_config(tmp_path, **overrides):
-    payload = {
-        "model": "chain1d",
-        "drive": {"omega": 8.0, "amplitude": 1.0},
-        "task": "spectrum",
-        "output": str(tmp_path / "out"),
-    }
+    payload = {"model": "chain1d", "task": "spectrum", "output": str(tmp_path / "out")}
     payload.update(overrides)
+    # custom_modes alone defines the custom model: it has no drive amplitude
+    payload.setdefault("drive", {"omega": 8.0, **({} if payload["model"] == "custom"
+                                                  else {"amplitude": 1.0})})
     if payload["task"] in ("spectrum", "greens"):     # the tasks that read n_k
         payload.setdefault("numerics", {"n_k": 24})
     return payload
@@ -103,24 +101,23 @@ class TestValidation:
         assert main(["run", write_config(tmp_path, payload)]) == 2
 
     def test_default_replica_cutoff_covers_custom_harmonics(self, tmp_path):
-        # harmonics up to 17 while the (unrelated) default n_max is 11
+        # harmonics up to 17, past the (unrelated) default cutoff suggested_n_max(0) = 10
         triples = [[0, [[0.3]], [[0.0]]], [17, [[0.05]], [[0.0]]], [-17, [[0.05]], [[0.0]]]]
         payload = spectrum_config(tmp_path, model="custom", custom_modes=triples,
                                   numerics={"n_k": 2})
         cfg = validate_config(payload)
-        assert (cfg.n_max, cfg.m_cut) == (11, 19)
+        assert cfg.m_cut == 19 and "n_max" not in cfg.numerics
         assert main(["run", write_config(tmp_path, payload)]) == 0
         # the built-in models take n_max + 2
         honeycomb = spectrum_config(
             tmp_path, model="honeycomb",
             drive={"omega": 10.0, "amplitude": 1.0, "polarization": "circular"})
         assert validate_config(honeycomb).m_cut == 13
-        # dirac's mode cutoff is 1, but the default still counts n_max
+        # dirac's mode cutoff is 1, but its default M still counts suggested_n_max(A) = 11
         dirac = spectrum_config(
             tmp_path, model="dirac",
-            drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
-            numerics={"n_max": 3})
-        assert validate_config(dirac).m_cut == 5
+            drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"})
+        assert validate_config(dirac).m_cut == 13
 
     @pytest.mark.parametrize("model", ["chain1d", "honeycomb", "dirac"])
     def test_default_greens_replica_cutoff_is_n_max_plus_6(self, tmp_path, model):
@@ -131,7 +128,11 @@ class TestValidation:
             drive={"omega": 8.0, "amplitude": 1.0, "polarization": polarization})
         assert validate_config(payload).m_cut == 17
         payload["numerics"] = {"n_max": 4}
-        assert validate_config(payload).m_cut == 10
+        if model == "dirac":    # one harmonic: no n_max to set
+            with pytest.raises(ConfigError, match="^numerics.n_max: only the chain1d and "):
+                validate_config(payload)
+        else:
+            assert validate_config(payload).m_cut == 10
 
     @pytest.mark.parametrize("key, value, reader", [
         ("bath", {"gamma": 0.1}, "greens"),
@@ -186,7 +187,8 @@ class TestValidation:
         cfg = validate_config(spectrum_config(
             tmp_path, numerics={"n_max": 10.0, "M": 16.0, "n_k": 64.0}))
         assert (cfg.n_max, cfg.m_cut, cfg.numerics["n_k"]) == (10, 16, 64)
-        assert all(type(cfg.numerics[key]) is int for key in cli.INTEGER_KEYS)
+        assert set(cfg.numerics) == {"n_max", "M", "n_k", "k_min", "k_max"}
+        assert all(type(cfg.numerics[key]) is int for key in ("n_max", "M", "n_k"))
 
     def test_rejects_unused_n_steps_key(self, tmp_path):
         payload = spectrum_config(tmp_path, numerics={"n_steps": 4096})
@@ -213,7 +215,7 @@ class TestValidation:
         payload = spectrum_config(
             tmp_path, model="dirac", task=task,
             drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
-            numerics={} if task == "ness" else {"n_max": 20, "M": 26}, **sections.get(task, {}))
+            numerics={} if task == "ness" else {"M": 26}, **sections.get(task, {}))
         validate_config(payload)
         for value in (math.inf, -math.inf, math.nan, 10 ** 400):
             cli._set_by_path(payload, key, [value, 0.0] if key == "lindblad.k" else value)
@@ -223,14 +225,21 @@ class TestValidation:
     @pytest.mark.parametrize("model, task", [("honeycomb", "spectrum"), ("honeycomb", "greens"),
                                              ("chain1d", "hfe"), ("dirac", "hfe")])
     def test_amplitude_outside_bessel_domain(self, tmp_path, model, task):
+        # J_n(A) takes any finite A; only the default cutoffs bound it
         polarization = "linear" if model == "chain1d" else "circular"
         payload = spectrum_config(
             tmp_path, model=model, task=task,
             drive={"omega": 8.0, "amplitude": 60.0, "polarization": polarization},
             **({"bath": {"gamma": 0.1}} if task == "greens" else {}))
+        if model == "dirac":    # dirac hfe reads no cutoff, and its gap no J_n(A)
+            assert main(["run", write_config(tmp_path, payload)]) == 0
+            report = json.loads((tmp_path / "out" / "hfe.json").read_text())
+            assert report["dirac_gap"] == pytest.approx(np.sqrt(64.0 + 4.0 * 3600.0) - 8.0)
+            return
         with pytest.raises(ConfigError, match="drive.amplitude"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_large_amplitude_without_bessel_factors(self, tmp_path):
         validate_config(spectrum_config(tmp_path, drive={"omega": 8.0, "amplitude": 60.0},
@@ -240,24 +249,33 @@ class TestValidation:
             drive={"omega": 8.0, "amplitude": 60.0, "polarization": "circular"}))
 
     @pytest.mark.parametrize("model, task", [("chain1d", "spectrum"), ("chain1d", "greens"),
-                                             ("dirac", "spectrum"), ("dirac", "greens"),
-                                             ("custom", "spectrum")])
+                                             ("dirac", "spectrum"), ("dirac", "greens")])
     def test_default_cutoffs_need_bounded_amplitude(self, tmp_path, model, task):
         # the default n_max = ceil(A) + 10 would give a ~2e6-wide Sambe matrix here
         polarization = "linear" if model == "chain1d" else "circular"
         payload = spectrum_config(
             tmp_path, model=model, task=task,
             drive={"omega": 8.0, "amplitude": 1e6, "polarization": polarization},
-            **({"bath": {"gamma": 0.1}} if task == "greens" else {}),
-            **({"custom_modes": [[0, [[0.3]], [[0.0]]]]} if model == "custom" else {}))
+            **({"bath": {"gamma": 0.1}} if task == "greens" else {}))
         with pytest.raises(ConfigError, match="drive.amplitude.*numerics.n_max"):
             validate_config(payload)
-        payload["numerics"] = {"n_max": 20, "M": 26}
+        # dirac has one harmonic and no n_max: an explicit M suffices
+        payload["numerics"] = {"n_max": 20, "M": 26} if model == "chain1d" else {"M": 26}
         assert validate_config(payload).m_cut == 26
-        if model != "chain1d":
-            # only chain1d builds its modes with n_max; elsewhere an explicit M suffices
-            payload["numerics"] = {"M": 26}
-            validate_config(payload)
+
+    def test_honeycomb_at_large_amplitude_with_explicit_cutoffs(self, tmp_path, capsys):
+        payload = spectrum_config(
+            tmp_path, model="honeycomb",
+            drive={"omega": 8.0, "amplitude": 60.0, "polarization": "circular"},
+            numerics={"n_k": 2})
+        path = write_config(tmp_path, payload)
+        assert main(["run", path]) == 2
+        assert "drive.amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        payload["numerics"].update(n_max=100, M=110)
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["numerics"]["M"] == 110
 
     def test_ness_custom_model_must_be_two_level(self, tmp_path):
         payload = spectrum_config(
@@ -331,12 +349,13 @@ class TestValidation:
         assert main(["validate", bad]) == 2
 
 
-# a valid value of every setting in cli.TASK_KEYS
+# a valid value of every setting in cli.TASK_KEYS and cli.MODEL_KEYS
 SETTING_VALUES = {
+    "drive.amplitude": 1.0, "drive.polarization": "circular",
     "numerics.n_max": 6, "numerics.M": 8, "numerics.n_k": 4, "numerics.k_min": -1.0,
     "numerics.k_max": 1.0, "numerics.Nk": 4, "numerics.nu_points": 11, "numerics.tol": 1e-8,
     "numerics.steps_per_period": 64, "bath.gamma": 0.1, "bath.beta": 20.0,
-    "lindblad.gamma": 0.4, "lindblad.k": [0.1, -0.2], "summary_metric": "K_eff",
+    "lindblad.gamma": 0.4, "lindblad.k": [0.1, -0.2], "summary_metric": "correction_norm",
     "write_curvature": True,
     "custom_modes": [[0, [[0.3, 0.1], [0.1, -0.3]], [[0.0, 0.0], [0.0, 0.0]]],
                      [1, [[0.0, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
@@ -347,10 +366,12 @@ SETTING_VALUES = {
 @pytest.mark.parametrize("model", ["honeycomb", "custom"])
 @pytest.mark.parametrize("task", cli.TASKS)
 def test_config_holds_exactly_the_keys_the_run_reads(tmp_path, capsys, model, task):
-    assert set(SETTING_VALUES) == {key for keys in cli.TASK_KEYS.values() for key in keys}
-    reads = [key for key in cli.TASK_KEYS[task] if model in cli.MODEL_KEYS.get(key, cli.MODELS)]
+    assert set(SETTING_VALUES) == {*cli.MODEL_KEYS, *(key for keys in cli.TASK_KEYS.values()
+                                                      for key in keys)}
+    reads = [key for key in ("drive.amplitude", "drive.polarization", *cli.TASK_KEYS[task])
+             if model in cli.MODEL_KEYS.get(key, cli.MODELS)]
     payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
-               "drive": {"omega": 8.0, "amplitude": 1.0, "polarization": "circular"}}
+               "drive": {"omega": 8.0}}
     for key in reads:
         cli._set_by_path(payload, key, SETTING_VALUES[key])
     validate_config(payload)
@@ -368,15 +389,24 @@ def test_config_holds_exactly_the_keys_the_run_reads(tmp_path, capsys, model, ta
 
 
 @pytest.mark.parametrize("model, key, message", [
-    # the custom model's Hamiltonian does not depend on k
+    # the custom model's Hamiltonian does not depend on k, amplitude or polarization
     ("custom", "lindblad.k", "only the chain1d, dirac and honeycomb models read it, not 'custom'"),
     ("dirac", "custom_modes", "only the custom model reads it, not 'dirac'"),
-], ids=["custom-lindblad.k", "dirac-custom_modes"])
+    ("custom", "drive.amplitude",
+     "only the chain1d, dirac and honeycomb models read it, not 'custom'"),
+    ("custom", "drive.polarization",
+     "only the chain1d, dirac and honeycomb models read it, not 'custom'"),
+    # the dirac model has one harmonic; no task reads n_max on it
+    ("dirac", "numerics.n_max", "only the chain1d and honeycomb models read it, not 'dirac'"),
+], ids=["custom-lindblad.k", "dirac-custom_modes", "custom-drive.amplitude",
+        "custom-drive.polarization", "dirac-numerics.n_max"])
 def test_settings_of_other_models_are_config_errors(tmp_path, capsys, model, key, message):
     payload = {"model": model, "task": "ness", "output": str(tmp_path / "out"),
-               "drive": {"omega": 5.0, "amplitude": 1.0}, "lindblad": {"gamma": 0.4}}
+               "drive": {"omega": 5.0}, "lindblad": {"gamma": 0.4}}
     if model == "custom":
         payload["custom_modes"] = SETTING_VALUES["custom_modes"]
+    else:
+        payload["drive"]["amplitude"] = 1.0
     validate_config(payload)
     cli._set_by_path(payload, key, SETTING_VALUES[key])
     with pytest.raises(ConfigError, match=f"^{key}: {message}$"):
@@ -386,15 +416,37 @@ def test_settings_of_other_models_are_config_errors(tmp_path, capsys, model, key
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model, task", [
+    *(("dirac", task) for task in ("spectrum", "hfe", "greens", "ness")),
+    *(("custom", task) for task in cli.TASKS)])
+def test_n_max_of_a_model_without_it_fails_before_any_output(tmp_path, capsys, model, task):
+    # dirac has one harmonic and custom its own modes: M is their only cutoff
+    payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
+               "drive": {"omega": 5.0}, "bath": {"gamma": 0.1}, "lindblad": {"gamma": 0.4},
+               "custom_modes": SETTING_VALUES["custom_modes"], "numerics": {"n_max": 3}}
+    payload = {key: value for key, value in payload.items()
+               if key in cli._reads(model, task) or key == "numerics"}
+    assert main(["run", write_config(tmp_path, payload)]) == 2
+    # hfe reads no numerics on these models, so the section is named, as everywhere
+    message = "numerics: only the spectrum, " if task == "hfe" else \
+        "numerics.n_max: only the chain1d and honeycomb models read it"
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    del payload["numerics"]["n_max"]
+    if "numerics" not in cli._reads(model, task):
+        del payload["numerics"]
+    validate_config(payload)
+
+
 @pytest.mark.parametrize("model", ["chain1d", "dirac", "honeycomb", "custom"])
 def test_model_sampler_and_modes_describe_one_hamiltonian(tmp_path, model):
     triples = [[0, [[0.3, 0.1], [0.1, -0.3]], [[0.0, 0.0], [0.0, 0.0]]],
                [1, [[0.0, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
                [-1, [[0.0, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
     cfg = validate_config(spectrum_config(
-        tmp_path, model=model, **({"custom_modes": triples} if model == "custom" else {}),
-        drive={"omega": 8.0, "amplitude": 1.0,
-               "polarization": "linear" if model == "chain1d" else "circular"}))
+        tmp_path, model=model, **({"custom_modes": triples} if model == "custom" else {
+            "drive": {"omega": 8.0, "amplitude": 1.0,
+                      "polarization": "linear" if model == "chain1d" else "circular"}})))
     sampler, build = cli._model_at(cfg, 0.7, -0.4)
     modes = build()
     for t in np.linspace(0.0, 2.0 * np.pi / 8.0, 7):
@@ -510,7 +562,35 @@ class TestRun:
         assert main(["run", write_config(tmp_path, payload)]) == 0
         report = json.loads((tmp_path / "out" / "hfe.json").read_text())
         assert report["dirac_gap"] == pytest.approx(np.sqrt(29.0) - 5.0, abs=1e-12)
-        assert set(report) == {"J_eff", "K_eff", "dirac_gap", "correction_norm"}
+        assert set(report) == {"dirac_gap", "correction_norm"}
+
+    @pytest.mark.parametrize("model, report", [
+        ("chain1d", {"J_eff": float(fq.bessel_j(0, 1.0))}),
+        ("dirac", {"dirac_gap": np.sqrt(64.0 + 4.0) - 8.0}),
+        # bit-equal to the values before K_eff's series cutoff followed A
+        ("honeycomb", {"J_eff": 0.7651976865579666, "K_eff": -0.040496351073830185}),
+        ("custom", {})])
+    def test_hfe_reports_the_closed_forms_of_its_model(self, tmp_path, capsys, model, report):
+        payload = {"model": model, "task": "hfe", "output": str(tmp_path / "out"),
+                   "drive": {"omega": 8.0, **({} if model == "custom" else {"amplitude": 1.0})},
+                   **({"custom_modes": SETTING_VALUES["custom_modes"]} if model == "custom"
+                      else {})}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        written = json.loads((tmp_path / "out" / "hfe.json").read_text())
+        assert list(written) == sorted([*report, "correction_norm"])
+        assert {key: written[key] for key in report} == report
+        # the default summary is the model's first closed form, else correction_norm
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["summary_metric"] == written[cli.HFE_REPORT[model][0]]
+        assert cli.HFE_REPORT[model] == (*report, "correction_norm")
+
+    def test_hfe_metric_of_another_model_fails_before_any_output(self, tmp_path, capsys):
+        payload = spectrum_config(tmp_path, task="hfe", summary_metric="K_eff")
+        with pytest.raises(ConfigError, match="^summary_metric: 'K_eff' not in the 'chain1d' "):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert "summary_metric" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_no_partial_files(self, tmp_path):
         payload = spectrum_config(tmp_path, drive={"omega": -8.0})
@@ -532,7 +612,7 @@ class TestRun:
     def test_ness_task(self, tmp_path):
         payload = {
             "model": "custom",
-            "drive": {"omega": 6.28318530717958648, "amplitude": 0.0},
+            "drive": {"omega": 6.28318530717958648},
             "task": "ness",
             "output": str(tmp_path / "out"),
             "lindblad": {"gamma": 0.4},
@@ -591,11 +671,11 @@ class TestRun:
     @pytest.mark.parametrize("model, task, extra, expected", [
         ("chain1d", "spectrum", {},
          {"n_max": 11, "M": 13, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
-        # M = max(n_max, mode cutoff) + 2 with the custom harmonics past n_max = 10
+        # M = max(10, mode cutoff) + 2 with the custom harmonics past 10; custom reads no n_max
         ("custom", "spectrum",
          {"custom_modes": [[0, [[0.5]], [[0.0]]], [12, [[0.1]], [[0.0]]], [-12, [[0.1]], [[0.0]]]]},
-         {"n_max": 10, "M": 14, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
-        ("dirac", "hfe", {}, {"n_max": 11}),
+         {"M": 14, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
+        ("dirac", "hfe", {}, {}),       # dirac hfe reads no cutoff
         ("honeycomb", "chern", {}, {"n_max": 11, "M": 13, "Nk": 24}),
         ("chain1d", "greens", {"bath": {"gamma": 0.05}},
          {"n_max": 11, "M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
@@ -604,9 +684,9 @@ class TestRun:
          {"tol": 1e-9, "steps_per_period": 256}),
     ])
     def test_manifest_records_default_numerics(self, tmp_path, model, task, extra, expected):
-        amplitude = 0.0 if model == "custom" else 1.0
+        drive = {"omega": 8.0} if model == "custom" else {"omega": 8.0, "amplitude": 1.0}
         payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
-                   "drive": {"omega": 8.0, "amplitude": amplitude}, **extra}
+                   "drive": drive, **extra}
         assert main(["run", write_config(tmp_path, payload)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["numerics"] == expected
@@ -684,7 +764,7 @@ class TestRun:
         ("honeycomb", "spectrum", 2.0, 3.0, {"n_k": 4}),
         ("honeycomb", "chern", 2.0, 3.0, {"Nk": 4}),
         # an explicit M too small for the drive
-        ("dirac", "spectrum", 5.0, 1.0, {"n_max": 1, "M": 4, "n_k": 8}),
+        ("dirac", "spectrum", 5.0, 1.0, {"M": 4, "n_k": 8}),
     ])
     def test_truncation_certificate_warns_once(self, tmp_path, model, task, omega, amplitude,
                                                numerics):
@@ -719,6 +799,15 @@ class TestRun:
                     kvec = ((i + 0.5) / nk) * grid.b1 + ((j + 0.5) / nk) * grid.b2
                     expected.append(f"{kvec[0]:.12g},{kvec[1]:.12g},{flux[i, j]:.12g}")
             assert lines[1:] == expected
+
+
+# (model, task, --param) of a numeric setting the run does not read
+UNREAD_PARAMS = [
+    ("dirac", "spectrum", "numerics.nu_points"), ("dirac", "spectrum", "numerics.tol"),
+    ("dirac", "spectrum", "bath.gamma"), ("dirac", "hfe", "numerics.M"),
+    ("dirac", "greens", "lindblad.gamma"), ("dirac", "ness", "numerics.n_max"),
+    ("dirac", "ness", "lindblad.k"), ("dirac", "spectrum", "numerics.n_max"),
+    ("custom", "spectrum", "drive.amplitude")]
 
 
 class TestSweep:
@@ -792,15 +881,15 @@ class TestSweep:
         with pytest.raises(ConfigError, match="--param"):
             cli.run_sweep(spectrum_config(tmp_path, task="hfe"), param, [1.0, 2.0])
 
-    @pytest.mark.parametrize("task, param", [
-        ("spectrum", "numerics.nu_points"), ("spectrum", "numerics.tol"),
-        ("spectrum", "bath.gamma"), ("hfe", "numerics.M"), ("greens", "lindblad.gamma"),
-        ("ness", "numerics.n_max"), ("ness", "lindblad.k")])
-    def test_param_the_task_does_not_read_rejected(self, tmp_path, capsys, task, param):
+    @pytest.mark.parametrize("model, task, param", UNREAD_PARAMS, ids=[
+        f"{task}-{param}" if model == "dirac" else f"{model}-{task}-{param}"
+        for model, task, param in UNREAD_PARAMS])
+    def test_param_the_task_does_not_read_rejected(self, tmp_path, capsys, model, task, param):
         # each value would repeat one run
         payload = spectrum_config(
-            tmp_path, model="dirac", task=task,
-            drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"},
+            tmp_path, model=model, task=task,
+            **({"custom_modes": SETTING_VALUES["custom_modes"]} if model == "custom" else {
+                "drive": {"omega": 5.0, "amplitude": 1.0, "polarization": "circular"}}),
             **{"greens": {"bath": {"gamma": 0.1}},
                "ness": {"lindblad": {"gamma": 0.4}}}.get(task, {}))
         path = write_config(tmp_path, payload)

@@ -5,7 +5,7 @@ import floquetlib as fq
 from floquetlib.models import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 FIRST_J0_ROOT = 2.404825557695773
-# frozen from the series itself: n_cut=50 and n_cut=200 agree to < 1e-14
+# frozen from the series itself, summed to 50 and to 200 terms (agreeing to < 1e-14)
 K_EFF_A1_W10 = -0.03239708085906415
 
 
@@ -78,36 +78,45 @@ class TestHaldaneEffective:
         assert low / high == pytest.approx(2.0, rel=1e-12)
 
     def test_series_self_consistency_and_frozen_value(self):
-        a = fq.haldane_effective(1.0, 1.0, 10.0, n_cut=50).k_eff
-        b = fq.haldane_effective(1.0, 1.0, 10.0, n_cut=200).k_eff
-        assert abs(a - b) < 1e-14
-        assert a == pytest.approx(K_EFF_A1_W10, abs=1e-15)
+        k_eff = fq.haldane_effective(1.0, 1.0, 10.0).k_eff
+        ns = np.arange(1, 201)
+        wide = -0.2 * np.sum(fq.bessel_j(ns, 1.0) ** 2 * np.sin(2.0 * np.pi * ns / 3.0) / ns)
+        assert abs(k_eff - wide) < 1e-14
+        assert k_eff == pytest.approx(K_EFF_A1_W10, abs=1e-15)
 
     def test_shares_bessel_factor_with_chain(self):
         for amplitude in (0.3, 1.0, 2.2):
             pars = fq.haldane_effective(0.8, amplitude, 12.0)
             assert pars.j_eff == fq.effective_hopping_1d(0.8, amplitude)
 
-    @pytest.mark.parametrize("n_cut", [20, 60, 200])
-    @pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.9])
-    def test_series_matches_per_order_sum(self, n_cut, amplitude):
-        # the array sum against the term-by-term loop it replaced
+    @staticmethod
+    def per_order_k_eff(hopping, amplitude, omega, terms):
         series = 0.0
-        for n in range(1, n_cut + 1):
+        for n in range(1, terms + 1):
             series += fq.bessel_j(n, amplitude) ** 2 * np.sin(2.0 * np.pi * n / 3.0) / n
-        k_eff = fq.haldane_effective(0.9, amplitude, 7.0, n_cut=n_cut).k_eff
-        assert abs(k_eff - (-2.0 * 0.9**2 / 7.0 * series)) < 1e-15
+        return -2.0 * hopping**2 / omega * series
 
-    def test_rejects_short_series(self):
-        with pytest.raises(ValueError):
-            fq.haldane_effective(1.0, 1.0, 10.0, n_cut=10)
+    @pytest.mark.parametrize("terms", [20, 60, 200])
+    @pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.9])
+    def test_series_matches_per_order_sum(self, terms, amplitude):
+        # the array sum, stopped where J_n(A) is negligible, against a term-by-term
+        # loop of any length past that point
+        k_eff = fq.haldane_effective(0.9, amplitude, 7.0).k_eff
+        assert abs(k_eff - self.per_order_k_eff(0.9, amplitude, 7.0, terms)) < 1e-15
+
+    @pytest.mark.parametrize("amplitude", [1.0, 45.0, 50.0, 200.0, 1000.0])
+    def test_series_converged_at_large_amplitude(self, amplitude):
+        # a fixed 60 terms left 2.3e-13 of the series out at A = 45, 7.9e-10 at 50
+        k_eff = fq.haldane_effective(0.9, amplitude, 7.0).k_eff
+        reference = self.per_order_k_eff(0.9, amplitude, 7.0, int(2 * amplitude) + 200)
+        assert abs(k_eff - reference) < 1e-16
 
     def test_matches_van_vleck_exactly(self):
         # the commutator sum over the honeycomb modes reproduces the
         # closed-form parameters term by term, so the effective Bloch
         # matrix and the expansion coincide to rounding
         drive = fq.DriveProtocol(omega=10.0, amplitude=1.0, polarization="circular")
-        pars = fq.haldane_effective(1.0, 1.0, 10.0, n_cut=40)
+        pars = fq.haldane_effective(1.0, 1.0, 10.0)
         rng = np.random.default_rng(1)
         for _ in range(5):
             kx, ky = rng.uniform(-2.0, 2.0, 2)

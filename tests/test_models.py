@@ -167,10 +167,6 @@ class TestFourierModes:
         for n in range(-10, 11):
             np.testing.assert_allclose(numeric.mode(n), analytic.mode(n), atol=1e-12)
 
-    def test_undersampling_rejected(self):
-        with pytest.raises(ValueError):
-            fourier_modes(lambda t: SIGMA_Z, 1.0, 4, n_samples=10)
-
     def test_nonhermitian_sampler_rejected(self):
         raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
