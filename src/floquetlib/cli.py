@@ -19,13 +19,24 @@ A config is a JSON object:
 All numerics have defaults and every number must be finite; energies are
 in units of the hopping (J = 1). A key the run does not read is a config
 error that names it: TASK_KEYS lists the settings each task reads,
-MODEL_KEYS the models some are limited to, and a sweep's --param may name
-the numeric ones. HFE_REPORT lists the closed forms hfe reports per model.
-The replica cutoff M defaults to max(n_max, mode cutoff) + 2 for spectrum
-and chern, + 6 for greens. Exit codes: 0 success, 2 config/schema error,
-3 solver error. Outputs are deterministic for a fixed config and written
-atomically (temp + rename), with a manifest.json recording the config
-hash, version, the numerics the run read after defaults, and wall time.
+TASK_MODELS the models chern and ness run on, MODEL_KEYS the models some
+settings are limited to, and a sweep's --param may name the numeric ones.
+An empty section sets nothing. HFE_REPORT lists the closed forms hfe
+reports per model.
+
+The replica cutoff numerics.M is the only cutoff a run takes. The chain1d
+and honeycomb modes are built in closed form with every harmonic up to
+M - 2 (sambe.SELECTION_MARGIN), so raising M raises both truncations; hfe,
+which has no M, builds them up to highfreq.bessel_tail_order(A). M
+defaults to max(ceil(A) + 10, mode cutoff) + 2 for spectrum and chern and
++ 6 for greens, the mode cutoff being 1 for dirac, the largest given
+harmonic for custom and 0 for chain1d and honeycomb; drive.amplitude may
+not exceed 50 where a cutoff derives from it.
+
+Exit codes: 0 success, 2 config/schema error, 3 solver error. Outputs are
+deterministic for a fixed config and written atomically (temp + rename),
+with a manifest.json recording the config hash, version, the numerics the
+run read after defaults, and wall time.
 For spectrum and chern it also holds "diagnostics": {"edge_weight": ...},
 the physical band's largest Fourier weight in the edge blocks |m| = M over
 all k; above 1e-13 the run warns that numerics.M is too small.
@@ -65,26 +76,31 @@ NUMERIC_DEFAULTS = {
     "tol": 1e-9,
     "steps_per_period": 256,
 }
-INTEGER_KEYS = ("n_max", "M", "n_k", "Nk", "nu_points", "steps_per_period")
+INTEGER_KEYS = ("M", "n_k", "Nk", "nu_points", "steps_per_period")
 # the settings each task reads beyond model, task, output and drive.*, as dotted
 # keys; with MODEL_KEYS they say what a run reads (_reads): validate_config rejects
 # every other key, and the manifest's numerics and a sweep's --param come from there
-_SAMBE = ("numerics.n_max", "numerics.M", "custom_modes")
+_SAMBE = ("numerics.M", "custom_modes")
 _K_LINE = ("numerics.n_k", "numerics.k_min", "numerics.k_max")
 TASK_KEYS = {
     "spectrum": (*_SAMBE, *_K_LINE),
-    "hfe": ("numerics.n_max", "custom_modes", "summary_metric"),
+    "hfe": ("custom_modes", "summary_metric"),
     "chern": (*_SAMBE, "numerics.Nk", "write_curvature"),
     "greens": (*_SAMBE, *_K_LINE, "numerics.nu_points", "bath.gamma", "bath.beta"),
     "ness": ("numerics.tol", "numerics.steps_per_period", "custom_modes", "lindblad.gamma",
              "lindblad.k"),
 }
+# the models a task runs on, where not all: chern needs a compact zone, ness a two-level model
+TASK_MODELS = {"chern": ("honeycomb", "custom"), "ness": ("dirac", "honeycomb", "custom")}
 # the models a setting is limited to: custom_modes alone defines the custom model (no k,
-# amplitude or polarization); n_max cuts chain1d and honeycomb modes (dirac has one harmonic)
+# amplitude or polarization)
 _BUILT_IN = ("chain1d", "dirac", "honeycomb")
 MODEL_KEYS = {"custom_modes": ("custom",), "lindblad.k": _BUILT_IN, "drive.amplitude": _BUILT_IN,
-              "drive.polarization": _BUILT_IN, "numerics.n_max": ("chain1d", "honeycomb")}
-# the largest A at which n_max = ceil(A) + 10, and M with it, may default
+              "drive.polarization": _BUILT_IN}
+# the models whose mode sets the CLI cuts, at M - sambe.SELECTION_MARGIN (see _model_at)
+_LATTICES = ("chain1d", "honeycomb")
+# the largest A from which a cutoff may derive: the default M = ceil(A) + 12 or more,
+# and the bessel_tail_order(A) harmonics of hfe's lattice modes
 MAX_DEFAULT_AMPLITUDE = 50.0
 # the physical band's largest Fourier weight in the edge blocks |m| = M above
 # which spectrum and chern warn; see _certify_cutoff
@@ -113,10 +129,6 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     @property
-    def n_max(self):
-        return self.numerics["n_max"]
-
-    @property
     def m_cut(self):
         return self.numerics["M"]
 
@@ -136,8 +148,20 @@ def _is_number(value):
         return False
 
 
+def _listing(names, kind):
+    """'the a, b and c <kind>s', or 'the a <kind>'."""
+    if names[1:]:
+        return f"the {', '.join(names[:-1])} and {names[-1]} {kind}s"
+    return f"the {names[0]} {kind}"
+
+
 def _reads(model, task):
-    """The keys a run of `task` on `model` reads, each section with its dotted keys."""
+    """The keys a run of `task` on `model` reads, each section with its dotted keys.
+
+    A task reads nothing on a model it does not run on (TASK_MODELS).
+    """
+    if model not in TASK_MODELS.get(task, MODELS):
+        return {}
     keys = [key for key in ("model", "task", "output", "drive.omega", "drive.amplitude",
                             "drive.polarization", *TASK_KEYS[task])
             if model in MODEL_KEYS.get(key, MODELS)]
@@ -155,27 +179,32 @@ def validate_config(raw):
     numerics.
     """
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
-    given = []      # every key of the config, a section's dotted keys after it
+    given = []      # every key the config sets, a non-empty section's dotted keys after it
     for key, value in raw.items():
         _require(key in _KNOWN_KEYS and "." not in key, key, "unknown top-level key")
-        given.append(key)
-        if any(known.startswith(f"{key}.") for known in _KNOWN_KEYS):
-            _require(isinstance(value, dict), key, "must be an object")
-            given += [f"{key}.{sub}" for sub in value]
+        if not any(known.startswith(f"{key}.") for known in _KNOWN_KEYS):
+            given.append(key)
+            continue
+        _require(isinstance(value, dict), key, "must be an object")
+        if value:       # an empty section sets nothing
+            given += [key, *(f"{key}.{sub}" for sub in value)]
     for key in given:
         _require(key in _KNOWN_KEYS, key, f"unknown {key.partition('.')[0]} key")
     model = raw.get("model")
     _require(model in MODELS, "model", f"must be one of {MODELS}, got {model!r}")
     task = raw.get("task")
     _require(task in TASKS, "task", f"must be one of {TASKS}, got {task!r}")
+    runs_on = TASK_MODELS.get(task, MODELS)
+    _require(model in runs_on, "model",
+             f"{task} task runs on {_listing(runs_on, 'model')} only, got {model!r}")
     reads = _reads(model, task)
     for key in (key for key in given if key not in reads):
         tasks = [other for other in TASKS if key in _reads(model, other)]
-        # a known key that no task reads on this model is limited by MODEL_KEYS
-        kind, actual, names = ("task", task, tasks) if tasks else ("model", model, MODEL_KEYS[key])
-        readers = f"{', '.join(names[:-1])} and {names[-1]} {kind}s read" if names[1:] \
-            else f"{names[0]} {kind} reads"
-        raise ConfigError(f"{key}: only the {readers} it, not {actual!r}")
+        # where no task this model runs reads the key, name the models that do
+        readers = [other for other in MODELS if any(key in _reads(other, each) for each in TASKS)]
+        kind, actual, names = ("task", task, tasks) if tasks else ("model", model, readers)
+        verb = "read" if names[1:] else "reads"
+        raise ConfigError(f"{key}: only {_listing(names, kind)} {verb} it, not {actual!r}")
     drive_raw = raw.get("drive", {})
     omega = drive_raw.get("omega")
     _require(_is_number(omega) and omega > 0, "drive.omega",
@@ -202,11 +231,11 @@ def validate_config(raw):
                 for key, value in {**NUMERIC_DEFAULTS, **given}.items()}
     k_min, k_max = numerics["k_min"], numerics["k_max"]
     _require(k_max > k_min, "numerics.k_max", f"must exceed k_min = {k_min!r}, got {k_max!r}")
-    if "n_max" not in given and (
-            "numerics.n_max" in reads or ("M" not in given and "numerics.M" in reads)):
+    default_m = "numerics.M" in reads and "M" not in given
+    if default_m or (task == "hfe" and model in _LATTICES):
         _require(amplitude <= MAX_DEFAULT_AMPLITUDE, "drive.amplitude",
-                 f"must be <= {MAX_DEFAULT_AMPLITUDE} for the default cutoffs, got {amplitude!r}; "
-                 "set numerics.n_max and numerics.M explicitly")
+                 f"must be <= {MAX_DEFAULT_AMPLITUDE} where a cutoff derives from it, got "
+                 f"{amplitude!r}" + ("; set numerics.M explicitly" if default_m else ""))
     bath = None
     if task == "greens":
         bath_raw = raw.get("bath", {})
@@ -225,8 +254,6 @@ def validate_config(raw):
         gamma = lindblad.get("gamma")
         _require(_is_number(gamma) and gamma > 0, "lindblad.gamma",
                  "ness task needs a positive lindblad.gamma")
-        _require(model != "chain1d", "model",
-                 "ness task needs a two-level model (dirac, honeycomb or custom)")
         kpt = lindblad.get("k", [0.0, 0.0])
         _require(isinstance(kpt, list) and len(kpt) == 2
                  and all(_is_number(v) for v in kpt), "lindblad.k",
@@ -246,10 +273,6 @@ def validate_config(raw):
             _require(custom.dim == 2, "custom_modes",
                      f"ness task needs a two-level model (2x2 modes), got {custom.dim}x{custom.dim}")
 
-    if task == "chern":
-        _require(model in ("honeycomb", "custom"), "model",
-                 "chern task needs a model on a compact zone (honeycomb or custom)")
-
     curvature = raw.get("write_curvature", False)
     _require(isinstance(curvature, bool), "write_curvature",
              f"must be true or false, got {curvature!r}")
@@ -259,20 +282,20 @@ def validate_config(raw):
 
     drive = models.DriveProtocol(omega=float(omega), amplitude=float(amplitude),
                                  polarization=polarization)
-    n_max = numerics.setdefault("n_max", models.suggested_n_max(drive.amplitude))
-    # the largest harmonic in the model's mode sets
-    mode_cutoff = 1 if model == "dirac" else custom.n_max if custom else n_max
+    # the largest harmonic of a mode set M must hold; the lattice modes take theirs from M
+    mode_cutoff = 1 if model == "dirac" else custom.n_max if custom else 0
     # the Sambe matrix needs M >= the model's mode cutoff, and replica selection
     # (spectrum, chern) its margin beyond it. That margin is also their default,
     # certified by _certify_cutoff; greens defaults to six blocks, since its M
     # sets how many zones the unfolded frequency axis covers.
     margin = sambe.SELECTION_MARGIN if task in ("spectrum", "chern") else 0
-    m_cut = numerics.setdefault("M", max(n_max, mode_cutoff) + (margin or 6))
+    m_cut = numerics.setdefault(
+        "M", max(models.suggested_n_max(drive.amplitude), mode_cutoff) + (margin or 6))
     if "numerics.M" in reads:
-        need = mode_cutoff + margin
+        # the lattice modes end at M - SELECTION_MARGIN, which must not be negative
+        need = sambe.SELECTION_MARGIN if model in _LATTICES else mode_cutoff + margin
         _require(m_cut >= need, "numerics.M",
-                 f"must be >= {need} for mode cutoff {mode_cutoff} in task {task!r}, "
-                 f"got {m_cut}")
+                 f"must be >= {need} for the {model!r} modes in task {task!r}, got {m_cut}")
     numerics = {key: value for key, value in numerics.items() if f"numerics.{key}" in reads}
     return RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
                      bath=bath, lindblad_gamma=lindblad_gamma, lindblad_k=lindblad_k,
@@ -284,11 +307,19 @@ def validate_config(raw):
 # model wiring
 
 def _model_at(cfg: RunConfig, kx=0.0, ky=0.0):
-    """The configured model at momentum (kx, ky): (H(t) sampler, mode-set builder)."""
-    drive, n_max = cfg.drive, cfg.numerics.get("n_max")     # n_max of chain1d and honeycomb
+    """The configured model at momentum (kx, ky): (H(t) sampler, mode-set builder).
+
+    The chain1d and honeycomb modes hold every harmonic up to
+    M - SELECTION_MARGIN, as many as replica selection leaves room for, so
+    M is the run's only cutoff; hfe, which has no M, takes them up to
+    highfreq.bessel_tail_order(A).
+    """
+    drive = cfg.drive
+    n_max = (cfg.m_cut - sambe.SELECTION_MARGIN if "M" in cfg.numerics
+             else highfreq.bessel_tail_order(drive.amplitude))
     if cfg.model == "chain1d":
-        sampler = functools.partial(models.sample_chain_1d, kx, 1.0, drive)
-        return sampler, functools.partial(models.fourier_modes, sampler, drive.omega, n_max)
+        return (functools.partial(models.sample_chain_1d, kx, 1.0, drive),
+                functools.partial(models.chain_modes, kx, 1.0, drive, n_max))
     if cfg.model == "dirac":
         return (functools.partial(models.sample_dirac, kx, ky, drive),
                 functools.partial(models.dirac_modes, kx, ky, drive))

@@ -67,18 +67,26 @@ def effective_hopping_1d(hopping, x):
     return hopping * bessel_j(0, x)
 
 
+def bessel_tail_order(amplitude):
+    """The order past which every J_n(A) is negligible: ceil(A + 6 A^(1/3)) + 10.
+
+    J_n(A) decays faster than exponentially once n passes A + O(A^(1/3)):
+    the K_eff series of haldane_effective, stopped here, leaves a tail
+    below 1e-17 from A = 0 to 5000.
+    """
+    a = abs(amplitude)
+    return int(np.ceil(a + 6.0 * np.cbrt(a))) + 10
+
+
 def haldane_effective(hopping, amplitude, omega):
     """Closed-form effective parameters of the driven honeycomb lattice.
 
     j_eff = J J_0(A) and
     k_eff = -(J^2/omega) sum_{n!=0} J_n(A)^2 sin(2 pi n / 3) / n, with the
-    n and -n terms combined into twice the positive-n sum. J_n(A) decays
-    faster than exponentially once n passes A + O(A^(1/3)), so the sum
-    stops at n = ceil(A + 6 A^(1/3)) + 10, which leaves a tail below 1e-17
-    from A = 0 to 5000.
+    n and -n terms combined into twice the positive-n sum, which stops at
+    n = bessel_tail_order(A).
     """
-    a = abs(amplitude)
-    ns = np.arange(1, int(np.ceil(a + 6.0 * np.cbrt(a))) + 11)
+    ns = np.arange(1, bessel_tail_order(amplitude) + 1)
     series = np.sum(bessel_j(ns, amplitude) ** 2 * np.sin(2.0 * np.pi * ns / 3.0) / ns)
     k_eff = -2.0 * hopping**2 / omega * series
     return HaldaneParameters(j_eff=effective_hopping_1d(hopping, amplitude), k_eff=k_eff)

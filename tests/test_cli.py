@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -32,8 +33,8 @@ class TestValidation:
     def test_accepts_minimal(self, tmp_path):
         cfg = validate_config(spectrum_config(tmp_path))
         assert cfg.model == "chain1d"
-        assert cfg.n_max == 11  # ceil(1) + 10
-        assert cfg.m_cut == 13  # n_max + 2
+        assert cfg.m_cut == 13  # ceil(1) + 10 + 2
+        assert set(cfg.numerics) == {"M", "n_k", "k_min", "k_max"}
 
     def test_rejects_negative_omega(self, tmp_path):
         payload = spectrum_config(tmp_path, drive={"omega": -1.0})
@@ -62,15 +63,32 @@ class TestValidation:
             validate_config(payload)
 
     def test_rejects_replica_cutoff_below_mode_cutoff(self, tmp_path):
-        payload = spectrum_config(tmp_path, numerics={"n_max": 10, "M": 8})
-        with pytest.raises(ConfigError, match="numerics.M"):
-            validate_config(payload)
-        # the default n_max (11 at amplitude 1) counts too
-        payload = spectrum_config(tmp_path, numerics={"M": 10})
-        with pytest.raises(ConfigError, match="numerics.M"):
+        # the chain modes end at M - 2, so M 1 would leave them no harmonic at all
+        payload = spectrum_config(tmp_path, numerics={"M": 1})
+        with pytest.raises(ConfigError, match="^numerics.M: must be >= 2"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
         assert not (tmp_path / "out").exists()
+        # any larger M fits them, below the default M 13 too
+        for m_cut in (2, 8, 10):
+            payload["numerics"]["M"] = m_cut
+            assert validate_config(payload).m_cut == m_cut
+
+    @pytest.mark.parametrize("model, task", [("chain1d", "greens"), ("honeycomb", "spectrum"),
+                                             ("honeycomb", "chern"), ("honeycomb", "greens")])
+    def test_lattice_modes_need_room_below_replica_cutoff(self, tmp_path, model, task):
+        # as for the chain1d spectrum: M 1 leaves the lattice modes no harmonic in any task
+        payload = spectrum_config(
+            tmp_path, model=model, task=task, numerics={"M": 1},
+            drive={"omega": 8.0, "amplitude": 1.0,
+                   "polarization": "linear" if model == "chain1d" else "circular"},
+            **({"bath": {"gamma": 0.1}} if task == "greens" else {}))
+        with pytest.raises(ConfigError, match="^numerics.M: must be >= 2"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
+        payload["numerics"]["M"] = 2
+        assert validate_config(payload).m_cut == 2
 
     @pytest.mark.parametrize("triples", [
         [[0, [[1.0, 0.0]], [[0.0, 0.0]]]],                          # not square
@@ -127,12 +145,8 @@ class TestValidation:
             tmp_path, model=model, task="greens", bath={"gamma": 0.1},
             drive={"omega": 8.0, "amplitude": 1.0, "polarization": polarization})
         assert validate_config(payload).m_cut == 17
-        payload["numerics"] = {"n_max": 4}
-        if model == "dirac":    # one harmonic: no n_max to set
-            with pytest.raises(ConfigError, match="^numerics.n_max: only the chain1d and "):
-                validate_config(payload)
-        else:
-            assert validate_config(payload).m_cut == 10
+        payload["numerics"] = {"M": 10}
+        assert validate_config(payload).m_cut == 10
 
     @pytest.mark.parametrize("key, value, reader", [
         ("bath", {"gamma": 0.1}, "greens"),
@@ -160,18 +174,20 @@ class TestValidation:
 
     @pytest.mark.parametrize("task", ["spectrum", "chern"])
     def test_replica_selection_needs_margin(self, tmp_path, task):
+        # one harmonic needs M >= 3: dirac for spectrum, the same in custom form for chern
+        model = "dirac" if task == "spectrum" else "custom"
         payload = spectrum_config(
-            tmp_path, model="honeycomb", task=task,
-            drive={"omega": 10.0, "amplitude": 1.0, "polarization": "circular"},
-            numerics={"n_max": 5, "M": 6, ("n_k" if task == "spectrum" else "Nk"): 4})
+            tmp_path, model=model, task=task,
+            numerics={"M": 2, ("n_k" if task == "spectrum" else "Nk"): 4},
+            **({"drive": {"omega": 10.0, "amplitude": 1.0}} if model == "dirac"
+               else {"custom_modes": SETTING_VALUES["custom_modes"]}))
         with pytest.raises(ConfigError, match="numerics.M"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
-        payload["numerics"]["M"] = 7
+        payload["numerics"]["M"] = 3
         validate_config(payload)
 
-    @pytest.mark.parametrize("key", ["n_max", "M", "n_k", "Nk", "nu_points",
-                                     "steps_per_period"])
+    @pytest.mark.parametrize("key", ["M", "n_k", "Nk", "nu_points", "steps_per_period"])
     def test_rejects_nonintegral_integer_keys(self, tmp_path, key):
         task = {"Nk": "chern", "nu_points": "greens", "steps_per_period": "ness"}.get(
             key, "spectrum")
@@ -184,11 +200,10 @@ class TestValidation:
             validate_config(payload)
 
     def test_accepts_integral_floats(self, tmp_path):
-        cfg = validate_config(spectrum_config(
-            tmp_path, numerics={"n_max": 10.0, "M": 16.0, "n_k": 64.0}))
-        assert (cfg.n_max, cfg.m_cut, cfg.numerics["n_k"]) == (10, 16, 64)
-        assert set(cfg.numerics) == {"n_max", "M", "n_k", "k_min", "k_max"}
-        assert all(type(cfg.numerics[key]) is int for key in ("n_max", "M", "n_k"))
+        cfg = validate_config(spectrum_config(tmp_path, numerics={"M": 16.0, "n_k": 64.0}))
+        assert (cfg.m_cut, cfg.numerics["n_k"]) == (16, 64)
+        assert set(cfg.numerics) == {"M", "n_k", "k_min", "k_max"}
+        assert all(type(cfg.numerics[key]) is int for key in ("M", "n_k"))
 
     def test_rejects_unused_n_steps_key(self, tmp_path):
         payload = spectrum_config(tmp_path, numerics={"n_steps": 4096})
@@ -223,7 +238,8 @@ class TestValidation:
                 validate_config(payload)
 
     @pytest.mark.parametrize("model, task", [("honeycomb", "spectrum"), ("honeycomb", "greens"),
-                                             ("chain1d", "hfe"), ("dirac", "hfe")])
+                                             ("chain1d", "hfe"), ("dirac", "hfe"),
+                                             ("honeycomb", "hfe")])
     def test_amplitude_outside_bessel_domain(self, tmp_path, model, task):
         # J_n(A) takes any finite A; only the default cutoffs bound it
         polarization = "linear" if model == "chain1d" else "circular"
@@ -243,7 +259,7 @@ class TestValidation:
 
     def test_large_amplitude_without_bessel_factors(self, tmp_path):
         validate_config(spectrum_config(tmp_path, drive={"omega": 8.0, "amplitude": 60.0},
-                                        numerics={"n_k": 24, "n_max": 70, "M": 76}))
+                                        numerics={"n_k": 24, "M": 76}))
         validate_config(spectrum_config(
             tmp_path, model="honeycomb", task="ness", lindblad={"gamma": 0.4},
             drive={"omega": 8.0, "amplitude": 60.0, "polarization": "circular"}))
@@ -251,17 +267,28 @@ class TestValidation:
     @pytest.mark.parametrize("model, task", [("chain1d", "spectrum"), ("chain1d", "greens"),
                                              ("dirac", "spectrum"), ("dirac", "greens")])
     def test_default_cutoffs_need_bounded_amplitude(self, tmp_path, model, task):
-        # the default n_max = ceil(A) + 10 would give a ~2e6-wide Sambe matrix here
+        # the default M = ceil(A) + 12 would give a ~2e6-wide Sambe matrix here
         polarization = "linear" if model == "chain1d" else "circular"
         payload = spectrum_config(
             tmp_path, model=model, task=task,
             drive={"omega": 8.0, "amplitude": 1e6, "polarization": polarization},
             **({"bath": {"gamma": 0.1}} if task == "greens" else {}))
-        with pytest.raises(ConfigError, match="drive.amplitude.*numerics.n_max"):
+        with pytest.raises(ConfigError, match="drive.amplitude.*numerics.M"):
             validate_config(payload)
-        # dirac has one harmonic and no n_max: an explicit M suffices
-        payload["numerics"] = {"n_max": 20, "M": 26} if model == "chain1d" else {"M": 26}
+        # an explicit M is the only cutoff
+        payload["numerics"] = {"M": 26}
         assert validate_config(payload).m_cut == 26
+
+    @pytest.mark.parametrize("model", ["chain1d", "honeycomb"])
+    def test_hfe_harmonics_need_bounded_amplitude(self, tmp_path, capsys, model):
+        # hfe's lattice modes run to bessel_tail_order(A) harmonics, so A itself is bounded
+        payload = {"model": model, "task": "hfe", "output": str(tmp_path / "out"),
+                   "drive": {"omega": 8.0, "amplitude": 1e6}}
+        started = time.monotonic()
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert time.monotonic() - started < 1.0
+        assert "config error: drive.amplitude: must be <= 50" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_honeycomb_at_large_amplitude_with_explicit_cutoffs(self, tmp_path, capsys):
         payload = spectrum_config(
@@ -272,7 +299,7 @@ class TestValidation:
         assert main(["run", path]) == 2
         assert "drive.amplitude" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        payload["numerics"].update(n_max=100, M=110)
+        payload["numerics"].update(M=110)
         assert main(["run", write_config(tmp_path, payload)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["numerics"]["M"] == 110
@@ -310,6 +337,7 @@ class TestValidation:
         ("drive.amplitud", {"drive": {"omega": 8.0, "amplitud": 2.0}}),
         ("lindblad.gama", {"lindblad": {"gamma": 0.4, "gama": 1}}),
         ("numerics.n_k", {"numerics.n_k": 8}),        # a dotted name is not a path
+        ("numerics.n_max", {"numerics": {"n_k": 8, "n_max": 11}}),   # M is the only cutoff
     ])
     def test_unknown_keys_are_config_errors(self, tmp_path, capsys, key, extra):
         payload = spectrum_config(tmp_path, **extra)
@@ -317,6 +345,46 @@ class TestValidation:
             validate_config(payload)
         assert main(["validate", write_config(tmp_path, payload)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["dirac", "honeycomb"])
+    def test_empty_section_sets_nothing(self, tmp_path, model):
+        # hfe reads no numerics, yet an empty numerics section is no setting to reject
+        payload = {"model": model, "task": "hfe", "output": str(tmp_path / "out"),
+                   "drive": {"omega": 8.0, "amplitude": 1.0}, "numerics": {}, "bath": {}}
+        assert validate_config(payload).numerics == {}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        payload["numerics"] = []
+        with pytest.raises(ConfigError, match="^numerics: must be an object"):
+            validate_config(payload)
+
+    @pytest.mark.parametrize("model, task, section, runs_on", [
+        ("dirac", "chern", {}, "honeycomb and custom"),
+        ("chain1d", "ness", {"lindblad": {"gamma": 0.4}}, "dirac, honeycomb and custom")])
+    def test_task_on_a_model_it_does_not_run_on(self, tmp_path, model, task, section, runs_on):
+        payload = spectrum_config(tmp_path, model=model, task=task, **section)
+        with pytest.raises(ConfigError, match=f"^model: {task} task runs on the {runs_on} "
+                                              f"models only, got '{model}'$"):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model, task, extra, message", [
+        # no task chain1d runs reads lindblad, so the message names models, not ness
+        ("chain1d", "spectrum", {"lindblad": {"gamma": 0.3}},
+         "lindblad: only the dirac, honeycomb and custom models read it, not 'chain1d'"),
+        # chern, which reads Nk, does not run on dirac
+        ("dirac", "hfe", {"numerics": {"Nk": 4}},
+         "numerics: only the spectrum, greens and ness tasks read it, not 'hfe'"),
+        ("dirac", "spectrum", {"numerics": {"Nk": 4}},
+         "numerics.Nk: only the honeycomb and custom models read it, not 'dirac'"),
+    ])
+    def test_unread_keys_name_only_tasks_the_model_runs(self, tmp_path, capsys, model, task,
+                                                        extra, message):
+        payload = spectrum_config(tmp_path, model=model, task=task, **extra)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            validate_config(payload)
+        assert main(["validate", write_config(tmp_path, payload)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_rejects_circular_chain(self, tmp_path):
         payload = spectrum_config(
@@ -352,7 +420,7 @@ class TestValidation:
 # a valid value of every setting in cli.TASK_KEYS and cli.MODEL_KEYS
 SETTING_VALUES = {
     "drive.amplitude": 1.0, "drive.polarization": "circular",
-    "numerics.n_max": 6, "numerics.M": 8, "numerics.n_k": 4, "numerics.k_min": -1.0,
+    "numerics.M": 8, "numerics.n_k": 4, "numerics.k_min": -1.0,
     "numerics.k_max": 1.0, "numerics.Nk": 4, "numerics.nu_points": 11, "numerics.tol": 1e-8,
     "numerics.steps_per_period": 64, "bath.gamma": 0.1, "bath.beta": 20.0,
     "lindblad.gamma": 0.4, "lindblad.k": [0.1, -0.2], "summary_metric": "correction_norm",
@@ -390,16 +458,15 @@ def test_config_holds_exactly_the_keys_the_run_reads(tmp_path, capsys, model, ta
 
 @pytest.mark.parametrize("model, key, message", [
     # the custom model's Hamiltonian does not depend on k, amplitude or polarization
-    ("custom", "lindblad.k", "only the chain1d, dirac and honeycomb models read it, not 'custom'"),
+    # only ness reads lindblad.k, and ness does not run on chain1d
+    ("custom", "lindblad.k", "only the dirac and honeycomb models read it, not 'custom'"),
     ("dirac", "custom_modes", "only the custom model reads it, not 'dirac'"),
     ("custom", "drive.amplitude",
      "only the chain1d, dirac and honeycomb models read it, not 'custom'"),
     ("custom", "drive.polarization",
      "only the chain1d, dirac and honeycomb models read it, not 'custom'"),
-    # the dirac model has one harmonic; no task reads n_max on it
-    ("dirac", "numerics.n_max", "only the chain1d and honeycomb models read it, not 'dirac'"),
 ], ids=["custom-lindblad.k", "dirac-custom_modes", "custom-drive.amplitude",
-        "custom-drive.polarization", "dirac-numerics.n_max"])
+        "custom-drive.polarization"])
 def test_settings_of_other_models_are_config_errors(tmp_path, capsys, model, key, message):
     payload = {"model": model, "task": "ness", "output": str(tmp_path / "out"),
                "drive": {"omega": 5.0}, "lindblad": {"gamma": 0.4}}
@@ -417,24 +484,20 @@ def test_settings_of_other_models_are_config_errors(tmp_path, capsys, model, key
 
 
 @pytest.mark.parametrize("model, task", [
-    *(("dirac", task) for task in ("spectrum", "hfe", "greens", "ness")),
-    *(("custom", task) for task in cli.TASKS)])
+    (model, task) for model in cli.MODELS for task in cli.TASKS
+    if model in cli.TASK_MODELS.get(task, cli.MODELS)])
 def test_n_max_of_a_model_without_it_fails_before_any_output(tmp_path, capsys, model, task):
-    # dirac has one harmonic and custom its own modes: M is their only cutoff
+    # no model has a mode cutoff of its own to set: M is every run's only cutoff
     payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
                "drive": {"omega": 5.0}, "bath": {"gamma": 0.1}, "lindblad": {"gamma": 0.4},
                "custom_modes": SETTING_VALUES["custom_modes"], "numerics": {"n_max": 3}}
     payload = {key: value for key, value in payload.items()
                if key in cli._reads(model, task) or key == "numerics"}
     assert main(["run", write_config(tmp_path, payload)]) == 2
-    # hfe reads no numerics on these models, so the section is named, as everywhere
-    message = "numerics: only the spectrum, " if task == "hfe" else \
-        "numerics.n_max: only the chain1d and honeycomb models read it"
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert "config error: numerics.n_max: unknown numerics key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # the empty section left behind sets nothing, read by the task or not
     del payload["numerics"]["n_max"]
-    if "numerics" not in cli._reads(model, task):
-        del payload["numerics"]
     validate_config(payload)
 
 
@@ -451,6 +514,38 @@ def test_model_sampler_and_modes_describe_one_hamiltonian(tmp_path, model):
     modes = build()
     for t in np.linspace(0.0, 2.0 * np.pi / 8.0, 7):
         assert np.max(np.abs(modes.sample(t) - sampler(t))) < 1e-9
+
+
+def test_lattice_modes_fill_the_replica_cutoff(tmp_path):
+    # at omega 4, A 6 the default mode cutoff ceil(A) + 10 = 16 left the quasienergies
+    # 1.7e-11 off at M 30, with an edge weight of 8e-20 that could not show it
+    cfg = validate_config(spectrum_config(
+        tmp_path, model="honeycomb", numerics={"M": 30},
+        drive={"omega": 4.0, "amplitude": 6.0, "polarization": "circular"}))
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kx, ky in np.random.default_rng(16).uniform(-2.0, 2.0, (12, 2)):
+            band = fq.physical_band(cli._modes(cfg, kx, ky), 30).quasienergies
+            # the full solve; J_n(6) < 1e-40 past n = 48
+            full = fq.select_physical_band(fq.quasienergies(fq.build_floquet_matrix(
+                fq.honeycomb_modes(kx, ky, 1.0, cfg.drive, 48), 50))).quasienergies
+            worst = max(worst, np.max(np.abs(fq.fold_to_bz(band - full, 4.0))))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("task", ["spectrum", "greens", "hfe"])
+def test_chain_modes_are_closed_form(tmp_path, monkeypatch, task):
+    # no sampled modes, so no aliasing check on the run path
+    monkeypatch.setattr(fq.models, "fourier_modes", None)
+    cfg = validate_config(spectrum_config(tmp_path, task=task, **{
+        "spectrum": {"numerics": {"n_k": 2}},
+        "greens": {"numerics": {"n_k": 2, "nu_points": 11}, "bath": {"gamma": 0.1}}}.get(task, {})))
+    modes = cli._modes(cfg, 0.7)
+    n_max = cfg.m_cut - 2 if task != "hfe" else fq.highfreq.bessel_tail_order(1.0)
+    np.testing.assert_array_equal(modes.modes,
+                                  fq.chain_modes(0.7, 1.0, cfg.drive, n_max).modes)
+    cli.run_config(cfg)
 
 
 def test_csv_writer_matches_per_value_formatting(tmp_path):
@@ -670,15 +765,15 @@ class TestRun:
 
     @pytest.mark.parametrize("model, task, extra, expected", [
         ("chain1d", "spectrum", {},
-         {"n_max": 11, "M": 13, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
-        # M = max(10, mode cutoff) + 2 with the custom harmonics past 10; custom reads no n_max
+         {"M": 13, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
+        # M = max(10, mode cutoff) + 2 with the custom harmonics past 10
         ("custom", "spectrum",
          {"custom_modes": [[0, [[0.5]], [[0.0]]], [12, [[0.1]], [[0.0]]], [-12, [[0.1]], [[0.0]]]]},
          {"M": 14, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
         ("dirac", "hfe", {}, {}),       # dirac hfe reads no cutoff
-        ("honeycomb", "chern", {}, {"n_max": 11, "M": 13, "Nk": 24}),
+        ("honeycomb", "chern", {}, {"M": 13, "Nk": 24}),
         ("chain1d", "greens", {"bath": {"gamma": 0.05}},
-         {"n_max": 11, "M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
+         {"M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
           "nu_points": 401}),
         ("dirac", "ness", {"lindblad": {"gamma": 0.4}},
          {"tol": 1e-9, "steps_per_period": 256}),
@@ -700,7 +795,7 @@ class TestRun:
             "task": "greens",
             "output": str(tmp_path / "out"),
             "bath": {"gamma": 0.05, "beta": 20.0},
-            "numerics": {"n_k": 4, "nu_points": 101, "n_max": 10, "M": 14},
+            "numerics": {"n_k": 4, "nu_points": 101, "M": 14},
         }
         assert main(["run", write_config(tmp_path, payload)]) == 0
         rows = (tmp_path / "out" / "greens.csv").read_text().strip().splitlines()
@@ -785,7 +880,7 @@ class TestRun:
         payload = {"model": "honeycomb",
                    "drive": {"omega": 10.0, "amplitude": 1.0, "polarization": "circular"},
                    "task": "chern", "output": str(tmp_path / "out"),
-                   "numerics": {"Nk": nk, "n_max": 6}, "write_curvature": True}
+                   "numerics": {"Nk": nk, "M": 8}, "write_curvature": True}
         assert main(["run", write_config(tmp_path, payload)]) == 0
         solver = fq.floquet_band_solver(
             lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, 6), 8)
