@@ -49,6 +49,7 @@ import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
@@ -691,8 +692,12 @@ def _set_by_path(raw, dotted, value):
 
 
 def _env_workers():
-    """Sweep worker count from FLOQUET_WORKERS (default 4)."""
-    text = os.environ.get("FLOQUET_WORKERS", "4")
+    """Sweep worker count from FLOQUET_WORKERS (default: the CPUs this process may use)."""
+    text = os.environ.get("FLOQUET_WORKERS")
+    if text is None:
+        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         workers = int(text)
     except ValueError:
@@ -701,11 +706,28 @@ def _env_workers():
     return workers
 
 
+def _sweep_one(raw, parameter, value, outdir):
+    """Run one sweep value in a worker process: its summary and its warnings.
+
+    `raw` arrives as the worker's own pickled copy, so it is edited in
+    place. Warnings are recorded under the filters the worker inherited, so
+    an "error" filter still makes the value fail; run_sweep re-raises the
+    recorded ones in the caller.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        _set_by_path(raw, parameter, value)
+        raw["output"] = outdir
+        summary = run_config(validate_config(raw))
+    return summary, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
 def run_sweep(raw, parameter, values, workers=None):
     """One run per parameter value; aggregate CSV plus per-value directories.
 
-    Individual failures do not stop the sweep; they are recorded in the
-    manifest and skipped in the aggregate.
+    Each value runs in a worker process (_sweep_one). Individual failures,
+    a worker that dies included, do not stop the sweep; they are recorded
+    in the manifest and skipped in the aggregate. The warnings the values
+    raised are re-raised here, in value order, once the outputs are written.
     """
     if not values:
         raise ConfigError("--values: at least one value required")
@@ -729,22 +751,22 @@ def run_sweep(raw, parameter, values, workers=None):
     root = base.output
     os.makedirs(root, exist_ok=True)
 
-    def one(value, name):
-        raw_v = copy.deepcopy(raw)
-        _set_by_path(raw_v, parameter, value)
-        raw_v["output"] = os.path.join(root, name)
-        cfg = validate_config(raw_v)
-        return run_config(cfg)
-
-    workers = min(workers, len(values))
-    results, failures = {}, {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(one, v, name): v for v, name in zip(values, names)}
+    # fork: workers inherit the imported library, where a fresh import of
+    # numpy and scipy per worker (spawn, forkserver) costs about 0.45 s; the
+    # library itself starts no thread that a fork could catch holding a lock
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    results, failures, caught = {}, {}, {}
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(values)), mp_context=context) as pool:
+        futures = {pool.submit(_sweep_one, raw, parameter, v, os.path.join(root, name)): v
+                   for v, name in zip(values, names)}
         for fut in concurrent.futures.as_completed(futures):
             value = futures[fut]
             try:
-                results[value] = fut.result()
+                results[value], caught[value] = fut.result()
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+                # a worker that died fails every unfinished value with BrokenProcessPool
                 failures[value] = str(exc)
     table = np.array([(v, results[v]["summary_metric"]) for v in values if v in results],
                      dtype=float).reshape(-1, 2)
@@ -757,6 +779,9 @@ def run_sweep(raw, parameter, values, workers=None):
         "failures": {str(k): v for k, v in failures.items()},
     }
     _write_json(os.path.join(root, "manifest.json"), manifest)
+    for value in values:
+        for category, message, filename, lineno in caught.get(value, ()):
+            warnings.warn_explicit(message, category, filename, lineno)
     return results, failures
 
 

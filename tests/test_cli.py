@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 import tracemalloc
 import warnings
@@ -1016,6 +1017,71 @@ class TestSweep:
         assert len(manifest["failures"]) == 1
         rows = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header plus the surviving value
+
+    # at M 6 amplitude 3.0 leaves an edge weight of 6e-7 and warns; 0.5 does not
+    EDGE_WARNING_SWEEP = {"model": "honeycomb", "numerics": {"n_k": 8, "M": 6}}
+
+    def test_worker_warnings_reach_the_caller(self, tmp_path):
+        raw = spectrum_config(tmp_path, **self.EDGE_WARNING_SWEEP)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results, failures = cli.run_sweep(raw, "drive.amplitude", [0.5, 3.0], workers=2)
+        assert sorted(results) == [0.5, 3.0] and not failures
+        assert len(caught) == 1
+        (warning,) = caught
+        assert warning.category is UserWarning
+        assert "= M = 6" in str(warning.message) and "raise numerics.M" in str(warning.message)
+        # stacklevel 3 names the task runner's call in run_config
+        assert warning.filename == cli.__file__
+        with open(cli.__file__) as handle:
+            lines = handle.read().splitlines()
+        assert "TASK_RUNNERS[cfg.task](cfg, outdir)" in lines[warning.lineno - 1]
+
+    def test_worker_error_filter_fails_only_that_value(self, tmp_path):
+        raw = spectrum_config(tmp_path, **self.EDGE_WARNING_SWEEP)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            results, failures = cli.run_sweep(raw, "drive.amplitude", [0.5, 3.0], workers=2)
+        assert not caught
+        assert sorted(results) == [0.5]
+        assert list(failures) == [3.0] and "raise numerics.M" in failures[3.0]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert list(manifest["failures"]) == ["3.0"]
+
+    def test_dead_worker_recorded_not_fatal(self, tmp_path, monkeypatch):
+        run_config = cli.run_config
+
+        def dies_at_one(cfg):
+            if cfg.raw["drive"]["amplitude"] == 1.0:
+                os._exit(1)  # a worker killed, say out of memory
+            return run_config(cfg)
+
+        monkeypatch.setattr(cli, "run_config", dies_at_one)  # fork carries the patch over
+        values = [0.5, 1.0, 1.5]
+        raw = spectrum_config(tmp_path, task="hfe")
+        results, failures = cli.run_sweep(raw, "drive.amplitude", values, workers=1)
+        assert 1.0 in failures and "terminated abruptly" in failures[1.0]
+        assert sorted([*results, *failures]) == values
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert sorted(manifest["failures"]) == sorted(str(v) for v in failures)
+        rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + len(results)
+
+    @pytest.mark.parametrize("task, extra", [("spectrum", {}),
+                                             ("greens", {"bath": {"gamma": 0.1},
+                                                         "numerics": {"n_k": 4}})])
+    def test_worker_count_does_not_change_outputs(self, tmp_path, task, extra):
+        values = [0.5, 1.0, 1.5]
+        written = []
+        for workers in (1, 2):
+            root = tmp_path / f"workers_{workers}"
+            raw = spectrum_config(tmp_path, task=task, output=str(root), **extra)
+            results, failures = cli.run_sweep(raw, "drive.amplitude", values, workers=workers)
+            assert sorted(results) == values and not failures
+            written.append({path.relative_to(root): path.read_bytes()
+                            for path in root.glob(f"*/{task}.csv")})
+        assert len(written[0]) == len(values)
+        assert written[0] == written[1]
 
 
 def test_set_overrides_config(tmp_path):
