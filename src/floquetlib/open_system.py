@@ -6,6 +6,8 @@ wide-band free-fermion bath and solves the Dyson equation in the Floquet
 matrix representation from one eigendecomposition of the Floquet matrix;
 the Lindblad route integrates the GKSL master equation in time and finds
 the time-periodic steady state as a fixed point of the one-period map.
+One RK4 period on the matrix units gives that map and, by linearity,
+the steady state at every step of the period.
 """
 
 import math
@@ -201,53 +203,51 @@ class LindbladTrajectory:
         return self.states[-1]
 
 
-def _step_grid(system: LindbladSystem, t0, t1, dt):
-    """Step count and uniform step for [t0, t1] at nominal dt.
+def _rk4(system: LindbladSystem, rho, t0, t1, dt):
+    """Classical RK4 over [t0, t1] at nominal step dt; returns (times, states).
 
-    Enforces the stability heuristic dt (|H| + sum |L_j|^2) < 0.1, with
-    |H| sampled at a few points of the span.
+    Takes round((t1 - t0) / dt) uniform steps (at least one). rho is one
+    matrix or a (n, dim, dim) stack: the right-hand side is linear and
+    broadcasts over the leading axis, so a stack costs the same sampler
+    calls as one state. The Hamiltonian is sampled in one call on the
+    2 n_steps + 1 points of the half-step grid: step i starts at point
+    2i, has its midpoint at 2i + 1 and ends at 2i + 2. Raises unless the
+    step taken satisfies step (max |H| over those samples + sum |L_j|^2)
+    < 0.1. states[i] is the state after i steps. Warns, naming the
+    caller's caller, when the trace of any state drifts by more than 1e-6.
     """
     if t1 <= t0:
         raise ValueError("t_span must have t1 > t0")
-    jump_load = sum(np.linalg.norm(op, 2) ** 2 for op in system.jumps)
-    h_norm = max(
-        np.linalg.norm(np.asarray(system.hamiltonian(t0 + f * (t1 - t0)), dtype=complex), 2)
-        for f in (0.0, 0.137, 0.5, 0.789))
-    if dt * (h_norm + jump_load) >= 0.1:
-        raise ValueError(
-            f"dt={dt} too large for stability: dt (|H| + sum |L|^2) = "
-            f"{dt * (h_norm + jump_load):.3f} >= 0.1")
     n_steps = max(1, int(round((t1 - t0) / dt)))
-    return n_steps, (t1 - t0) / n_steps
-
-
-def _rk4(system: LindbladSystem, rho, t0, step, n_steps, states=None):
-    """n_steps classical RK4 steps from rho at t0; returns the final state.
-
-    rho is one matrix or a (n, dim, dim) stack: the right-hand side is
-    linear and broadcasts over the leading axis, so a stack costs the
-    same sampler calls as one state. The Hamiltonian is sampled up front,
-    in one call, on the 2 n_steps + 1 points of the half-step grid: step
-    i starts at point 2i, has its midpoint at 2i + 1 and ends at 2i + 2.
-    When given, states[i] receives the state after step i (states[0] is
-    left to the caller). Warns, naming the caller's caller, when the
-    trace of any state drifts by more than 1e-6.
-    """
-    h_eff = system._shift + _sample_times(
-        system.hamiltonian, t0 + np.arange(2 * n_steps + 1) * (0.5 * step))
-    traces = np.trace(rho, axis1=-2, axis2=-1)
+    step = (t1 - t0) / n_steps
+    h = _sample_times(system.hamiltonian, t0 + np.arange(2 * n_steps + 1) * (0.5 * step))
+    load = step * (np.max(np.linalg.norm(h, 2, axis=(1, 2)))
+                   + sum(np.linalg.norm(op, 2) ** 2 for op in system.jumps))
+    if load >= 0.1:
+        raise ValueError(f"step {step:.4g} too large for stability: "
+                         f"step (max |H| + sum |L|^2) = {load:.3f} >= 0.1")
+    h_eff = system._shift + h
+    states = np.empty((n_steps + 1,) + np.shape(rho), dtype=complex)
+    states[0] = rho
     for i in range(n_steps):
+        rho = states[i]
         k1 = _rhs(system, rho, h_eff[2 * i])
         k2 = _rhs(system, rho + 0.5 * step * k1, h_eff[2 * i + 1])
         k3 = _rhs(system, rho + 0.5 * step * k2, h_eff[2 * i + 1])
         k4 = _rhs(system, rho + step * k3, h_eff[2 * i + 2])
-        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if states is not None:
-            states[i + 1] = rho
-    drift = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - traces))
+        states[i + 1] = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    drift = np.max(np.abs(np.trace(states[-1], axis1=-2, axis2=-1)
+                          - np.trace(states[0], axis1=-2, axis2=-1)))
     if drift > 1e-6:
         warnings.warn(f"trace drift {drift:.2e} > 1e-6 over the trajectory", stacklevel=3)
-    return rho
+    return t0 + np.arange(n_steps + 1) * step, states
+
+
+def _warn_negativity(rho):
+    """Warn, naming the caller's caller, when rho has an eigenvalue below -1e-6."""
+    floor = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+    if floor < -1e-6:
+        warnings.warn(f"density matrix developed negativity {floor:.2e}", stacklevel=3)
 
 
 def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
@@ -255,19 +255,13 @@ def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
 
     No per-step renormalization: trace drift and negativity are
     diagnostics for integrator or model trouble and are reported through
-    warnings rather than silently repaired. dt must satisfy the
-    stability heuristic dt (|H| + sum |L_j|^2) < 0.1.
+    warnings rather than silently repaired. The step taken, (t1 - t0) /
+    round((t1 - t0) / dt), must satisfy step (|H| + sum |L_j|^2) < 0.1
+    with |H| the largest over the sampled grid.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n_steps, step = _step_grid(system, t0, t1, dt)
-    rho = np.asarray(rho0, dtype=complex).copy()
-    times = t0 + np.arange(n_steps + 1) * step
-    states = np.empty((n_steps + 1, system.dim, system.dim), dtype=complex)
-    states[0] = rho
-    rho = _rk4(system, rho, t0, step, n_steps, states)
-    floor = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if floor < -1e-6:
-        warnings.warn(f"density matrix developed negativity {floor:.2e}", stacklevel=2)
+    times, states = _rk4(system, np.asarray(rho0, dtype=complex),
+                         float(t_span[0]), float(t_span[1]), dt)
+    _warn_negativity(states[-1])
     return LindbladTrajectory(times=times, states=states)
 
 
@@ -279,7 +273,7 @@ class PeriodicSteadyState:
     states: np.ndarray
     residual: float
     gap: float
-    periods = 2     # RK4 periods integrated: one for Phi_T, one for the trajectory
+    periods = 1     # RK4 periods integrated, read by perfbench's tracer
 
     @property
     def rho0(self):
@@ -291,45 +285,48 @@ def one_period_map(system: LindbladSystem, omega, steps_per_period=256):
 
     Acts on row-major flattened density matrices: Phi_T(rho) equals
     (phi @ rho.ravel()).reshape(dim, dim) up to rounding. Built by one
-    evolve_lindblad-equivalent period on the stack of dim^2 matrix units,
-    which is exact because RK4 applied to the linear GKSL equation is
-    itself linear. Same stability check and trace-drift warning as
-    evolve_lindblad (drift taken over the images of the basis).
+    RK4 period on the stack of dim^2 matrix units, which is exact
+    because RK4 applied to the linear GKSL equation is itself linear.
+    Same stability check and trace-drift warning as evolve_lindblad
+    (drift taken over the images of the basis).
     """
     period = 2.0 * np.pi / omega
-    n_steps, step = _step_grid(system, 0.0, period, period / steps_per_period)
     d2 = system.dim ** 2
     basis = np.eye(d2, dtype=complex).reshape(d2, system.dim, system.dim)
-    return _rk4(system, basis, 0.0, step, n_steps).reshape(d2, d2).T
+    _, images = _rk4(system, basis, 0.0, period, period / steps_per_period)
+    return images[-1].reshape(d2, d2).T
 
 
 def find_ness(system: LindbladSystem, omega, tol=1e-9, steps_per_period=256):
     """Time-periodic steady state as the fixed point of the one-period map.
 
-    Builds the RK4 one-period map Phi_T once as a dim^2 x dim^2 matrix
-    (one_period_map) and solves (Phi_T - I) rho = 0 with tr rho = 1 as one
-    (dim^2 + 1) x dim^2 least-squares problem. The error in rho is about
-    the residual |Phi_T rho - rho|_inf over the gap 1 - |lambda_2| of
-    Phi_T, so raises unless residual < tol * gap; a steady state that is
-    not unique has gap 0 and always raises. Then returns the state
-    sampled over one integrated period (endpoints included, so states[-1]
-    vs states[0] shows the periodicity residual directly). Requires
-    dissipation: at least one nonzero jump operator.
+    Runs one RK4 period on the stack of dim^2 matrix units, keeping all
+    (steps_per_period + 1) dim^4 complex values (66 KB for two levels at
+    256 steps). The last images are Phi_T, as in one_period_map, and
+    (Phi_T - I) rho = 0 with tr rho = 1 is solved as one (dim^2 + 1) x
+    dim^2 least-squares problem. The error in rho is about the residual
+    |Phi_T rho - rho|_inf over the gap 1 - |lambda_2| of Phi_T, so raises
+    unless residual < tol * gap; a steady state that is not unique has
+    gap 0 and always raises. The trajectory is the same combination
+    sum_k rho_k images_k at every time, exact by linearity, with
+    endpoints included (states[-1] vs states[0] shows the periodicity
+    residual). Requires dissipation: at least one nonzero jump operator.
     """
     if not system.jumps or all(np.max(np.abs(op)) == 0.0 for op in system.jumps):
         raise ValueError("steady-state search needs at least one nonzero jump operator")
     period = 2.0 * np.pi / omega
-    phi = one_period_map(system, omega, steps_per_period)
-    dim = system.dim
-    lhs = np.vstack((phi - np.eye(dim ** 2), np.eye(dim).ravel()))
-    rho = np.linalg.lstsq(lhs, np.append(np.zeros(dim ** 2), 1.0), rcond=None)[0]
+    dim, d2 = system.dim, system.dim ** 2
+    basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)
+    times, images = _rk4(system, basis, 0.0, period, period / steps_per_period)
+    phi = images[-1].reshape(d2, d2).T
+    lhs = np.vstack((phi - np.eye(d2), np.eye(dim).ravel()))
+    rho = np.linalg.lstsq(lhs, np.append(np.zeros(d2), 1.0), rcond=None)[0]
     residual = float(np.max(np.abs(phi @ rho - rho)))
     gap = float(1.0 - np.sort(np.abs(np.linalg.eigvals(phi)))[-2])
     if not residual < tol * gap:
         raise RuntimeError(
             f"steady state not certified: residual {residual:.3e} is not below "
             f"tol {tol} times the gap {gap:.3e} of the one-period map")
-    final = evolve_lindblad(system, rho.reshape(dim, dim), (0.0, period),
-                            period / steps_per_period)
-    return PeriodicSteadyState(times=final.times, states=final.states,
-                               residual=residual, gap=gap)
+    states = np.tensordot(rho, images, axes=(0, 1))
+    _warn_negativity(states[-1])
+    return PeriodicSteadyState(times=times, states=states, residual=residual, gap=gap)

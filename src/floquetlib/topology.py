@@ -7,6 +7,7 @@ closed momentum grid. Band eigenvectors may be ordinary Bloch vectors or
 full extended-space Floquet vectors; only overlaps enter.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ class BandGrid:
     Arrays are indexed (i, j) over an (nk+1) x (nk+1) grid spanning one
     zone inclusively: point (nk, j) sits at k(0, j) + b1 and holds the
     same physical states, so the last row/column closes the torus.
+    Folded quasienergies live on a circle of circumference zone_width
+    (omega); Bloch energies live on the line (zone_width = inf).
     """
 
     nk: int
@@ -33,20 +36,22 @@ class BandGrid:
     b2: np.ndarray
     energies: np.ndarray   # (nk+1, nk+1, n_bands)
     vectors: np.ndarray    # (nk+1, nk+1, vdim, n_bands)
+    zone_width: float = math.inf
 
     @property
     def n_bands(self):
         return self.energies.shape[2]
 
     def min_gap(self, band_index):
-        """Smallest energy separation of the band from its neighbors."""
+        """Smallest energy separation of the band from any other band.
+
+        On the quasienergy circle a separation |d| is also zone_width - |d|
+        the other way round, across the zone edge.
+        """
         e = self.energies
-        gaps = []
-        if band_index > 0:
-            gaps.append(np.min(np.abs(e[..., band_index] - e[..., band_index - 1])))
-        if band_index < self.n_bands - 1:
-            gaps.append(np.min(np.abs(e[..., band_index + 1] - e[..., band_index])))
-        return float(min(gaps)) if gaps else float("inf")
+        gaps = np.abs(np.delete(e, band_index, axis=-1) - e[..., band_index, None])
+        gaps = np.minimum(gaps, self.zone_width - gaps)
+        return float(gaps.min()) if gaps.size else math.inf
 
 
 def band_grid(solver, nk, b1=None, b2=None):
@@ -58,7 +63,9 @@ def band_grid(solver, nk, b1=None, b2=None):
         (kx, ky) -> (energies, vectors) with vectors as columns; bands in
         any order, they are connected here by maximal overlap with the
         previously visited neighbor rather than by energy sorting, which
-        avoids spurious band swaps at avoided crossings.
+        avoids spurious band swaps at avoided crossings. A solver of
+        folded quasienergies returns (energies, vectors, omega), and the
+        grid measures gaps on the circle of circumference omega.
     nk : int
         Plaquettes per direction.
     b1, b2 : arrays, optional
@@ -67,7 +74,7 @@ def band_grid(solver, nk, b1=None, b2=None):
     """
     b1 = HONEYCOMB_RECIPROCAL[0] if b1 is None else np.asarray(b1, dtype=float)
     b2 = HONEYCOMB_RECIPROCAL[1] if b2 is None else np.asarray(b2, dtype=float)
-    e00, v00 = solver(0.0, 0.0)
+    e00, v00, *zone = solver(0.0, 0.0)
     n_bands = len(e00)
     vdim = v00.shape[0]
     energies = np.zeros((nk + 1, nk + 1, n_bands))
@@ -80,12 +87,13 @@ def band_grid(solver, nk, b1=None, b2=None):
             if i == 0 and j == 0:
                 continue
             k = (i / nk) * b1 + (j / nk) * b2
-            e, v = solver(k[0], k[1])
+            e, v, *_ = solver(k[0], k[1])
             ref = vectors[i, j - 1] if j > 0 else vectors[i - 1, j]
             perm = _match_by_overlap(ref, np.asarray(v))
             energies[i, j] = np.asarray(e)[perm]
             vectors[i, j] = np.asarray(v)[:, perm]
-    return BandGrid(nk=nk, b1=b1, b2=b2, energies=energies, vectors=vectors)
+    return BandGrid(nk=nk, b1=b1, b2=b2, energies=energies, vectors=vectors,
+                    zone_width=zone[0] if zone else math.inf)
 
 
 def _match_by_overlap(reference, candidates):
@@ -157,14 +165,15 @@ def chern_number(field: CurvatureField):
 def floquet_band_solver(mode_builder, m_cut):
     """Adapt a per-k mode builder into a solver usable by band_grid.
 
-    Returns the physical quasienergies and the full extended eigenvectors
-    (all replica blocks concatenated, normalized); restricting to the
-    central block alone would make the overlaps convention-dependent.
+    Returns the physical quasienergies, the full extended eigenvectors
+    (all replica blocks concatenated, normalized) and omega, the width of
+    the zone the quasienergies fold into; restricting to the central
+    block alone would make the overlaps convention-dependent.
     """
 
     def solver(kx, ky):
         sol = physical_band(mode_builder(kx, ky), m_cut)
-        return sol.quasienergies, sol.vectors
+        return sol.quasienergies, sol.vectors, sol.omega
 
     return solver
 

@@ -392,13 +392,32 @@ class TestEvolveLindblad:
             fq.evolve_lindblad(system, rho0, (0.0, 1.0), 1e-2)
         with pytest.warns(UserWarning, match="trace drift") as record_map:
             fq.one_period_map(system, 2.0 * np.pi, steps_per_period=128)
-        assert [w.filename for w in (*record, *record_map)] == [__file__, __file__]
+        with pytest.warns(UserWarning, match="trace drift") as record_ness, \
+                pytest.raises(RuntimeError, match="not certified"):
+            fq.find_ness(system, 2.0 * np.pi, steps_per_period=128)
+        assert [w.filename for w in (*record, *record_map, *record_ness)] == [__file__] * 3
 
     def test_rejects_unstable_step(self):
         system = fq.LindbladSystem(hamiltonian=lambda t: 30.0 * SIGMA_Z,
                                    jumps=[LOWERING])
         with pytest.raises(ValueError, match="stability"):
             fq.evolve_lindblad(system, np.eye(2, dtype=complex) / 2, (0.0, 1.0), 0.01)
+
+    def test_rejects_a_narrow_pulse(self):
+        # |H| peaks at 60 only near t = 0.3; the step 1/256 times that load is 0.23
+        system = fq.LindbladSystem(hamiltonian=narrow_pulse, jumps=[np.sqrt(0.4) * LOWERING])
+        with pytest.raises(ValueError, match="stability"):
+            fq.evolve_lindblad(system, np.eye(2, dtype=complex) / 2, (0.0, 1.0), 1.0 / 256)
+        with pytest.raises(ValueError, match="stability"):
+            fq.find_ness(system, omega=2.0 * np.pi, steps_per_period=256)
+
+    def test_rejects_the_rounded_up_step(self):
+        # dt = 1/14.49 rounds to 14 steps of 1/14: dt load 0.0999, step load 0.1034
+        h = 0.0999 * 14.49 - 0.1
+        system = fq.LindbladSystem(hamiltonian=lambda t: h * SIGMA_Z,
+                                   jumps=[np.sqrt(0.1) * LOWERING])
+        with pytest.raises(ValueError, match="stability"):
+            fq.evolve_lindblad(system, np.eye(2, dtype=complex) / 2, (0.0, 1.0), 1.0 / 14.49)
 
     def test_long_time_state_becomes_periodic(self):
         omega = 2.0 * np.pi
@@ -411,6 +430,12 @@ class TestEvolveLindblad:
         settle = fq.evolve_lindblad(system, excited, (0.0, 30.0 / gamma), period / 256)
         one_more = fq.evolve_lindblad(system, settle.final, (0.0, period), period / 256)
         assert np.max(np.abs(one_more.final - settle.final)) < 1e-7
+
+
+def narrow_pulse(t):
+    """0.5 sigma_z + 60 exp(-((t mod 1 - 0.3) / 0.01)^2) sigma_x, for scalar or array t."""
+    envelope = 60.0 * np.exp(-(((np.asarray(t) % 1.0) - 0.3) / 0.01) ** 2)
+    return 0.5 * SIGMA_Z + envelope[..., None, None] * SIGMA_X
 
 
 def reference_one_period_map(system, omega, steps_per_period):
@@ -522,6 +547,33 @@ class TestFindNESS:
                                    jumps=[np.sqrt(0.3) * SIGMA_Z])
         with pytest.raises(RuntimeError, match="gap 0.000e"):
             fq.find_ness(system, omega=2.0 * np.pi)
+
+    def test_samples_the_half_step_grid_in_one_call(self):
+        modes = fq.dirac_modes(0.0, 0.0, CIRCULAR_DRIVE)
+        array_calls = []
+
+        def sampler(t):
+            if np.ndim(t) > 0:
+                array_calls.append(np.array(t))
+            return modes.sample(t)
+
+        system = fq.LindbladSystem(hamiltonian=sampler, jumps=[np.sqrt(0.4) * LOWERING])
+        ness = fq.find_ness(system, CIRCULAR_DRIVE.omega, steps_per_period=64)
+        period = 2.0 * np.pi / CIRCULAR_DRIVE.omega
+        assert len(ness.times) == 65
+        assert len(array_calls) == 1
+        np.testing.assert_allclose(array_calls[0], np.arange(129) * (period / 128),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.4, 1e-3])
+    def test_trajectory_matches_integrating_the_fixed_point(self, gamma):
+        system = fq.LindbladSystem(hamiltonian=fq.dirac_modes(0.0, 0.0, CIRCULAR_DRIVE).sample,
+                                   jumps=[np.sqrt(gamma) * LOWERING])
+        ness = fq.find_ness(system, CIRCULAR_DRIVE.omega)
+        period = 2.0 * np.pi / CIRCULAR_DRIVE.omega
+        stepped = fq.evolve_lindblad(system, ness.rho0, (0.0, period), period / 256)
+        np.testing.assert_array_equal(ness.times, stepped.times)
+        np.testing.assert_allclose(ness.states, stepped.states, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("gamma", [0.4, 0.02, 1e-3])
     def test_matches_repeated_squaring_of_the_map(self, gamma):

@@ -47,6 +47,41 @@ class TestCurvature:
         with pytest.warns(UserWarning, match="gap"):
             fq.berry_curvature_grid(grid, 0)
 
+    def test_gap_closure_warning_across_the_zone_edge(self):
+        # quasienergies at -omega/2 + 1e-8 and omega/2 - 1e-8 are 2e-8 apart on the circle
+        omega = 4.0
+        grid = fq.band_grid(constant_vector_solver, 4)
+        edge = np.broadcast_to([-0.5 * omega + 1e-8, 0.5 * omega - 1e-8], grid.energies.shape)
+        folded = fq.BandGrid(nk=grid.nk, b1=grid.b1, b2=grid.b2, energies=edge,
+                             vectors=grid.vectors, zone_width=omega)
+        assert folded.min_gap(0) == pytest.approx(2e-8, rel=1e-6)
+        with pytest.warns(UserWarning, match="gap"):
+            fq.berry_curvature_grid(folded, 0)
+
+
+class TestFloquetMinGap:
+    @pytest.mark.parametrize("omega, line_gap", [(4.0, 0.765), (3.0, 0.961)])
+    def test_measures_the_gap_across_the_zone_edge(self, omega, line_gap):
+        drive = fq.DriveProtocol(omega=omega, amplitude=1.0, polarization="circular")
+        n_max = fq.suggested_n_max(1.0)
+        solver = fq.floquet_band_solver(
+            lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, n_max), n_max + 6)
+        grid = fq.band_grid(solver, 12)
+        split = grid.energies[..., 1] - grid.energies[..., 0]
+        # the shortest arc between two points of the circle of circumference omega
+        arc = np.abs(np.angle(np.exp(2j * np.pi * split / omega))) * omega / (2.0 * np.pi)
+        assert np.min(np.abs(split)) == pytest.approx(line_gap, abs=1e-3)
+        for band in range(2):
+            assert grid.min_gap(band) == pytest.approx(np.min(arc), abs=1e-12)
+            assert grid.min_gap(band) < 0.3 * line_gap
+        assert grid.zone_width == omega
+
+    def test_bloch_gaps_stay_on_the_line(self):
+        grid = fq.band_grid(haldane_solver(), 12)
+        assert grid.zone_width == np.inf
+        split = np.abs(grid.energies[..., 1] - grid.energies[..., 0])
+        assert grid.min_gap(0) == grid.min_gap(1) == np.min(split)
+
 
 class TestChernNumber:
     def test_zero_field(self):
