@@ -33,10 +33,11 @@ defaults to max(ceil(A) + 10, mode cutoff) + 2 for spectrum and chern and
 harmonic for custom and 0 for chain1d and honeycomb; drive.amplitude may
 not exceed 50 where a cutoff derives from it.
 
-Exit codes: 0 success, 2 config/schema error, 3 solver error. Outputs are
-deterministic for a fixed config and written atomically (temp + rename),
-with a manifest.json recording the config hash, version, the numerics the
-run read after defaults, and wall time.
+Exit codes: 0 success, 2 config/schema error (an unreadable config file
+and an output directory that cannot be created included), 3 solver error.
+Outputs are deterministic for a fixed config and written atomically (temp
++ rename), with a manifest.json recording the config hash, version, the
+numerics the run read after defaults, and wall time.
 For spectrum and chern it also holds "diagnostics": {"edge_weight": ...},
 the physical band's largest Fourier weight in the edge blocks |m| = M over
 all k; above 1e-13 the run warns that numerics.M is too small.
@@ -550,18 +551,20 @@ def _certify_cutoff(cfg: RunConfig, weights):
 
     `weights` are the band's Fourier weights over every k of the run, the
     block index m on axis -2 and the states on axis -1. The certificate is
-    their largest value in the edge blocks m = +-M. Across drives from
-    omega = 0.7 to 10 and A up to 4, wherever the truncation error of the
-    quasienergies was resolvable it stayed below 10 times this weight, so
-    a weight of at most EDGE_WEIGHT_TOL = 1e-13 keeps it under 1e-12, the
-    resolution of the 12-digit CSV. A larger weight warns, once per run.
+    their largest value in the edge blocks m = +-M. A weight above
+    EDGE_WEIGHT_TOL = 1e-13 warns, once per run. The weight tracks the
+    truncation error of the quasienergies but bounds it by no fixed
+    factor: on honeycomb at omega = 1, A = 4 (12 seeded k against a full
+    solve at M = 60) M = 24 left an error of 1.15e-12 at a weight of
+    9.2e-14, which does not warn, M = 25 an error 33 times its weight, and
+    a single k up to 135 times its own.
     """
     edge = float(np.max(weights[..., [0, -1], :]))
     if edge > EDGE_WEIGHT_TOL:
         warnings.warn(
             f"the physical band has Fourier weight {edge:.1e} > {EDGE_WEIGHT_TOL:g} in the "
-            f"edge blocks |m| = M = {cfg.m_cut}: quasienergies may be off by up to ten times "
-            "that; raise numerics.M", stacklevel=3)
+            f"edge blocks |m| = M = {cfg.m_cut}: quasienergy errors of over 30 times such a "
+            "weight have been measured; raise numerics.M", stacklevel=3)
     return {"edge_weight": edge}
 
 
@@ -656,13 +659,21 @@ TASK_RUNNERS = {
 }
 
 
+def _make_output_dir(path):
+    """Create an output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output: cannot create directory {path}: {exc.strerror}") from None
+
+
 def run_config(cfg: RunConfig):
     """Execute one validated config; returns the task summary dict.
 
     A task's "diagnostics" go into the manifest, not the summary.
     """
     outdir = cfg.output
-    os.makedirs(outdir, exist_ok=True)
+    _make_output_dir(outdir)
     started = time.monotonic()
     summary = TASK_RUNNERS[cfg.task](cfg, outdir)
     manifest = {
@@ -749,7 +760,7 @@ def run_sweep(raw, parameter, values, workers=None):
     _require(isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1,
              "workers", f"must be an integer >= 1, got {workers!r}")
     root = base.output
-    os.makedirs(root, exist_ok=True)
+    _make_output_dir(root)
 
     # fork: workers inherit the imported library, where a fresh import of
     # numpy and scipy per worker (spawn, forkserver) costs about 0.45 s; the
@@ -790,12 +801,15 @@ def run_sweep(raw, parameter, values, workers=None):
 
 def _load_raw(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:   # a directory, no permission, not UTF-8
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"config: cannot read {path}: {reason}") from None
     # --output and --set write into the root before validate_config sees it
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
     return raw

@@ -57,42 +57,42 @@ class BandGrid:
 def band_grid(solver, nk, b1=None, b2=None):
     """Tabulate a band structure over one zone for curvature integration.
 
+    One pass over the grid, row by row: the first point is in energy
+    order, and every other point is matched by overlap to the point before
+    it in its row (above it in column 0) rather than sorted by energy,
+    which avoids spurious band swaps at avoided crossings.
+
     Parameters
     ----------
     solver : callable
-        (kx, ky) -> (energies, vectors) with vectors as columns; bands in
-        any order, they are connected here by maximal overlap with the
-        previously visited neighbor rather than by energy sorting, which
-        avoids spurious band swaps at avoided crossings. A solver of
-        folded quasienergies returns (energies, vectors, omega), and the
-        grid measures gaps on the circle of circumference omega.
+        (kx, ky) -> (energies, vectors) with vectors as columns, bands in
+        any order. A solver of folded quasienergies returns (energies,
+        vectors, omega), and the grid measures gaps on the circle of
+        circumference omega.
     nk : int
-        Plaquettes per direction.
+        Plaquettes per direction, at least 1.
     b1, b2 : arrays, optional
         Reciprocal vectors spanning the zone; default is the pinned
         honeycomb zone.
     """
+    if nk < 1:
+        raise ValueError(f"band_grid needs nk >= 1 plaquettes per direction, got {nk}")
     b1 = HONEYCOMB_RECIPROCAL[0] if b1 is None else np.asarray(b1, dtype=float)
     b2 = HONEYCOMB_RECIPROCAL[1] if b2 is None else np.asarray(b2, dtype=float)
-    e00, v00, *zone = solver(0.0, 0.0)
-    n_bands = len(e00)
-    vdim = v00.shape[0]
-    energies = np.zeros((nk + 1, nk + 1, n_bands))
-    vectors = np.zeros((nk + 1, nk + 1, vdim, n_bands), dtype=complex)
-    order0 = np.argsort(e00)
-    energies[0, 0] = np.asarray(e00)[order0]
-    vectors[0, 0] = np.asarray(v00)[:, order0]
-    for i in range(nk + 1):
-        for j in range(nk + 1):
-            if i == 0 and j == 0:
-                continue
-            k = (i / nk) * b1 + (j / nk) * b2
-            e, v, *_ = solver(k[0], k[1])
-            ref = vectors[i, j - 1] if j > 0 else vectors[i - 1, j]
-            perm = _match_by_overlap(ref, np.asarray(v))
-            energies[i, j] = np.asarray(e)[perm]
-            vectors[i, j] = np.asarray(v)[:, perm]
-    return BandGrid(nk=nk, b1=b1, b2=b2, energies=energies, vectors=vectors,
+    frac = np.arange(nk + 1) / nk
+    energies, vectors = [], []
+    for i, j in np.ndindex(nk + 1, nk + 1):
+        k = frac[i] * b1 + frac[j] * b2
+        e, v, *zone = solver(k[0], k[1])
+        e, v = np.asarray(e), np.asarray(v)
+        perm = (_match_by_overlap(vectors[-1] if j > 0 else vectors[-(nk + 1)], v)
+                if vectors else np.argsort(e))
+        energies.append(e[perm])
+        vectors.append(v[:, perm])
+    side = (nk + 1, nk + 1)
+    return BandGrid(nk=nk, b1=b1, b2=b2,
+                    energies=np.array(energies, dtype=float).reshape(*side, -1),
+                    vectors=np.array(vectors, dtype=complex).reshape(*side, *v.shape),
                     zone_width=zone[0] if zone else math.inf)
 
 
@@ -126,9 +126,12 @@ class CurvatureField:
 def berry_curvature_grid(grid: BandGrid, band_index):
     """Plaquette field strength of one band on the closed grid.
 
-    F_p = arg(<u1|u2><u2|u3><u3|u4><u4|u1>) around each plaquette,
-    principal branch. Warns when the band's minimal gap falls below 1e-6,
-    where the Chern number stops being well defined.
+    The link variables U1(i,j) = <u(i,j)|u(i+1,j)> and U2(i,j) =
+    <u(i,j)|u(i,j+1)> are each computed once, though two plaquettes share
+    every link, and F(i,j) = arg(U1(i,j) U2(i+1,j) U1(i,j+1)* U2(i,j)*),
+    principal branch (Fukui, Hatsugai & Suzuki, JPSJ 74, 1674 (2005)).
+    Warns when the band's minimal gap falls below 1e-6, where the Chern
+    number stops being well defined.
     """
     min_gap = grid.min_gap(band_index)
     if min_gap < GAP_CLOSURE_TOL:
@@ -137,16 +140,9 @@ def berry_curvature_grid(grid: BandGrid, band_index):
             "Chern number ill-defined",
             stacklevel=2)
     u = grid.vectors[..., band_index]
-    u1 = u[:-1, :-1]
-    u2 = u[1:, :-1]
-    u3 = u[1:, 1:]
-    u4 = u[:-1, 1:]
-    link = (
-        np.einsum("ijk,ijk->ij", u1.conj(), u2)
-        * np.einsum("ijk,ijk->ij", u2.conj(), u3)
-        * np.einsum("ijk,ijk->ij", u3.conj(), u4)
-        * np.einsum("ijk,ijk->ij", u4.conj(), u1)
-    )
+    link1 = np.einsum("ijk,ijk->ij", u[:-1].conj(), u[1:])        # <u(i,j)|u(i+1,j)>
+    link2 = np.einsum("ijk,ijk->ij", u[:, :-1].conj(), u[:, 1:])  # <u(i,j)|u(i,j+1)>
+    link = link1[:, :-1] * link2[1:] * link1[:, 1:].conj() * link2[:-1].conj()
     return CurvatureField(flux=np.angle(link), min_gap=min_gap)
 
 

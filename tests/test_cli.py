@@ -697,6 +697,31 @@ class TestRun:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:   # a JSON text must be UTF-8
+            payload = spectrum_config(tmp_path, output="caf\u00e9")
+            path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("latin-1"))
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: config: cannot read {path}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-a-file"])
+    def test_output_that_cannot_be_a_directory_is_config_error(self, tmp_path, capsys, nested):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        output = taken / "out" if nested else taken
+        path = write_config(tmp_path, spectrum_config(tmp_path, output=str(output)))
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: output: cannot create directory {output}: ")
+        assert taken.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
     def test_determinism(self, tmp_path):
         payload = spectrum_config(tmp_path)
         path = write_config(tmp_path, payload)
@@ -940,6 +965,21 @@ class TestSweep:
         for line in rows[1:]:
             omega, gap = (float(v) for v in line.split(","))
             assert gap == pytest.approx(np.sqrt(omega**2 + 4.0) - omega, abs=1e-6)
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-a-file"])
+    def test_output_that_cannot_be_a_directory_is_config_error(self, tmp_path, capsys, nested):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        output = taken / "sweep" if nested else taken
+        payload = spectrum_config(tmp_path, task="hfe", output=str(output))
+        path = write_config(tmp_path, payload)
+        assert main(["sweep", path, "--param", "drive.amplitude", "--values", "0.5,1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: output: cannot create directory {output}: ")
+        assert taken.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+        with pytest.raises(ConfigError, match="^output: "):
+            cli.run_sweep(payload, "drive.amplitude", [0.5, 1.0])
 
     def test_empty_values_rejected(self, tmp_path):
         path = write_config(tmp_path, spectrum_config(tmp_path))

@@ -158,6 +158,27 @@ def test_grid_refinement_stability():
         assert coarse == fine
 
 
+@pytest.mark.parametrize("nk", [0, -1])
+def test_band_grid_needs_a_plaquette(nk):
+    # an empty flux would sum to a Chern number of 0 for any band
+    with pytest.raises(ValueError, match="nk >= 1"):
+        fq.band_grid(haldane_solver(), nk)
+
+
+def test_flux_is_the_product_of_four_link_overlaps():
+    rng = np.random.default_rng(7)
+    nk = 5
+    v = rng.normal(size=(nk + 1, nk + 1, 3, 2)) + 1j * rng.normal(size=(nk + 1, nk + 1, 3, 2))
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    grid = fq.BandGrid(nk=nk, b1=np.array([1.0, 0.0]), b2=np.array([0.0, 1.0]),
+                       energies=np.tile([-1.0, 1.0], (nk + 1, nk + 1, 1)), vectors=v)
+    u = v[..., 1]
+    expected = [[np.angle(np.vdot(u[i, j], u[i + 1, j]) * np.vdot(u[i + 1, j], u[i + 1, j + 1])
+                          * np.vdot(u[i + 1, j + 1], u[i, j + 1]) * np.vdot(u[i, j + 1], u[i, j]))
+                 for j in range(nk)] for i in range(nk)]
+    np.testing.assert_allclose(fq.berry_curvature_grid(grid, 1).flux, expected, atol=1e-14)
+
+
 def test_band_grid_connects_by_overlap():
     # a model whose bands cross in energy along k: energy sorting would
     # swap them, overlap tracking must not
