@@ -4,7 +4,7 @@ Subcommands:
 
     floquet run <config.json>                 execute one task
     floquet sweep <config.json> --param KEY --values V1,V2,...
-    floquet validate <config.json>            schema check only
+    floquet validate <config.json>            every config check; creates nothing
 
 A config is a JSON object:
 
@@ -173,6 +173,20 @@ def _reads(model, task):
 _KNOWN_KEYS = set().union(*(_reads(model, task) for model in MODELS for task in TASKS))
 
 
+def _check_output(path):
+    """Reject an output that an existing file blocks, as the run would, creating nothing.
+
+    os.makedirs fails on the file itself with "File exists" and below one
+    with "Not a directory"; _make_output_dir still maps whatever else it
+    raises (permissions, races) at run time.
+    """
+    target = node = os.path.abspath(path)
+    while not os.path.exists(node) and node != os.path.dirname(node):
+        node = os.path.dirname(node)
+    _require(os.path.isdir(node), "output", f"cannot create directory {path}: "
+             + ("File exists" if node == target else "Not a directory"))
+
+
 def validate_config(raw):
     """Parse a config dict into a RunConfig, raising ConfigError on violations.
 
@@ -220,6 +234,7 @@ def validate_config(raw):
              f"model {model!r} is defined for {default_pol} polarization, got {polarization!r}")
     output = raw.get("output")
     _require(isinstance(output, str) and output, "output", "must be a non-empty path")
+    _check_output(output)
 
     given = raw.get("numerics", {})
     for key, value in given.items():
@@ -415,18 +430,10 @@ _UP = np.concatenate([np.ones(_POW_RANGE), _POWERS])
 _DOWN = np.concatenate([_POWERS[:0:-1], np.ones(_POW_RANGE + 1)])
 
 
-def _exponent_fields():
-    """The 5-byte exponent field of e = -400..400, one void item each."""
-    e = np.arange(-400, 401)
-    digits = np.abs(e)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-    sign = np.where(e < 0, ord("-"), ord("+"))
-    wide = np.abs(e) >= 100
-    fields = np.column_stack((np.where(wide, ord("e"), ord("0")), np.where(wide, sign, ord("e")),
-                              np.where(wide, digits[:, 0], sign), digits[:, 1:]))
-    return fields.astype(np.uint8).view("V5")[:, 0]
-
-
-_EXP_FIELDS = _exponent_fields()
+# the 5-byte exponent field of e = -400..400, one void item each: "e+ddd", or
+# "e+dd" behind a pad byte the keep mask drops
+_EXP_FIELDS = np.array([("e%+04d" if abs(e) >= 100 else "0e%+03d") % e for e in range(-400, 401)],
+                       dtype="S5").view("V5")
 
 
 def _keep_table():
@@ -569,19 +576,20 @@ def _certify_cutoff(cfg: RunConfig, weights):
 
 
 def task_spectrum(cfg: RunConfig, outdir):
-    blocks, weights = [], []
-    for k in _k_grid(cfg):
-        sol = sambe.physical_band(_modes(cfg, k), cfg.m_cut)
-        weights.append(sol.fourier_weights())
-        blocks.append(np.column_stack((
-            np.full(sol.dim, k), np.arange(sol.dim), sambe.replica_centers(sol),
-            sol.quasienergies, sol.weight0())))
-    table = np.vstack(blocks)
+    ks = _k_grid(cfg)
+    bands = [sambe.physical_band(_modes(cfg, k), cfg.m_cut) for k in ks]
+    dim = bands[0].dim
+    # (n_k, 2M + 1, dim): the replica centre, weight0 and the certificate read it
+    weights = sambe.fourier_weights(np.stack([sol.vectors for sol in bands]), dim)
+    table = np.column_stack((
+        np.repeat(ks, dim), np.tile(np.arange(dim), ks.size),
+        (np.argmax(weights, axis=1) - cfg.m_cut).ravel(),
+        np.concatenate([sol.quasienergies for sol in bands]), weights[:, cfg.m_cut].ravel()))
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                "k,branch,n_replica,quasienergy,weight0", table)
     band = table[:, 3]
     return {"summary_metric": float(band.max() - band.min()),
-            "diagnostics": _certify_cutoff(cfg, np.stack(weights))}
+            "diagnostics": _certify_cutoff(cfg, weights)}
 
 
 def task_hfe(cfg: RunConfig, outdir):

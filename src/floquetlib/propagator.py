@@ -63,14 +63,9 @@ def _ordered_product(steps):
     # steps[j] acts at time j; result is steps[-1] @ ... @ steps[0],
     # reduced pairwise so the loop count is logarithmic
     mats = steps
-    while mats.shape[0] > 1:
-        m = mats.shape[0]
-        if m % 2:
-            tail = mats[-1]
-            mats = np.matmul(mats[1:-1:2], mats[0:-1:2])
-            mats = np.concatenate([mats, tail[None]], axis=0)
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
+    while len(mats) > 1:
+        pairs = mats[1::2] @ mats[:-1:2]
+        mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
     return mats[0]
 
 

@@ -3,10 +3,11 @@
 The time-periodic Schroedinger equation becomes a static eigenproblem on
 the extended (Sambe) space of system times Fourier modes, with block
 structure (H_F)_{mn} = H_{m-n} - m omega delta_{mn}. Truncating the mode
-index to |m| <= M makes this a dense Hermitian matrix of dimension
-(2M+1) * dim. Every physical eigenstate reappears as replicas shifted by
-l blocks with quasienergies shifted by -l omega; replica selection keeps
-the copy with the largest Fourier weight in the central block.
+index to |m| <= M makes this a dense matrix of dimension (2M+1) * dim,
+Hermitian, as FloquetMatrix checks once, when it is made. Every
+physical eigenstate reappears as replicas shifted by l blocks with
+quasienergies shifted by -l omega; replica selection keeps the copy with
+the largest Fourier weight in the central block.
 `physical_band` gets that band from a solve restricted to one zone on
 each side of zero, certified exact by the central-weight sum rule.
 """
@@ -44,7 +45,8 @@ class FloquetMatrix:
     """Truncated extended-space matrix with its bookkeeping.
 
     `matrix` is the dense ((2M+1) dim)^2 array; block row m occupies rows
-    (m + M) dim : (m + M + 1) dim, m in [-M, M].
+    (m + M) dim : (m + M + 1) dim, m in [-M, M]. Construction rejects a
+    matrix that is not Hermitian to 1e-9, so the solvers need not check.
     """
 
     omega: float
@@ -53,9 +55,10 @@ class FloquetMatrix:
     n_max: int
     matrix: np.ndarray
 
-    @property
-    def n_blocks(self):
-        return 2 * self.m_cut + 1
+    def __post_init__(self):
+        herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
+        if herm > 1e-9:
+            raise ValueError(f"extended-space matrix is not Hermitian (error {herm:.2e})")
 
     def block(self, m, n):
         d, m0 = self.dim, self.m_cut
@@ -132,12 +135,6 @@ def fourier_weights(vectors, dim):
     return np.sum(np.abs(comps) ** 2, axis=-2)
 
 
-def _check_hermitian(fm: FloquetMatrix):
-    herm = np.max(np.abs(fm.matrix - fm.matrix.conj().T))
-    if herm > 1e-9:
-        raise ValueError(f"extended-space matrix is not Hermitian (error {herm:.2e})")
-
-
 def _solution(fm: FloquetMatrix, raw, vecs):
     return QuasienergySolution(
         omega=fm.omega,
@@ -152,7 +149,6 @@ def _solution(fm: FloquetMatrix, raw, vecs):
 
 def quasienergies(fm: FloquetMatrix):
     """Full Hermitian eigendecomposition of the extended-space matrix."""
-    _check_hermitian(fm)
     raw, vecs = np.linalg.eigh(fm.matrix)
     return _solution(fm, raw, vecs)
 
@@ -204,7 +200,6 @@ def physical_band(modes: FourierModeSet, m_cut):
     falls back to the full solve.
     """
     fm = build_floquet_matrix(modes, m_cut)
-    _check_hermitian(fm)
     raw, vecs = scipy.linalg.eigh(fm.matrix, subset_by_value=(-fm.omega, fm.omega),
                                   driver="evr")
     window = _solution(fm, raw, vecs)

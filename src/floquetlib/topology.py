@@ -98,16 +98,14 @@ def band_grid(solver, nk, b1=None, b2=None):
 
 def _match_by_overlap(reference, candidates):
     # greedy assignment of candidate columns to reference columns by
-    # largest |<ref|cand>|; n_bands is small so greed is fine
+    # largest |<ref|cand>|; n_bands is small so greed is fine. A picked
+    # pair's row and column are set to -1, below every overlap
     overlaps = np.abs(reference.conj().T @ candidates)
-    n = overlaps.shape[0]
-    perm = np.full(n, -1, dtype=int)
-    taken = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        flat = np.argmax(np.where(taken[None, :] | (perm[:, None] >= 0), -1.0, overlaps))
-        r, c = np.unravel_index(flat, overlaps.shape)
+    perm = np.empty(len(overlaps), dtype=int)
+    for _ in range(len(perm)):
+        r, c = np.unravel_index(np.argmax(overlaps), overlaps.shape)
         perm[r] = c
-        taken[c] = True
+        overlaps[r] = overlaps[:, c] = -1.0
     return perm
 
 

@@ -417,6 +417,29 @@ class TestValidation:
                            name="bad.json")
         assert main(["validate", bad]) == 2
 
+    @pytest.mark.parametrize("below", ["", "out", "a/b"],
+                             ids=["file", "under-a-file", "deep-under-a-file"])
+    def test_output_the_run_cannot_create(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        output = str(taken / below) if below else str(taken)
+        payload = spectrum_config(tmp_path, output=output)
+        with pytest.raises(ConfigError, match="^output: cannot create directory ") as caught:
+            validate_config(payload)
+        path = write_config(tmp_path, payload)
+        assert main(["validate", path]) == 2
+        # the message os.makedirs gives the run
+        with pytest.raises(ConfigError) as made:
+            cli._make_output_dir(output)
+        assert capsys.readouterr().err == f"config error: {made.value}\n"
+        assert str(caught.value) == str(made.value)
+        assert taken.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_output_below_a_missing_directory_validates(self, tmp_path):
+        validate_config(spectrum_config(tmp_path, output=str(tmp_path / "new" / "out")))
+        assert not (tmp_path / "new").exists()
+
 
 # a valid value of every setting in cli.TASK_KEYS and cli.MODEL_KEYS
 SETTING_VALUES = {
@@ -1137,6 +1160,46 @@ def test_set_overrides_config(tmp_path):
     report = json.loads((tmp_path / "other" / "hfe.json").read_text())
     assert report["dirac_gap"] == pytest.approx(np.sqrt(104.0) - 10.0, abs=1e-12)
     assert main(["run", path, "--set", "not-an-assignment"]) == 2
+
+
+def test_uncertified_ness_is_a_solver_error(tmp_path, capsys):
+    payload = {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "ness",
+               "output": str(tmp_path / "out"), "lindblad": {"gamma": 0.1},
+               "numerics": {"tol": 1e-300}}
+    assert main(["run", write_config(tmp_path, payload)]) == 3
+    assert capsys.readouterr().err.startswith("solver error: steady state not certified")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_truncated_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(spectrum_config(tmp_path))[:-7])
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: invalid JSON")
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_numeric_sweep_value_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
+    assert main(["sweep", path, "--param", "drive.amplitude", "--values", "1,x"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --values: not numeric")
+    assert not (tmp_path / "out").exists()
+
+
+def test_set_through_a_number_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
+    assert main(["run", path, "--set", "drive.omega.x=1"]) == 2
+    assert "drive.omega.x: path runs through a non-object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_set_keeps_text_that_is_not_json(tmp_path):
+    path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
+    output = tmp_path / "plain text"
+    assert main(["run", path, "--set", f"output={output}"]) == 0
+    assert (output / "hfe.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_env_worker_override(tmp_path, monkeypatch):

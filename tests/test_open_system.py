@@ -336,6 +336,10 @@ class TestLindbladRHS:
         jump[0, 1] = 2.0
         assert system.jumps[0][0, 1] == pytest.approx(np.sqrt(0.4))
 
+    def test_rejects_a_jump_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"jump operator 1 has shape \(3, 3\), expected"):
+            fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z, jumps=[LOWERING, np.eye(3)])
+
 
 class TestEvolveLindblad:
     def test_samples_the_half_step_grid_in_one_call(self):
@@ -396,6 +400,18 @@ class TestEvolveLindblad:
                 pytest.raises(RuntimeError, match="not certified"):
             fq.find_ness(system, 2.0 * np.pi, steps_per_period=128)
         assert [w.filename for w in (*record, *record_map, *record_ness)] == [__file__] * 3
+
+    def test_negativity_warning_names_the_caller(self):
+        # no jumps and a diagonal H keep the populations, -0.3 included
+        system = fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z)
+        with pytest.warns(UserWarning, match="developed negativity -3.00e-01") as record:
+            fq.evolve_lindblad(system, np.diag([1.3, -0.3]), (0.0, 0.1), 0.01)
+        assert [w.filename for w in record] == [__file__]
+
+    def test_rejects_an_empty_span(self):
+        system = fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z, jumps=[LOWERING])
+        with pytest.raises(ValueError, match="t1 > t0"):
+            fq.evolve_lindblad(system, np.eye(2, dtype=complex) / 2, (0.5, 0.5), 0.01)
 
     def test_rejects_unstable_step(self):
         system = fq.LindbladSystem(hamiltonian=lambda t: 30.0 * SIGMA_Z,

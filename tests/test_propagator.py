@@ -127,6 +127,12 @@ class TestMicromotion:
         p = micromotion(sampler, 0.1, 0.1, d.omega, hf=hf)
         np.testing.assert_allclose(p, np.eye(2), atol=1e-12)
 
+    def test_computes_the_stroboscopic_hf_it_is_not_given(self):
+        d, sampler = drive_dirac()
+        hf = stroboscopic_hf(sampler, 0.2, d.omega, n_steps=512)
+        np.testing.assert_array_equal(micromotion(sampler, 0.2, 0.9, d.omega, n_steps=512),
+                                      micromotion(sampler, 0.2, 0.9, d.omega, n_steps=512, hf=hf))
+
     def test_periodicity(self):
         d, sampler = drive_dirac()
         hf = stroboscopic_hf(sampler, 0.1, d.omega, n_steps=8192)

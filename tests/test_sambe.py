@@ -92,6 +92,11 @@ class TestBuildFloquetMatrix:
         assert np.max(np.abs(fm.block(7, 0))) == 0.0  # |m-n| > n_max is zero
         np.testing.assert_allclose(fm.block(3, 1), modes.mode(2), atol=1e-15)
 
+    def test_rejects_non_hermitian_at_construction(self):
+        matrix = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match=r"not Hermitian \(error 1.00e\+00\)"):
+            fq.FloquetMatrix(omega=1.0, m_cut=0, dim=2, n_max=0, matrix=matrix)
+
     def test_rejects_small_cutoff(self):
         drive = fq.DriveProtocol(omega=3.0, amplitude=1.0)
         modes = fq.chain_modes(0.2, 1.0, drive, 6)
@@ -489,6 +494,14 @@ class TestEvolveState:
         psi0 = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
         coeffs = fq.floquet_coefficients(sol, psi0, 0.4)
         assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-6
+
+    def test_norm_drift_warns_at_a_small_cutoff(self):
+        # omega = 1, A = 6 needs far more harmonics than n_max 3 and M 5 hold
+        drive = fq.DriveProtocol(omega=1.0, amplitude=6.0)
+        sol = fq.physical_band(fq.chain_modes(0.3, 1.0, drive, 3), 5)
+        with pytest.warns(UserWarning, match="norm drift 3.19e-03") as record:
+            fq.evolve_state_floquet(sol, np.array([1.0]), 0.0, 0.7)
+        assert [w.filename for w in record] == [__file__]
 
     def test_requires_physical_solution(self):
         sol = fq.quasienergies(fq.build_floquet_matrix(static_modes(SIGMA_Z, 5.0), 3))
