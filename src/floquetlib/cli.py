@@ -2,9 +2,12 @@
 
 Subcommands:
 
-    floquet run <config.json>                 execute one task
+    floquet run <config.json> [--output DIR]        execute one task
     floquet sweep <config.json> --param KEY --values V1,V2,...
-    floquet validate <config.json>            every config check; creates nothing
+    floquet validate <config.json> [--output DIR]   every config check; creates nothing
+
+Each takes any number of --set KEY=VALUE overrides (dotted key, JSON value),
+applied before validation.
 
 A config is a JSON object:
 
@@ -33,8 +36,10 @@ defaults to max(ceil(A) + 10, mode cutoff) + 2 for spectrum and chern and
 harmonic for custom and 0 for chain1d and honeycomb; drive.amplitude may
 not exceed 50 where a cutoff derives from it.
 
-Exit codes: 0 success, 2 config/schema error (an unreadable config file
-and an output directory that cannot be created included), 3 solver error.
+Exit codes: 0 success, 2 config/schema error (an unreadable config file,
+an output directory that cannot be created and a ness steps_per_period too
+coarse for RK4 stability included), 3 solver error. A run that fails
+removes the output directories it created while they are still empty.
 Outputs are deterministic for a fixed config and written atomically (temp
 + rename), with a manifest.json recording the config hash, version, the
 numerics the run read after defaults, and wall time.
@@ -173,6 +178,19 @@ def _reads(model, task):
 _KNOWN_KEYS = set().union(*(_reads(model, task) for model in MODELS for task in TASKS))
 
 
+def _missing_dirs(path):
+    """The absolute path and those of its ancestors that do not exist, deepest first.
+
+    The nearest existing one is the parent of the last entry, or the path
+    itself when nothing is missing.
+    """
+    node, missing = os.path.abspath(path), []
+    while not os.path.exists(node) and node != os.path.dirname(node):
+        missing.append(node)
+        node = os.path.dirname(node)
+    return missing
+
+
 def _check_output(path):
     """Reject an output that an existing file blocks, as the run would, creating nothing.
 
@@ -180,11 +198,10 @@ def _check_output(path):
     with "Not a directory"; _make_output_dir still maps whatever else it
     raises (permissions, races) at run time.
     """
-    target = node = os.path.abspath(path)
-    while not os.path.exists(node) and node != os.path.dirname(node):
-        node = os.path.dirname(node)
+    missing = _missing_dirs(path)
+    node = os.path.dirname(missing[-1]) if missing else os.path.abspath(path)
     _require(os.path.isdir(node), "output", f"cannot create directory {path}: "
-             + ("File exists" if node == target else "Not a directory"))
+             + ("Not a directory" if missing else "File exists"))
 
 
 def validate_config(raw):
@@ -314,10 +331,20 @@ def validate_config(raw):
         _require(m_cut >= need, "numerics.M",
                  f"must be >= {need} for the {model!r} modes in task {task!r}, got {m_cut}")
     numerics = {key: value for key, value in numerics.items() if f"numerics.{key}" in reads}
-    return RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
-                     bath=bath, lindblad_gamma=lindblad_gamma, lindblad_k=lindblad_k,
-                     custom_modes=custom, write_curvature=curvature, summary_metric=metric,
-                     raw=copy.deepcopy(raw))
+    cfg = RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
+                    bath=bath, lindblad_gamma=lindblad_gamma, lindblad_k=lindblad_k,
+                    custom_modes=custom, write_curvature=curvature, summary_metric=metric,
+                    raw=copy.deepcopy(raw))
+    if task == "ness":
+        # find_ness's RK4 stability check, made before any output exists
+        period = 2.0 * math.pi / drive.omega
+        try:
+            open_system.rk4_samples(_lindblad_system(cfg), 0.0, period,
+                                    period / numerics["steps_per_period"])
+        except ValueError as exc:
+            raise ConfigError(f"numerics.steps_per_period: {numerics['steps_per_period']} "
+                              f"is too few: {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +375,13 @@ def _model_at(cfg: RunConfig, kx=0.0, ky=0.0):
 
 def _modes(cfg: RunConfig, kx=0.0, ky=0.0):
     return _model_at(cfg, kx, ky)[1]()
+
+
+def _lindblad_system(cfg: RunConfig):
+    """The ness task's two-level system at lindblad.k, decaying at rate lindblad.gamma."""
+    lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return open_system.LindbladSystem(hamiltonian=_model_at(cfg, *cfg.lindblad_k)[0],
+                                      jumps=[np.sqrt(cfg.lindblad_gamma) * lowering])
 
 
 def _k_grid(cfg: RunConfig):
@@ -641,11 +675,7 @@ def task_greens(cfg: RunConfig, outdir):
 
 
 def task_ness(cfg: RunConfig, outdir):
-    sampler, _ = _model_at(cfg, *cfg.lindblad_k)
-    lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    system = open_system.LindbladSystem(hamiltonian=sampler,
-                                        jumps=[np.sqrt(cfg.lindblad_gamma) * lowering])
-    ness = open_system.find_ness(system, cfg.drive.omega, tol=cfg.numerics["tol"],
+    ness = open_system.find_ness(_lindblad_system(cfg), cfg.drive.omega, tol=cfg.numerics["tol"],
                                  steps_per_period=cfg.numerics["steps_per_period"])
     header = ["t"]
     for i in range(2):
@@ -678,12 +708,23 @@ def _make_output_dir(path):
 def run_config(cfg: RunConfig):
     """Execute one validated config; returns the task summary dict.
 
-    A task's "diagnostics" go into the manifest, not the summary.
+    A task's "diagnostics" go into the manifest, not the summary. When the
+    task raises, the directories this run created and left empty are
+    removed again, deepest first.
     """
     outdir = cfg.output
+    created = _missing_dirs(outdir)
     _make_output_dir(outdir)
     started = time.monotonic()
-    summary = TASK_RUNNERS[cfg.task](cfg, outdir)
+    try:
+        summary = TASK_RUNNERS[cfg.task](cfg, outdir)
+    except BaseException:
+        for path in created:
+            try:
+                os.rmdir(path)
+            except OSError:     # not empty: keep it and its ancestors
+                break
+        raise
     manifest = {
         "config_sha256": config_hash(cfg.raw),
         "version": __version__,
@@ -840,27 +881,28 @@ def main(argv=None):
         prog="floquet",
         description="Quasienergy spectra and steady states of driven systems")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the config and its overrides, shared by every subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config")
+    common.add_argument("--set", action="append", dest="overrides", metavar="KEY=VALUE",
+                        help="override a config key (dotted path, JSON value)")
 
-    p_run = sub.add_parser("run", help="execute one task from a JSON config")
-    p_run.add_argument("config")
+    p_run = sub.add_parser("run", parents=[common], help="execute one task from a JSON config")
     p_run.add_argument("--output", help="override the output directory")
-    p_run.add_argument("--set", action="append", dest="overrides", metavar="KEY=VALUE",
-                       help="override a config key (dotted path, JSON value)")
 
-    p_sweep = sub.add_parser("sweep", help="run once per value of a config key")
-    p_sweep.add_argument("config")
+    p_sweep = sub.add_parser("sweep", parents=[common], help="run once per value of a config key")
     p_sweep.add_argument("--param", required=True, help="dotted config key to sweep")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated numeric values")
-    p_sweep.add_argument("--set", action="append", dest="overrides", metavar="KEY=VALUE")
 
-    p_val = sub.add_parser("validate", help="check a config against the schema")
-    p_val.add_argument("config")
+    p_val = sub.add_parser("validate", parents=[common],
+                           help="check a config as run would, creating nothing")
+    p_val.add_argument("--output", help="override the output directory")
 
     args = parser.parse_args(argv)
     try:
         raw = _load_raw(args.config)
-        _apply_overrides(raw, getattr(args, "overrides", None))
+        _apply_overrides(raw, args.overrides)
         if getattr(args, "output", None):
             raw["output"] = args.output
         if args.command == "validate":

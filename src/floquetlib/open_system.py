@@ -203,18 +203,14 @@ class LindbladTrajectory:
         return self.states[-1]
 
 
-def _rk4(system: LindbladSystem, rho, t0, t1, dt):
-    """Classical RK4 over [t0, t1] at nominal step dt; returns (times, states).
+def rk4_samples(system: LindbladSystem, t0, t1, dt):
+    """The RK4 step over [t0, t1] at nominal step dt and H on its half-step grid.
 
-    Takes round((t1 - t0) / dt) uniform steps (at least one). rho is one
-    matrix or a (n, dim, dim) stack: the right-hand side is linear and
-    broadcasts over the leading axis, so a stack costs the same sampler
-    calls as one state. The Hamiltonian is sampled in one call on the
-    2 n_steps + 1 points of the half-step grid: step i starts at point
-    2i, has its midpoint at 2i + 1 and ends at 2i + 2. Raises unless the
-    step taken satisfies step (max |H| over those samples + sum |L_j|^2)
-    < 0.1. states[i] is the state after i steps. Warns, naming the
-    caller's caller, when the trace of any state drifts by more than 1e-6.
+    Takes round((t1 - t0) / dt) uniform steps (at least one) and samples
+    the Hamiltonian in one call on the 2 n_steps + 1 points of the
+    half-step grid: step i starts at point 2i, has its midpoint at 2i + 1
+    and ends at 2i + 2. Raises unless the step taken satisfies
+    step (max |H| over those samples + sum |L_j|^2) < 0.1.
     """
     if t1 <= t0:
         raise ValueError("t_span must have t1 > t0")
@@ -226,6 +222,21 @@ def _rk4(system: LindbladSystem, rho, t0, t1, dt):
     if load >= 0.1:
         raise ValueError(f"step {step:.4g} too large for stability: "
                          f"step (max |H| + sum |L|^2) = {load:.3f} >= 0.1")
+    return step, h
+
+
+def _rk4(system: LindbladSystem, rho, t0, t1, dt):
+    """Classical RK4 over [t0, t1] at nominal step dt; returns (times, states).
+
+    Steps and samples H as rk4_samples does, which raises for an unstable
+    step. rho is one matrix or a (n, dim, dim) stack: the right-hand side
+    is linear and broadcasts over the leading axis, so a stack costs the
+    same sampler calls as one state. states[i] is the state after i steps.
+    Warns, naming the caller's caller, when the trace of any state drifts
+    by more than 1e-6.
+    """
+    step, h = rk4_samples(system, t0, t1, dt)
+    n_steps = len(h) // 2
     h_eff = system._shift + h
     states = np.empty((n_steps + 1,) + np.shape(rho), dtype=complex)
     states[0] = rho

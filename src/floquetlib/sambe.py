@@ -13,7 +13,7 @@ each side of zero, certified exact by the central-weight sum rule.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -135,25 +135,39 @@ def fourier_weights(vectors, dim):
     return np.sum(np.abs(comps) ** 2, axis=-2)
 
 
-def _solution(fm: FloquetMatrix, raw, vecs):
-    return QuasienergySolution(
-        omega=fm.omega,
-        m_cut=fm.m_cut,
-        dim=fm.dim,
-        n_max=fm.n_max,
-        quasienergies=fold_to_bz(raw, fm.omega),
-        raw_energies=raw,
-        vectors=vecs,
-    )
-
-
 def quasienergies(fm: FloquetMatrix):
     """Full Hermitian eigendecomposition of the extended-space matrix."""
     raw, vecs = np.linalg.eigh(fm.matrix)
-    return _solution(fm, raw, vecs)
+    return QuasienergySolution(omega=fm.omega, m_cut=fm.m_cut, dim=fm.dim, n_max=fm.n_max,
+                               quasienergies=fold_to_bz(raw, fm.omega), raw_energies=raw,
+                               vectors=vecs)
 
 
-def select_physical_band(sol: QuasienergySolution, *, _stacklevel=2):
+def _require_margin(space):
+    if space.m_cut < space.n_max + SELECTION_MARGIN:
+        raise ValueError(f"replica selection needs M >= n_max + {SELECTION_MARGIN} "
+                         f"(got M={space.m_cut}, n_max={space.n_max})")
+
+
+def _pick(space, raw, vecs, w0):
+    """The physical solution of candidate eigenpairs: the dim largest central weights w0.
+
+    `space`, the FloquetMatrix or solution they come from, gives omega, M, dim and n_max.
+    """
+    picked = np.argsort(w0)[::-1][:space.dim]
+    if np.min(w0[picked]) < 0.5:
+        warnings.warn(f"weakest central Fourier weight {np.min(w0[picked]):.3f} < 0.5: "
+                      "replica identification is ambiguous at this drive strength",
+                      stacklevel=3)
+    folded = fold_to_bz(raw[picked], space.omega)
+    order = np.argsort(folded, kind="stable")
+    picked = picked[order]
+    return QuasienergySolution(omega=space.omega, m_cut=space.m_cut, dim=space.dim,
+                               n_max=space.n_max, quasienergies=folded[order],
+                               raw_energies=raw[picked], vectors=vecs[:, picked], physical=True)
+
+
+def select_physical_band(sol: QuasienergySolution):
     """Keep one replica per physical state: the dim largest central weights.
 
     For every physical state the replica whose Fourier weight peaks in
@@ -162,51 +176,36 @@ def select_physical_band(sol: QuasienergySolution, *, _stacklevel=2):
     retained weight drops below 0.5, where the identification becomes
     ambiguous under strong driving. Requires M >= n_max + SELECTION_MARGIN
     so the retained states are away from the truncation edges. The result is
-    sorted by folded quasienergy. `_stacklevel` lets a library wrapper
-    attribute the warning to its own caller.
+    sorted by folded quasienergy.
     """
     if sol.physical:
         return sol
-    if sol.m_cut < sol.n_max + SELECTION_MARGIN:
-        raise ValueError(f"replica selection needs M >= n_max + {SELECTION_MARGIN} "
-                         f"(got M={sol.m_cut}, n_max={sol.n_max})")
-    w0 = sol.weight0()
-    picked = np.argsort(w0)[::-1][:sol.dim]
-    if np.min(w0[picked]) < 0.5:
-        warnings.warn(
-            f"weakest central Fourier weight {np.min(w0[picked]):.3f} < 0.5: "
-            "replica identification is ambiguous at this drive strength",
-            stacklevel=_stacklevel)
-    order = picked[np.argsort(sol.quasienergies[picked], kind="stable")]
-    return replace(
-        sol,
-        quasienergies=sol.quasienergies[order],
-        raw_energies=sol.raw_energies[order],
-        vectors=sol.vectors[:, order],
-        physical=True,
-    )
+    _require_margin(sol)
+    return _pick(sol, sol.raw_energies, sol.vectors, sol.weight0())
 
 
 def physical_band(modes: FourierModeSet, m_cut):
     """select_physical_band of the full solution, from a windowed solve.
 
-    Solves only the eigenpairs with raw energy in (-omega, omega] (LAPACK
-    MRRR, ?heevr). The central-block rows of the unitary eigenvector
-    matrix have unit norm, so the central weights w0 of all eigenpairs
-    sum to dim. When the window holds at least dim states and the weight
-    it misses, dim - sum(w0 in window), is below the smallest of the dim
-    largest window weights, no state outside the window can displace a
-    picked one and the selection equals the full one. Otherwise this
-    falls back to the full solve.
+    Checks the margin first, then solves only the eigenpairs with raw
+    energy in (-omega, omega] (LAPACK MRRR, ?heevr). The central-block rows
+    of the unitary eigenvector matrix have unit norm, so the central
+    weights w0 of all eigenpairs sum to dim. When the window holds at
+    least dim states and the weight it misses, dim - sum(w0 in window), is
+    below the smallest of the dim largest window weights, no state outside
+    the window can displace a picked one and the selection equals the full
+    one. Otherwise this falls back to the full solve.
     """
     fm = build_floquet_matrix(modes, m_cut)
+    _require_margin(fm)
     raw, vecs = scipy.linalg.eigh(fm.matrix, subset_by_value=(-fm.omega, fm.omega),
                                   driver="evr")
-    window = _solution(fm, raw, vecs)
-    w0 = np.sort(window.weight0())[::-1]
-    if w0.size >= fm.dim and fm.dim - np.sum(w0) < w0[fm.dim - 1]:
-        return select_physical_band(window, _stacklevel=3)
-    return select_physical_band(quasienergies(fm), _stacklevel=3)
+    w0 = fourier_weights(vecs[fm.m_cut * fm.dim:(fm.m_cut + 1) * fm.dim], fm.dim)[0]
+    ranked = np.sort(w0)[::-1]
+    if not (ranked.size >= fm.dim and fm.dim - np.sum(ranked) < ranked[fm.dim - 1]):
+        full = quasienergies(fm)
+        raw, vecs, w0 = full.raw_energies, full.vectors, full.weight0()
+    return _pick(fm, raw, vecs, w0)
 
 
 def replica_centers(sol: QuasienergySolution):

@@ -1162,13 +1162,59 @@ def test_set_overrides_config(tmp_path):
     assert main(["run", path, "--set", "not-an-assignment"]) == 2
 
 
+def uncertified_ness_config(output):
+    return {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "ness",
+            "output": str(output), "lindblad": {"gamma": 0.1}, "numerics": {"tol": 1e-300}}
+
+
 def test_uncertified_ness_is_a_solver_error(tmp_path, capsys):
-    payload = {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "ness",
-               "output": str(tmp_path / "out"), "lindblad": {"gamma": 0.1},
-               "numerics": {"tol": 1e-300}}
-    assert main(["run", write_config(tmp_path, payload)]) == 3
+    assert main(["run", write_config(tmp_path, uncertified_ness_config(tmp_path / "out"))]) == 3
     assert capsys.readouterr().err.startswith("solver error: steady state not certified")
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_removes_only_the_directories_it_created(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    path = write_config(tmp_path, uncertified_ness_config(tmp_path / "a" / "b" / "unc"))
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err.startswith("solver error: steady state not certified")
+    assert [p.name for p in (tmp_path / "a").iterdir()] == []   # b and unc are gone, a is not
+    assert main(["run", path, "--output", str(tmp_path / "a")]) == 3
+    assert (tmp_path / "a").is_dir()
+
+
+def test_validate_takes_set_and_output(tmp_path, capsys):
+    path = write_config(tmp_path, spectrum_config(tmp_path))
+    assert main(["validate", path, "--set", "numerics.n_k=8"]) == 0
+    assert main(["validate", path, "--set", "numerics.n_k=0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: numerics.n_k: must be positive")
+    assert main(["validate", path, "--output", path]) == 2
+    assert "output: cannot create directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def ness_at_steps(tmp_path, steps):
+    return {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "ness",
+            "output": str(tmp_path / "out"), "lindblad": {"gamma": 0.1},
+            "numerics": {"steps_per_period": steps}}
+
+
+def test_coarse_steps_per_period_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, ness_at_steps(tmp_path, 8))
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: numerics.steps_per_period: 8 is too few: step 0.1571 too large "
+            "for stability: step (max |H| + sum |L|^2) = 0.173 >= 0.1")
+    assert not (tmp_path / "out").exists()
+    # the check is find_ness's own: 256 steps, the default, pass both
+    cfg = validate_config(ness_at_steps(tmp_path, 256))
+    assert fq.find_ness(cli._lindblad_system(cfg), 5.0, steps_per_period=256).residual < 1e-9
+    results, failures = cli.run_sweep(ness_at_steps(tmp_path, 256), "numerics.steps_per_period",
+                                      [8.0, 256.0], workers=1)
+    assert list(results) == [256.0]
+    assert failures[8.0].startswith("numerics.steps_per_period: 8 is too few")
+    assert not (tmp_path / "out" / "steps_per_period_8").exists()
 
 
 def test_truncated_json_is_a_config_error(tmp_path, capsys):

@@ -331,13 +331,18 @@ class TestPhysicalBand:
             phys = fq.physical_band(modes, 9)
         assert not full_solves
         assert [w.filename for w in record] == [__file__]  # names the caller
-        with pytest.warns(UserWarning, match="ambiguous"):
+        with pytest.warns(UserWarning, match="ambiguous") as record:
             full = full_route(modes, 9)
+        assert [w.filename for w in record] == [__file__]  # a direct call names its caller too
         assert np.max(np.abs(phys.weight0() - full.weight0())) < 1e-12
 
-    def test_requires_margin(self):
+    def test_requires_margin(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve before the margin check")
+
+        monkeypatch.setattr(fq.sambe.scipy.linalg, "eigh", no_solve)
         drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
-        with pytest.raises(ValueError, match="n_max"):
+        with pytest.raises(ValueError, match="replica selection needs M >= n_max"):
             fq.physical_band(fq.dirac_modes(0.0, 0.0, drive), 2)
 
     def test_rejects_non_hermitian(self, monkeypatch):
