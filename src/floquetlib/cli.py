@@ -46,10 +46,19 @@ numerics the run read after defaults, and wall time.
 For spectrum and chern it also holds "diagnostics": {"edge_weight": ...},
 the physical band's largest Fourier weight in the edge blocks |m| = M over
 all k; above 1e-13 the run warns that numerics.M is too small.
+
+FLOQUET_WORKERS (default: the CPUs the process may use) caps the forked
+worker processes (_in_workers) that run a sweep's values, greens's k-points
+(each formatted as CSV text there, written here in k order) and chern's
+grid rows (matched here in one ordered pass). Outputs and warnings do not
+depend on it, and at 1 greens and chern fork nothing. spectrum stays
+serial: a pool item costs more than its 0.8 ms solve per k.
 """
 
 import argparse
+import collections
 import concurrent.futures
+import contextlib
 import copy
 import functools
 import hashlib
@@ -133,6 +142,7 @@ class RunConfig:
     custom_modes: models.FourierModeSet = None
     write_curvature: bool = False
     summary_metric: str = "J_eff"               # the hfe.json key hfe sums up
+    workers: int = 1                            # greens and chern: FLOQUET_WORKERS
     raw: dict = field(default_factory=dict)
 
     @property
@@ -331,19 +341,23 @@ def validate_config(raw):
         _require(m_cut >= need, "numerics.M",
                  f"must be >= {need} for the {model!r} modes in task {task!r}, got {m_cut}")
     numerics = {key: value for key, value in numerics.items() if f"numerics.{key}" in reads}
+    # greens spreads its k-points, chern its grid rows over worker processes
+    workers = _env_workers() if task in ("greens", "chern") else 1
     cfg = RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
                     bath=bath, lindblad_gamma=lindblad_gamma, lindblad_k=lindblad_k,
                     custom_modes=custom, write_curvature=curvature, summary_metric=metric,
-                    raw=copy.deepcopy(raw))
+                    workers=workers, raw=copy.deepcopy(raw))
     if task == "ness":
         # find_ness's RK4 stability check, made before any output exists
         period = 2.0 * math.pi / drive.omega
+        steps = numerics["steps_per_period"]
+        system = _lindblad_system(cfg)
         try:
-            open_system.rk4_samples(_lindblad_system(cfg), 0.0, period,
-                                    period / numerics["steps_per_period"])
+            open_system.rk4_samples(system, 0.0, period, period / steps)
         except ValueError as exc:
-            raise ConfigError(f"numerics.steps_per_period: {numerics['steps_per_period']} "
-                              f"is too few: {exc}") from None
+            fewest = open_system.fewest_rk4_steps(system, 0.0, period, steps)
+            raise ConfigError(f"numerics.steps_per_period: {steps} is too few: {exc}; "
+                              f"the fewest that pass are {fewest}") from None
     return cfg
 
 
@@ -427,14 +441,35 @@ def _write_csv(path, header, table):
     output and narrow integer keys, under 100 bytes per cell against
     about 16 bytes of text.
     """
+    with _csv_file(path, header) as handle:
+        for block in _csv_blocks(table):
+            handle.write(block)
+
+
+@contextlib.contextmanager
+def _csv_file(path, header):
+    """A binary file open behind its header line, written to path + ".tmp".
+
+    Renamed to `path` when the block exits; removed when it raises.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(header.encode() + b"\n")
+            yield handle
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
+def _csv_blocks(table):
+    """The rows of a float table as CSV text, one uint8 array per CSV_BLOCK_ROWS rows."""
     template = np.tile(np.frombuffer(_SLOT_TEMPLATE, np.uint8), (table.shape[1], 1))
     template[:-1, -1] = ord(",")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(header.encode() + b"\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            handle.write(_csv_bytes(table[start:start + CSV_BLOCK_ROWS], template))
-    os.replace(tmp, path)
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        yield _csv_bytes(table[start:start + CSV_BLOCK_ROWS], template)
 
 
 # The %.12g kernel. A cell's text is cut from a fixed slot holding every byte
@@ -585,6 +620,135 @@ def config_hash(raw):
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+
+def _env_workers():
+    """Worker count from FLOQUET_WORKERS (default: the CPUs this process may use)."""
+    text = os.environ.get("FLOQUET_WORKERS")
+    if text is None:
+        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ConfigError(f"FLOQUET_WORKERS: not an integer: {text!r}") from None
+    _require(workers >= 1, "FLOQUET_WORKERS", f"must be at least 1, got {workers}")
+    return workers
+
+
+# In a pool worker process: the function and items its pool runs. Set there by
+# _start_worker when the worker is forked, so neither is ever pickled.
+_worker_job = None
+
+
+def _start_worker(fn, items):
+    global _worker_job
+    _worker_job = fn, items
+
+
+def _run_item(index):
+    """fn(items[index]) in a pool worker: (result, exception, warnings raised).
+
+    Warnings are recorded under the filters the worker inherited, so an
+    "error" filter makes the call fail as it would in the caller.
+    """
+    fn, items = _worker_job
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result, error = fn(items[index]), None
+        except Exception as exc:  # noqa: BLE001 - raised again in the caller
+            result, error = None, exc
+    return result, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _relay(caught):
+    """Warn each recorded (category, message, filename, lineno) in this process.
+
+    Each goes into the warning registry of the module its file belongs
+    to, as warnings.warn raised there would, so the "default", "module"
+    and "once" filters show it as often as a run in one process does.
+    """
+    if not caught:
+        return
+    modules = {getattr(module, "__file__", None): module for module in list(sys.modules.values())}
+    for category, message, filename, lineno in caught:
+        module = modules.get(filename)
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno,
+                               module=getattr(module, "__name__", None), registry=registry)
+
+
+def _submit(pool, index):
+    """pool.submit(_run_item, index); a broken pool's error becomes the future's."""
+    try:
+        return pool.submit(_run_item, index)
+    except concurrent.futures.process.BrokenProcessPool as exc:
+        future = concurrent.futures.Future()
+        future.set_exception(exc)
+        return future
+
+
+def _in_workers(fn, items, workers, isolate=False):
+    """Yield (fn(item), None) or (None, the exception it raised) per item, in order.
+
+    The calls run in a pool of up to `workers` processes forked from this
+    one: they inherit the imported library, where a fresh import of numpy
+    and scipy per worker (spawn, forkserver) costs about 0.45 s, and `fn`
+    and `items` reach them without pickling; the library itself starts no
+    thread that a fork could catch holding a lock. Items are submitted at
+    most 2 x `workers` ahead of the one being yielded, so the results
+    waiting here stay few however many items there are. Each item's
+    warnings are re-raised here (_relay) just before its outcome is
+    yielded; a worker that dies fails every item it had not finished with
+    BrokenProcessPool.
+
+    The calls run here, one after another, inside a pool worker (pools do
+    not nest), where the platform cannot fork, and with one worker unless
+    `isolate` asks for a process of its own even then.
+    """
+    items = list(items)
+    if (multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or (workers == 1 and not isolate)):
+        for item in items:
+            try:
+                yield fn(item), None
+            except Exception as exc:  # noqa: BLE001 - the caller decides
+                yield None, exc
+        return
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(items)), mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(fn, items)) as pool:
+        submitted = min(2 * workers, len(items))
+        ahead = collections.deque(_submit(pool, index) for index in range(submitted))
+        try:
+            while ahead:
+                future = ahead.popleft()
+                if submitted < len(items):
+                    ahead.append(_submit(pool, submitted))
+                    submitted += 1
+                # a worker that died, or an outcome that could not be sent, fails the item
+                try:
+                    result, error, caught = future.result()
+                except Exception as exc:  # noqa: BLE001 - the item's outcome
+                    result, error, caught = None, exc, ()
+                _relay(caught)
+                yield result, error
+        finally:
+            for future in ahead:    # left behind by an error or a closed generator
+                future.cancel()
+
+
+def _worker_map(fn, items, workers):
+    """Yield fn(item) per item, in order, through _in_workers; an item's exception is raised."""
+    for result, error in _in_workers(fn, items, workers):
+        if error is not None:
+            raise error
+        yield result
+
+
+# ---------------------------------------------------------------------------
 # tasks
 
 def _certify_cutoff(cfg: RunConfig, weights):
@@ -639,7 +803,8 @@ def task_hfe(cfg: RunConfig, outdir):
 
 def task_chern(cfg: RunConfig, outdir):
     solver = topology.floquet_band_solver(functools.partial(_modes, cfg), cfg.m_cut)
-    grid = topology.band_grid(solver, cfg.numerics["Nk"])
+    grid = topology.band_grid(solver, cfg.numerics["Nk"],
+                              map_rows=functools.partial(_worker_map, workers=cfg.workers))
     reports = []
     for band in range(grid.n_bands):
         fieldvals = topology.berry_curvature_grid(grid, band)
@@ -660,18 +825,26 @@ def task_chern(cfg: RunConfig, outdir):
             "diagnostics": _certify_cutoff(cfg, weights)}
 
 
+def _greens_rows(cfg: RunConfig, nu, k):
+    """The greens.csv text of the (nu, k, A, N) rows at one k, and the peak of A there."""
+    grid = open_system.floquet_greens(_modes(cfg, k), cfg.bath, cfg.m_cut, nu)
+    freqs, spec = open_system.spectral_function(grid)
+    _, occ = open_system.occupation_function(grid)
+    rows = np.column_stack((freqs, np.full(freqs.size, k), spec, occ))
+    return b"".join(_csv_blocks(rows)), spec.max()
+
+
 def task_greens(cfg: RunConfig, outdir):
     omega = cfg.drive.omega
     nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
-    blocks = []
-    for k in _k_grid(cfg):
-        grid = open_system.floquet_greens(_modes(cfg, k), cfg.bath, cfg.m_cut, nu)
-        freqs, spec = open_system.spectral_function(grid)
-        _, occ = open_system.occupation_function(grid)
-        blocks.append(np.column_stack((freqs, np.full(freqs.size, k), spec, occ)))
-    table = np.vstack(blocks)
-    _write_csv(os.path.join(outdir, "greens.csv"), "nu_unfolded,k,A,N", table)
-    return {"summary_metric": float(table[:, 2].max())}
+    peaks = []
+    # each k's rows are formatted where they are computed and written in k order
+    with _csv_file(os.path.join(outdir, "greens.csv"), "nu_unfolded,k,A,N") as handle:
+        for text, peak in _worker_map(functools.partial(_greens_rows, cfg, nu), _k_grid(cfg),
+                                      cfg.workers):
+            handle.write(text)
+            peaks.append(peak)
+    return {"summary_metric": float(max(peaks))}
 
 
 def task_ness(cfg: RunConfig, outdir):
@@ -751,43 +924,23 @@ def _set_by_path(raw, dotted, value):
     node[keys[-1]] = value
 
 
-def _env_workers():
-    """Sweep worker count from FLOQUET_WORKERS (default: the CPUs this process may use)."""
-    text = os.environ.get("FLOQUET_WORKERS")
-    if text is None:
-        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ConfigError(f"FLOQUET_WORKERS: not an integer: {text!r}") from None
-    _require(workers >= 1, "FLOQUET_WORKERS", f"must be at least 1, got {workers}")
-    return workers
-
-
-def _sweep_one(raw, parameter, value, outdir):
-    """Run one sweep value in a worker process: its summary and its warnings.
-
-    `raw` arrives as the worker's own pickled copy, so it is edited in
-    place. Warnings are recorded under the filters the worker inherited, so
-    an "error" filter still makes the value fail; run_sweep re-raises the
-    recorded ones in the caller.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        _set_by_path(raw, parameter, value)
-        raw["output"] = outdir
-        summary = run_config(validate_config(raw))
-    return summary, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+def _sweep_one(raw, parameter, value_dir):
+    """Validate and run one sweep value into its own directory; its summary."""
+    raw = copy.deepcopy(raw)
+    value, outdir = value_dir
+    _set_by_path(raw, parameter, value)
+    raw["output"] = outdir
+    return run_config(validate_config(raw))
 
 
 def run_sweep(raw, parameter, values, workers=None):
     """One run per parameter value; aggregate CSV plus per-value directories.
 
-    Each value runs in a worker process (_sweep_one). Individual failures,
-    a worker that dies included, do not stop the sweep; they are recorded
-    in the manifest and skipped in the aggregate. The warnings the values
-    raised are re-raised here, in value order, once the outputs are written.
+    Each value runs in a worker process of its own pool (_in_workers, with
+    `isolate`, so one worker forks too). Individual failures, a worker that
+    dies included, do not stop the sweep; they are recorded in the
+    manifest and skipped in the aggregate. The warnings the values raised
+    are re-raised here, in value order.
     """
     if not values:
         raise ConfigError("--values: at least one value required")
@@ -811,23 +964,15 @@ def run_sweep(raw, parameter, values, workers=None):
     root = base.output
     _make_output_dir(root)
 
-    # fork: workers inherit the imported library, where a fresh import of
-    # numpy and scipy per worker (spawn, forkserver) costs about 0.45 s; the
-    # library itself starts no thread that a fork could catch holding a lock
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    results, failures, caught = {}, {}, {}
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(values)), mp_context=context) as pool:
-        futures = {pool.submit(_sweep_one, raw, parameter, v, os.path.join(root, name)): v
-                   for v, name in zip(values, names)}
-        for fut in concurrent.futures.as_completed(futures):
-            value = futures[fut]
-            try:
-                results[value], caught[value] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                # a worker that died fails every unfinished value with BrokenProcessPool
-                failures[value] = str(exc)
+    results, failures = {}, {}
+    outcomes = _in_workers(functools.partial(_sweep_one, raw, parameter),
+                           [(v, os.path.join(root, name)) for v, name in zip(values, names)],
+                           workers, isolate=True)
+    for (summary, error), value in zip(outcomes, values):    # outcomes first: it runs out
+        if error is None:
+            results[value] = summary
+        else:   # recorded, the sweep continues
+            failures[value] = str(error)
     table = np.array([(v, results[v]["summary_metric"]) for v in values if v in results],
                      dtype=float).reshape(-1, 2)
     _write_csv(os.path.join(root, "sweep.csv"), "value,summary_metric", table)
@@ -839,9 +984,6 @@ def run_sweep(raw, parameter, values, workers=None):
         "failures": {str(k): v for k, v in failures.items()},
     }
     _write_json(os.path.join(root, "manifest.json"), manifest)
-    for value in values:
-        for category, message, filename, lineno in caught.get(value, ()):
-            warnings.warn_explicit(message, category, filename, lineno)
     return results, failures
 
 

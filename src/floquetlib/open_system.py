@@ -19,6 +19,8 @@ import numpy as np
 from .models import FourierModeSet, _sample_times
 from .sambe import build_floquet_matrix
 
+RK4_LOAD_LIMIT = 0.1    # the largest step (max |H| + sum |L_j|^2) an RK4 step may take
+
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -210,19 +212,40 @@ def rk4_samples(system: LindbladSystem, t0, t1, dt):
     the Hamiltonian in one call on the 2 n_steps + 1 points of the
     half-step grid: step i starts at point 2i, has its midpoint at 2i + 1
     and ends at 2i + 2. Raises unless the step taken satisfies
-    step (max |H| over those samples + sum |L_j|^2) < 0.1.
+    step (max |H| over those samples + sum |L_j|^2) < RK4_LOAD_LIMIT = 0.1.
     """
     if t1 <= t0:
         raise ValueError("t_span must have t1 > t0")
-    n_steps = max(1, int(round((t1 - t0) / dt)))
+    step, h, load = _rk4_load(system, t0, t1, max(1, int(round((t1 - t0) / dt))))
+    if load >= RK4_LOAD_LIMIT:
+        raise ValueError(f"step {step:.4g} too large for stability: "
+                         f"step (max |H| + sum |L|^2) = {load:.3f} >= {RK4_LOAD_LIMIT}")
+    return step, h
+
+
+def _rk4_load(system: LindbladSystem, t0, t1, n_steps):
+    """(step, H on the half-step grid, stability load) of n_steps uniform steps."""
     step = (t1 - t0) / n_steps
     h = _sample_times(system.hamiltonian, t0 + np.arange(2 * n_steps + 1) * (0.5 * step))
     load = step * (np.max(np.linalg.norm(h, 2, axis=(1, 2)))
                    + sum(np.linalg.norm(op, 2) ** 2 for op in system.jumps))
-    if load >= 0.1:
-        raise ValueError(f"step {step:.4g} too large for stability: "
-                         f"step (max |H| + sum |L|^2) = {load:.3f} >= 0.1")
-    return step, h
+    return step, h, load
+
+
+def fewest_rk4_steps(system: LindbladSystem, t0, t1, n_steps):
+    """The fewest uniform steps over [t0, t1] that rk4_samples accepts.
+
+    Starts from ceil(n_steps load / RK4_LOAD_LIMIT), the load of n_steps
+    steps scaled to the limit, and steps up until a count passes, then
+    down while one fewer passes too: max |H| is taken on each count's own
+    grid, so the scaling is an estimate.
+    """
+    fewest = max(1, math.ceil(n_steps * _rk4_load(system, t0, t1, n_steps)[2] / RK4_LOAD_LIMIT))
+    while _rk4_load(system, t0, t1, fewest)[2] >= RK4_LOAD_LIMIT:
+        fewest += 1
+    while fewest > 1 and _rk4_load(system, t0, t1, fewest - 1)[2] < RK4_LOAD_LIMIT:
+        fewest -= 1
+    return fewest
 
 
 def _rk4(system: LindbladSystem, rho, t0, t1, dt):

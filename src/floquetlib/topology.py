@@ -54,13 +54,14 @@ class BandGrid:
         return float(gaps.min()) if gaps.size else math.inf
 
 
-def band_grid(solver, nk, b1=None, b2=None):
+def band_grid(solver, nk, b1=None, b2=None, map_rows=map):
     """Tabulate a band structure over one zone for curvature integration.
 
-    One pass over the grid, row by row: the first point is in energy
-    order, and every other point is matched by overlap to the point before
-    it in its row (above it in column 0) rather than sorted by energy,
-    which avoids spurious band swaps at avoided crossings.
+    The rows are solved through `map_rows`, then matched in one pass over
+    the grid, row by row: the first point is in energy order, and every
+    other point is matched by overlap to the point before it in its row
+    (above it in column 0) rather than sorted by energy, which avoids
+    spurious band swaps at avoided crossings.
 
     Parameters
     ----------
@@ -74,21 +75,28 @@ def band_grid(solver, nk, b1=None, b2=None):
     b1, b2 : arrays, optional
         Reciprocal vectors spanning the zone; default is the pinned
         honeycomb zone.
+    map_rows : callable, optional
+        map_rows(solve_row, range(nk + 1)) yields solve_row(i), the
+        solver's results along grid row i, in row order; the builtin map
+        by default. Another map may run the solves elsewhere, in parallel.
     """
     if nk < 1:
         raise ValueError(f"band_grid needs nk >= 1 plaquettes per direction, got {nk}")
     b1 = HONEYCOMB_RECIPROCAL[0] if b1 is None else np.asarray(b1, dtype=float)
     b2 = HONEYCOMB_RECIPROCAL[1] if b2 is None else np.asarray(b2, dtype=float)
     frac = np.arange(nk + 1) / nk
+
+    def solve_row(i):
+        return [solver(*(frac[i] * b1 + frac[j] * b2)) for j in range(nk + 1)]
+
     energies, vectors = [], []
-    for i, j in np.ndindex(nk + 1, nk + 1):
-        k = frac[i] * b1 + frac[j] * b2
-        e, v, *zone = solver(k[0], k[1])
-        e, v = np.asarray(e), np.asarray(v)
-        perm = (_match_by_overlap(vectors[-1] if j > 0 else vectors[-(nk + 1)], v)
-                if vectors else np.argsort(e))
-        energies.append(e[perm])
-        vectors.append(v[:, perm])
+    for row in map_rows(solve_row, range(nk + 1)):
+        for j, (e, v, *zone) in enumerate(row):
+            e, v = np.asarray(e), np.asarray(v)
+            perm = (_match_by_overlap(vectors[-1] if j > 0 else vectors[-(nk + 1)], v)
+                    if vectors else np.argsort(e))
+            energies.append(e[perm])
+            vectors.append(v[:, perm])
     side = (nk + 1, nk + 1)
     return BandGrid(nk=nk, b1=b1, b2=b2,
                     energies=np.array(energies, dtype=float).reshape(*side, -1),

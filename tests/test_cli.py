@@ -1147,6 +1147,103 @@ class TestSweep:
         assert written[0] == written[1]
 
 
+
+class TestTaskWorkers:
+    """greens k-points and chern grid rows in FLOQUET_WORKERS forked processes."""
+
+    GREENS = {"model": "chain1d", "task": "greens", "bath": {"gamma": 0.05, "beta": 20.0},
+              "drive": {"omega": 5.0, "amplitude": 1.0}, "numerics": {"n_k": 6, "nu_points": 21}}
+    # omega 2 warns of ambiguous replicas at 17 grid points, with 2 distinct messages
+    CHERN = {"model": "honeycomb", "task": "chern", "drive": {"omega": 2.0, "amplitude": 1.0},
+             "numerics": {"Nk": 8}, "write_curvature": True}
+
+    def run(self, tmp_path, monkeypatch, raw, workers, action="always"):
+        """Files and manifest diagnostics of one run, and the warnings it raised."""
+        monkeypatch.setenv("FLOQUET_WORKERS", str(workers))
+        out = tmp_path / f"workers_{workers}_{action}"
+        cfg = validate_config({**raw, "output": str(out)})
+        assert cfg.workers == workers
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            cli.run_config(cfg)
+        files = {path.name: path.read_bytes() for path in out.iterdir()
+                 if path.name != "manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        return files, manifest.get("diagnostics"), [
+            (w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+    @pytest.mark.parametrize("raw", [GREENS, CHERN], ids=["greens", "chern"])
+    def test_worker_count_does_not_change_outputs_or_warnings(self, tmp_path, monkeypatch, raw):
+        serial, parallel = (self.run(tmp_path, monkeypatch, raw, workers) for workers in (1, 2))
+        assert sorted(serial[0]) == sorted(
+            {"greens": ["greens.csv"],
+             "chern": ["chern.json", "curvature_band0.csv", "curvature_band1.csv"]}[raw["task"]])
+        assert serial == parallel
+        if raw["task"] == "chern":
+            assert len(serial[2]) == 17
+            assert {filename for _, _, filename, _ in serial[2]} == {fq.topology.__file__}
+
+    def test_default_filter_shows_each_warning_once_as_a_serial_run(self, tmp_path, monkeypatch):
+        serial, parallel = (self.run(tmp_path, monkeypatch, self.CHERN, workers, "default")
+                            for workers in (1, 2))
+        assert len(serial[2]) == 2
+        assert serial[2] == parallel[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_filter_fails_the_run_as_a_serial_run(self, tmp_path, monkeypatch, capsys,
+                                                         workers):
+        monkeypatch.setenv("FLOQUET_WORKERS", str(workers))
+        path = write_config(tmp_path, {**self.CHERN, "output": str(tmp_path / "out")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: weakest central Fourier weight")
+        assert not (tmp_path / "out").exists()
+
+    def test_dead_worker_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
+        greens_rows = cli._greens_rows
+
+        def dies_at_third_k(cfg, nu, k):
+            if k == cli._k_grid(cfg)[2]:
+                os._exit(1)  # a worker killed, say out of memory
+            return greens_rows(cfg, nu, k)
+
+        monkeypatch.setattr(cli, "_greens_rows", dies_at_third_k)  # fork carries the patch
+        monkeypatch.setenv("FLOQUET_WORKERS", "2")
+        path = write_config(tmp_path, {**self.GREENS, "output": str(tmp_path / "a" / "out")})
+        assert main(["run", path]) == 3
+        assert "terminated abruptly" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()    # greens.csv.tmp removed, then both directories
+
+    @pytest.mark.parametrize("raw", [GREENS, CHERN], ids=["greens", "chern"])
+    @pytest.mark.parametrize("text", ["0", "two"])
+    def test_bad_worker_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, raw, text):
+        monkeypatch.setenv("FLOQUET_WORKERS", text)
+        path = write_config(tmp_path, {**raw, "output": str(tmp_path / "out")})
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err.startswith("config error: FLOQUET_WORKERS: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_greens_sweep_starts_no_pool_in_its_workers(self, tmp_path, monkeypatch):
+        pools = tmp_path / "pools"
+        pool_class = cli.concurrent.futures.ProcessPoolExecutor
+
+        class CountingPool(pool_class):
+            def __init__(self, *args, **kwargs):
+                with open(pools, "a") as handle:   # seen from any process
+                    handle.write(f"{os.getpid()}\n")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setenv("FLOQUET_WORKERS", "2")
+        raw = {**self.GREENS, "output": str(tmp_path / "sweep")}
+        results, failures = cli.run_sweep(raw, "drive.amplitude", [0.5, 1.0], workers=2)
+        assert sorted(results) == [0.5, 1.0] and not failures
+        assert pools.read_text().split() == [str(os.getpid())]
+
+
 def test_set_overrides_config(tmp_path):
     payload = {
         "model": "dirac",
@@ -1215,6 +1312,17 @@ def test_coarse_steps_per_period_is_a_config_error(tmp_path, capsys):
     assert list(results) == [256.0]
     assert failures[8.0].startswith("numerics.steps_per_period: 8 is too few")
     assert not (tmp_path / "out" / "steps_per_period_8").exists()
+
+
+
+def test_coarse_steps_error_names_the_fewest_that_pass(tmp_path, capsys):
+    assert main(["validate", write_config(tmp_path, ness_at_steps(tmp_path, 8))]) == 2
+    message = capsys.readouterr().err
+    assert "; the fewest that pass are " in message
+    fewest = int(message.rsplit(" ", 1)[1])
+    validate_config(ness_at_steps(tmp_path, fewest))
+    with pytest.raises(ConfigError, match=f"^numerics.steps_per_period: {fewest - 1} is too few"):
+        validate_config(ness_at_steps(tmp_path, fewest - 1))
 
 
 def test_truncated_json_is_a_config_error(tmp_path, capsys):
