@@ -38,11 +38,12 @@ not exceed 50 where a cutoff derives from it.
 
 Exit codes: 0 success, 2 config/schema error (an unreadable config file,
 an output directory that cannot be created and a ness steps_per_period too
-coarse for RK4 stability included), 3 solver error. A run that fails
-removes the output directories it created while they are still empty.
-Outputs are deterministic for a fixed config and written atomically (temp
-+ rename), with a manifest.json recording the config hash, version, the
-numerics the run read after defaults, and wall time.
+coarse for RK4 stability included), 3 solver error. A run or a sweep
+that fails removes the output directories it created while they are still
+empty (_output_dir). Outputs are deterministic for a fixed config and
+written atomically (_atomic_file: temp + rename, and no .tmp file survives
+a failed write), with a manifest.json recording the config hash, version,
+the numerics the run read after defaults, and wall time.
 For spectrum and chern it also holds "diagnostics": {"edge_weight": ...},
 the physical band's largest Fourier weight in the edge blocks |m| = M over
 all k; above 1e-13 the run warns that numerics.M is too small.
@@ -406,11 +407,23 @@ def _k_grid(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _write_atomic(path, text):
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A binary file open at path + ".tmp": renamed to `path` on success, removed on any error."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_atomic(path, text):
+    with _atomic_file(path) as handle:
+        handle.write(text.encode())
 
 
 def _write_csv(path, header, table):
@@ -441,27 +454,10 @@ def _write_csv(path, header, table):
     output and narrow integer keys, under 100 bytes per cell against
     about 16 bytes of text.
     """
-    with _csv_file(path, header) as handle:
+    with _atomic_file(path) as handle:
+        handle.write(header.encode() + b"\n")
         for block in _csv_blocks(table):
             handle.write(block)
-
-
-@contextlib.contextmanager
-def _csv_file(path, header):
-    """A binary file open behind its header line, written to path + ".tmp".
-
-    Renamed to `path` when the block exits; removed when it raises.
-    """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(header.encode() + b"\n")
-            yield handle
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
 
 
 def _csv_blocks(table):
@@ -617,6 +613,12 @@ def _write_json(path, payload):
 def config_hash(raw):
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _write_manifest(outdir, raw, **fields):
+    """outdir/manifest.json: the hash of the config `raw`, the version, then `fields`."""
+    _write_json(os.path.join(outdir, "manifest.json"),
+                {"config_sha256": config_hash(raw), "version": __version__, **fields})
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +841,8 @@ def task_greens(cfg: RunConfig, outdir):
     nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
     peaks = []
     # each k's rows are formatted where they are computed and written in k order
-    with _csv_file(os.path.join(outdir, "greens.csv"), "nu_unfolded,k,A,N") as handle:
+    with _atomic_file(os.path.join(outdir, "greens.csv")) as handle:
+        handle.write(b"nu_unfolded,k,A,N\n")
         for text, peak in _worker_map(functools.partial(_greens_rows, cfg, nu), _k_grid(cfg),
                                       cfg.workers):
             handle.write(text)
@@ -878,36 +881,36 @@ def _make_output_dir(path):
         raise ConfigError(f"output: cannot create directory {path}: {exc.strerror}") from None
 
 
-def run_config(cfg: RunConfig):
-    """Execute one validated config; returns the task summary dict.
+@contextlib.contextmanager
+def _output_dir(path):
+    """Create the output directory `path` and yield it.
 
-    A task's "diagnostics" go into the manifest, not the summary. When the
-    task raises, the directories this run created and left empty are
-    removed again, deepest first.
+    When the block raises, the directories this created and left empty are removed, deepest first.
     """
-    outdir = cfg.output
-    created = _missing_dirs(outdir)
-    _make_output_dir(outdir)
-    started = time.monotonic()
+    created = _missing_dirs(path)
+    _make_output_dir(path)
     try:
-        summary = TASK_RUNNERS[cfg.task](cfg, outdir)
+        yield path
     except BaseException:
-        for path in created:
+        for node in created:
             try:
-                os.rmdir(path)
+                os.rmdir(node)
             except OSError:     # not empty: keep it and its ancestors
                 break
         raise
-    manifest = {
-        "config_sha256": config_hash(cfg.raw),
-        "version": __version__,
-        "task": cfg.task,
-        "numerics": cfg.numerics,
-        "wall_time_s": time.monotonic() - started,
-    }
-    if "diagnostics" in summary:
-        manifest["diagnostics"] = summary.pop("diagnostics")
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+
+
+def run_config(cfg: RunConfig):
+    """Execute one validated config in its _output_dir; returns the task summary dict.
+
+    A task's "diagnostics" go into the manifest, not the summary.
+    """
+    with _output_dir(cfg.output) as outdir:
+        started = time.monotonic()
+        summary = TASK_RUNNERS[cfg.task](cfg, outdir)
+        extra = {"diagnostics": summary.pop("diagnostics")} if "diagnostics" in summary else {}
+        _write_manifest(outdir, cfg.raw, task=cfg.task, numerics=cfg.numerics,
+                        wall_time_s=time.monotonic() - started, **extra)
     return summary
 
 
@@ -942,8 +945,7 @@ def run_sweep(raw, parameter, values, workers=None):
     manifest and skipped in the aggregate. The warnings the values raised
     are re-raised here, in value order.
     """
-    if not values:
-        raise ConfigError("--values: at least one value required")
+    _require(values, "--values", "at least one value required")
     # float() reads nan, inf and 1e400, which manifest.json cannot hold
     _require(all(math.isfinite(v) for v in values), "--values",
              f"every value must be finite, got {list(values)}")
@@ -961,29 +963,21 @@ def run_sweep(raw, parameter, values, workers=None):
         workers = _env_workers()
     _require(isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1,
              "workers", f"must be an integer >= 1, got {workers!r}")
-    root = base.output
-    _make_output_dir(root)
-
     results, failures = {}, {}
-    outcomes = _in_workers(functools.partial(_sweep_one, raw, parameter),
-                           [(v, os.path.join(root, name)) for v, name in zip(values, names)],
-                           workers, isolate=True)
-    for (summary, error), value in zip(outcomes, values):    # outcomes first: it runs out
-        if error is None:
-            results[value] = summary
-        else:   # recorded, the sweep continues
-            failures[value] = str(error)
-    table = np.array([(v, results[v]["summary_metric"]) for v in values if v in results],
-                     dtype=float).reshape(-1, 2)
-    _write_csv(os.path.join(root, "sweep.csv"), "value,summary_metric", table)
-    manifest = {
-        "config_sha256": config_hash(raw),
-        "version": __version__,
-        "parameter": parameter,
-        "values": list(values),
-        "failures": {str(k): v for k, v in failures.items()},
-    }
-    _write_json(os.path.join(root, "manifest.json"), manifest)
+    with _output_dir(base.output) as root:
+        outcomes = _in_workers(functools.partial(_sweep_one, raw, parameter),
+                               [(v, os.path.join(root, name)) for v, name in zip(values, names)],
+                               workers, isolate=True)
+        for (summary, error), value in zip(outcomes, values):    # outcomes first: it runs out
+            if error is None:
+                results[value] = summary
+            else:   # recorded, the sweep continues
+                failures[value] = str(error)
+        table = np.array([(v, results[v]["summary_metric"]) for v in values if v in results],
+                         dtype=float).reshape(-1, 2)
+        _write_csv(os.path.join(root, "sweep.csv"), "value,summary_metric", table)
+        _write_manifest(root, raw, parameter=parameter, values=list(values),
+                        failures={str(k): v for k, v in failures.items()})
     return results, failures
 
 
@@ -1050,32 +1044,23 @@ def main(argv=None):
         if args.command == "validate":
             validate_config(raw)
             print("config OK")
-            return 0
-        if args.command == "run":
-            cfg = validate_config(raw)
-        elif args.command == "sweep":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
+        elif args.command == "run":
+            summary = run_config(validate_config(raw))
+            print(json.dumps(summary, sort_keys=True, default=float))
+        else:
+            try:    # an empty item too: float("") raises
+                values = [float(item) for item in args.values.split(",")]
             except ValueError:
                 raise ConfigError(f"--values: not numeric: {args.values!r}") from None
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "run":
-            summary = run_config(cfg)
-            print(json.dumps(summary, sort_keys=True, default=float))
-            return 0
-        results, failures = run_sweep(raw, args.param, values)
-        print(json.dumps({"completed": len(results), "failed": len(failures)}))
-        return 0
+            results, failures = run_sweep(raw, args.param, values)
+            print(json.dumps({"completed": len(results), "failed": len(failures)}))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - solver failure surface
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -57,9 +57,9 @@ class DriveProtocol:
     polarization: str = "linear"
 
     def __post_init__(self):
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:    # NaN fails these comparisons
             raise ValueError(f"drive frequency must be positive, got {self.omega}")
-        if self.amplitude < 0.0:
+        if not self.amplitude >= 0.0:
             raise ValueError(f"drive amplitude must be >= 0, got {self.amplitude}")
         if self.polarization not in ("linear", "circular"):
             raise ValueError(f"polarization must be 'linear' or 'circular', got {self.polarization!r}")
@@ -153,7 +153,7 @@ class FourierModeSet:
     modes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         # a copy: asarray would alias a complex input, which setflags would then freeze
         modes = np.array(self.modes, dtype=complex)
@@ -162,7 +162,7 @@ class FourierModeSet:
                 f"modes must have shape (2 n_max + 1, d, d), got {modes.shape}")
         errs = np.max(np.abs(modes[::-1] - modes.conj().transpose(0, 2, 1)), axis=(1, 2))
         worst = int(np.argmax(errs))
-        if errs[worst] > HERMITICITY_TOL:
+        if not errs[worst] <= HERMITICITY_TOL:     # a NaN entry fails too
             raise ValueError(
                 f"modes violate H_-n = H_n^dagger at n={abs(worst - modes.shape[0] // 2)} "
                 f"(error {errs[worst]:.2e})")
@@ -252,7 +252,7 @@ def fourier_modes(sampler, omega, n_max):
     ts = np.arange(n_samples) * (period / n_samples)
     samples = _sample_times(sampler, ts)
     herm = np.max(np.abs(samples - samples.conj().transpose(0, 2, 1)))
-    if herm > 1e-9:
+    if not herm <= 1e-9:
         raise ValueError(f"sampler is not Hermitian on the time grid (error {herm:.2e})")
     ns = np.arange(-n_max, n_max + 1)
     phases = np.exp(1j * ns[:, None] * omega * ts)

@@ -34,7 +34,7 @@ class BathSpec:
     beta: float
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError(f"bath coupling must be positive, got {self.gamma}")
         if not self.beta > 0.0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
@@ -217,7 +217,7 @@ def rk4_samples(system: LindbladSystem, t0, t1, dt):
     if t1 <= t0:
         raise ValueError("t_span must have t1 > t0")
     step, h, load = _rk4_load(system, t0, t1, max(1, int(round((t1 - t0) / dt))))
-    if load >= RK4_LOAD_LIMIT:
+    if not load < RK4_LOAD_LIMIT:
         raise ValueError(f"step {step:.4g} too large for stability: "
                          f"step (max |H| + sum |L|^2) = {load:.3f} >= {RK4_LOAD_LIMIT}")
     return step, h

@@ -7,6 +7,7 @@ product: unitary by construction at every step and second-order accurate
 in the step size.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,11 @@ def evolve(sampler, t_start, t_end, n_steps):
     t_start, t_end : float
         Evolution interval; t_end < t_start is allowed.
     n_steps : int
-        Number of midpoint steps; accuracy is O((dt)^2).
+        Number of midpoint steps, an integer (NumPy's too) of at least 1;
+        accuracy is O((dt)^2).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     if t_end == t_start:
         dim = np.asarray(sampler(t_start)).shape[0]
         return np.eye(dim, dtype=complex)
@@ -51,7 +53,7 @@ def evolve(sampler, t_start, t_end, n_steps):
     mids = t_start + dt * (np.arange(n_steps) + 0.5)
     hs = _sample_times(sampler, mids)
     herm = np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))
-    if herm > 1e-9:
+    if not herm <= 1e-9:
         raise ValueError(f"sampler is not Hermitian along the path (error {herm:.2e})")
     energies, frames = np.linalg.eigh(hs)
     phases = np.exp(-1j * dt * energies)
@@ -140,7 +142,7 @@ def quasienergies_from_monodromy(u, omega):
     eps in [-omega/2, omega/2). Input must be unitary.
     """
     err = unitarity_error(u)
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise ValueError(f"matrix is not unitary (error {err:.2e})")
     phases, _ = _unitary_eigensystem(u)
     return np.sort(-(omega / (2.0 * np.pi)) * phases)

@@ -30,7 +30,7 @@ def fold_to_bz(epsilon, omega):
     The boundary epsilon = +omega/2 maps to -omega/2. Accepts scalars or
     arrays.
     """
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise ValueError("omega must be positive")
     epsilon = np.asarray(epsilon, dtype=float)
     folded = epsilon - omega * np.floor(epsilon / omega + 0.5)
@@ -57,7 +57,7 @@ class FloquetMatrix:
 
     def __post_init__(self):
         herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if herm > 1e-9:
+        if not herm <= 1e-9:
             raise ValueError(f"extended-space matrix is not Hermitian (error {herm:.2e})")
 
     def block(self, m, n):

@@ -654,6 +654,17 @@ def test_csv_writer_memory_bounded_by_one_block(tmp_path):
     assert peak < path.stat().st_size / 2
 
 
+def test_failed_write_leaves_no_tmp_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("kept")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(str(path), "\udc80")     # a lone surrogate has no encoding
+    with pytest.raises(IndexError):
+        cli._write_csv(str(tmp_path / "out.csv"), "a", np.ones(3))    # not (n_rows, n_cols)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    assert path.read_text() == "kept"
+
+
 class TestRun:
     def test_spectrum_matches_bessel_band(self, tmp_path):
         path = write_config(tmp_path, spectrum_config(tmp_path))
@@ -1008,6 +1019,28 @@ class TestSweep:
         path = write_config(tmp_path, spectrum_config(tmp_path))
         assert main(["sweep", path, "--param", "drive.amplitude", "--values", ""]) == 2
 
+    @pytest.mark.parametrize("values", ["0.5,,1.0", "0.5,1.0,", ",0.5", "0.5, ,1.0"])
+    def test_empty_value_item_rejected(self, tmp_path, capsys, values):
+        path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
+        assert main(["sweep", path, "--param", "drive.amplitude", "--values", values]) == 2
+        assert capsys.readouterr().err.startswith("config error: --values: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_sweep_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        (tmp_path / "kept").mkdir()
+        root = tmp_path / "kept" / "made" / "sweep"
+        raw = spectrum_config(tmp_path, task="hfe", output=str(root))
+
+        def broken(*args, **kwargs):
+            assert root.is_dir()
+            raise OSError("no worker could start")
+
+        monkeypatch.setattr(cli, "_in_workers", broken)
+        with pytest.raises(OSError, match="no worker could start"):
+            cli.run_sweep(raw, "drive.amplitude", [0.5, 1.0])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+        assert not any((tmp_path / "kept").iterdir())
+
     def test_values_sharing_a_directory_rejected(self, tmp_path):
         path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
         assert main(["sweep", path, "--param", "drive.amplitude",
@@ -1323,6 +1356,32 @@ def test_coarse_steps_error_names_the_fewest_that_pass(tmp_path, capsys):
     validate_config(ness_at_steps(tmp_path, fewest))
     with pytest.raises(ConfigError, match=f"^numerics.steps_per_period: {fewest - 1} is too few"):
         validate_config(ness_at_steps(tmp_path, fewest - 1))
+
+
+@pytest.mark.parametrize("omega, amplitude, gamma, kx, estimate, fewest", [
+    (1.0, 0.5, 0.1, 0.7, 85, 86),   # the estimate is too few: the search steps up
+    (9.0, 1.0, 4.0, 0.0, 38, 37),   # one fewer than the estimate passes: it steps down
+])
+def test_fewest_steps_search_corrects_its_estimate(tmp_path, capsys, omega, amplitude, gamma, kx,
+                                                   estimate, fewest):
+    raw = {"model": "dirac", "drive": {"omega": omega, "amplitude": amplitude}, "task": "ness",
+           "output": str(tmp_path / "out"), "lindblad": {"gamma": gamma, "k": [kx, 0.3]},
+           "numerics": {"steps_per_period": 2}}
+    assert main(["validate", write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.endswith(f"; the fewest that pass are {fewest}\n")
+    system = cli._lindblad_system(validate_config({**raw, "numerics": {}}))
+    period = 2.0 * math.pi / omega
+    load = fq.open_system._rk4_load(system, 0.0, period, 2)[2]
+    assert math.ceil(2 * load / fq.open_system.RK4_LOAD_LIMIT) == estimate
+
+    def passes(n_steps):
+        try:
+            fq.open_system.rk4_samples(system, 0.0, period, period / n_steps)
+        except ValueError:
+            return False
+        return True
+
+    assert [passes(n) for n in range(fewest - 3, fewest + 4)] == [False] * 3 + [True] * 4
 
 
 def test_truncated_json_is_a_config_error(tmp_path, capsys):

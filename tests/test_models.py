@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+import floquetlib as fq
 from floquetlib.models import (
     HONEYCOMB_DELTAS,
     DriveProtocol,
@@ -54,6 +55,40 @@ def reference_fourier_modes(sampler, omega, n_max):
     ns = np.arange(-n_max, n_max + 1)
     raw = np.tensordot(np.exp(1j * ns[:, None] * omega * ts), samples, axes=(1, 0)) / n_samples
     return 0.5 * (raw + raw[::-1].conj().transpose(0, 2, 1))
+
+
+def _nan_at(array, index):
+    array = np.array(array, dtype=complex)
+    array[index] = np.nan
+    return array
+
+
+# each check that a NaN input must fail (written `not x <= tol` or `not x > 0`), with its message
+NAN_INPUTS = {
+    "FourierModeSet entry": (lambda: FourierModeSet(
+        1.0, _nan_at(np.stack([SIGMA_X, SIGMA_Z, SIGMA_X]), (1, 0, 0))), "dagger"),
+    "FourierModeSet omega": (lambda: FourierModeSet(np.nan, np.stack([SIGMA_X, SIGMA_Z, SIGMA_X])),
+                             "omega must be positive"),
+    "DriveProtocol omega": (lambda: DriveProtocol(omega=np.nan), "frequency must be positive"),
+    "DriveProtocol amplitude": (lambda: DriveProtocol(omega=1.0, amplitude=np.nan),
+                                "amplitude must be >= 0"),
+    "FloquetMatrix": (lambda: fq.FloquetMatrix(1.0, 0, 2, 0, _nan_at(SIGMA_Z, (0, 1))),
+                      "not Hermitian"),
+    "fourier_modes": (lambda: fourier_modes(lambda t: _nan_at(SIGMA_Z, (0, 0)), 1.0, 2),
+                      "not Hermitian on the time grid"),
+    "evolve": (lambda: fq.evolve(lambda t: _nan_at(SIGMA_Z, (0, 0)), 0.0, 1.0, 4),
+               "not Hermitian along the path"),
+    "BathSpec gamma": (lambda: fq.BathSpec(gamma=np.nan, beta=1.0), "coupling must be positive"),
+    "fold_to_bz": (lambda: fq.fold_to_bz(0.1, np.nan), "omega must be positive"),
+    "quasienergies_from_monodromy": (lambda: fq.quasienergies_from_monodromy(
+        _nan_at(np.eye(2), (0, 0)), 1.0), "not unitary"),
+}
+
+
+@pytest.mark.parametrize("build, message", NAN_INPUTS.values(), ids=NAN_INPUTS.keys())
+def test_nan_fails_every_check(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_drive_protocol_validation():

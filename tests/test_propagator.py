@@ -89,6 +89,19 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(lambda t: SIGMA_Z, 0.0, 1.0, 0)
 
+    def test_rejects_a_non_integer_step_count(self):
+        # 2.5 steps would take 3 midpoints at dt = T / 2.5 and so integrate to 1.2 T
+        d, sampler = drive_dirac()
+        for n_steps in (2.5, 3.0):
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
+                evolve(sampler, 0.0, d.period, n_steps)
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            monodromy(sampler, d.omega, n_steps=2.5)
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            stroboscopic_hf(sampler, 0.0, d.omega, n_steps=2.5)
+        np.testing.assert_array_equal(evolve(sampler, 0.0, d.period, np.int64(3)),
+                                      evolve(sampler, 0.0, d.period, 3))
+
 
 class TestStroboscopicHF:
     def test_static_recovers_hamiltonian(self):
