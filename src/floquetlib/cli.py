@@ -25,7 +25,10 @@ error that names it: TASK_KEYS lists the settings each task reads,
 TASK_MODELS the models chern and ness run on, MODEL_KEYS the models some
 settings are limited to, and a sweep's --param may name the numeric ones.
 An empty section sets nothing. HFE_REPORT lists the closed forms hfe
-reports per model.
+reports per model. models.POLARIZATION gives the polarization each
+built-in model is defined for, the default of drive.polarization, and
+models.check_polarization, which every sampler and closed-form builder
+calls, rejects any other.
 
 The replica cutoff numerics.M is the only cutoff a run takes. The chain1d
 and honeycomb modes are built in closed form with every harmonic up to
@@ -36,9 +39,13 @@ defaults to max(ceil(A) + 10, mode cutoff) + 2 for spectrum and chern and
 harmonic for custom and 0 for chain1d and honeycomb; drive.amplitude may
 not exceed 50 where a cutoff derives from it.
 
-Exit codes: 0 success, 2 config/schema error (an unreadable config file,
-an output directory that cannot be created and a ness steps_per_period too
-coarse for RK4 stability included), 3 solver error. A run or a sweep
+Exit codes: 0 success, 2 config/schema error, 3 solver error. Config
+errors include an unreadable config file, an output directory that
+cannot be created, a ness steps_per_period too coarse for RK4 stability
+(open_system.rk4_samples, run at validation on the run's one
+LindbladSystem, names the fewest steps that pass) and a size setting
+for which the run needs one array larger than the machine's physical
+memory (_check_sizes), all found before anything is made. A run or a sweep
 that fails removes the output directories it created while they are still
 empty (_output_dir). Outputs are deterministic for a fixed config and
 written atomically (_atomic_file: temp + rename, and no .tmp file survives
@@ -111,7 +118,7 @@ TASK_KEYS = {
 TASK_MODELS = {"chern": ("honeycomb", "custom"), "ness": ("dirac", "honeycomb", "custom")}
 # the models a setting is limited to: custom_modes alone defines the custom model (no k,
 # amplitude or polarization)
-_BUILT_IN = ("chain1d", "dirac", "honeycomb")
+_BUILT_IN = tuple(models.POLARIZATION)
 MODEL_KEYS = {"custom_modes": ("custom",), "lindblad.k": _BUILT_IN, "drive.amplitude": _BUILT_IN,
               "drive.polarization": _BUILT_IN}
 # the models whose mode sets the CLI cuts, at M - sambe.SELECTION_MARGIN (see _model_at)
@@ -138,8 +145,7 @@ class RunConfig:
     output: str
     numerics: dict                              # the numerics the run reads, after defaults
     bath: open_system.BathSpec = None           # greens only
-    lindblad_gamma: float = 0.0                 # ness only
-    lindblad_k: tuple = (0.0, 0.0)              # ness only
+    lindblad: open_system.LindbladSystem = None     # ness only: the run's one system
     custom_modes: models.FourierModeSet = None
     write_curvature: bool = False
     summary_metric: str = "J_eff"               # the hfe.json key hfe sums up
@@ -215,6 +221,53 @@ def _check_output(path):
              + ("Not a directory" if missing else "File exists"))
 
 
+def _physical_memory():
+    """This machine's physical memory in bytes; inf where the platform does not tell."""
+    try:
+        pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):   # no os.sysconf on Windows
+        return math.inf
+    return pages * page if pages > 0 and page > 0 else math.inf
+
+
+def _bytes_text(nbytes):
+    """A byte count in binary units, as '14.6 TiB'."""
+    for unit in ("B", "KiB", "MiB", "GiB", "TiB", "PiB"):
+        if nbytes < 1024:
+            return f"{nbytes:.3g} {unit}"
+        nbytes /= 1024
+    return f"{nbytes:.3g} EiB"
+
+
+def _check_sizes(cfg):
+    """Reject a size setting for which the run needs one array larger than physical memory.
+
+    Per size setting, the largest array the run cannot do without, each
+    made whole in one allocation: beyond the machine's memory it cannot be
+    allocated, or only swaps. M comes first, so it is the setting named
+    when it alone is too large.
+    """
+    n = collections.defaultdict(int, cfg.numerics)      # the size settings the run reads
+    dim = len(_model_at(cfg)[0](0.0))
+    side = (2 * n["M"] + 1) * dim       # of the Sambe matrix
+    arrays = {      # per setting: (shape, bytes per entry, what the array holds)
+        "M": ((side, side), 16, "the Sambe matrix"),
+        "Nk": ((n["Nk"] + 1, n["Nk"] + 1, side, dim), 16, "the eigenvectors over the grid"),
+        "nu_points": ((n["nu_points"], side, side), 16, "G^R at one k"),
+        "steps_per_period": ((n["steps_per_period"] + 1, dim ** 2, dim, dim), 16,
+                             "the RK4 images of the matrix units"),
+        # spectrum keeps the eigenvectors of every k, greens the k grid only
+        "n_k": ((n["n_k"], side, dim), 16, "the eigenvectors at every k")
+        if cfg.task == "spectrum" else ((n["n_k"],), 8, "the k grid"),
+    }
+    memory = _physical_memory()
+    for key, (shape, itemsize, what) in arrays.items():
+        nbytes = itemsize * math.prod(float(size) for size in shape)    # inf past the float range
+        _require(key not in cfg.numerics or nbytes <= memory, f"numerics.{key}",
+                 f"{n[key]} needs a {' x '.join(map(str, shape))} array ({what}) of "
+                 f"{_bytes_text(nbytes)}, more than this machine's {_bytes_text(memory)} of memory")
+
+
 def validate_config(raw):
     """Parse a config dict into a RunConfig, raising ConfigError on violations.
 
@@ -256,10 +309,13 @@ def validate_config(raw):
     amplitude = drive_raw.get("amplitude", 0.0)
     _require(_is_number(amplitude) and amplitude >= 0, "drive.amplitude",
              f"must be a number >= 0, got {amplitude!r}")
-    default_pol = "linear" if model == "chain1d" else "circular"
-    polarization = drive_raw.get("polarization", default_pol)
-    _require(polarization == default_pol, "drive.polarization",
-             f"model {model!r} is defined for {default_pol} polarization, got {polarization!r}")
+    polarization = drive_raw.get("polarization", models.POLARIZATION.get(model, "linear"))
+    try:
+        drive = models.DriveProtocol(float(omega), float(amplitude), polarization)
+        if model in models.POLARIZATION:    # not custom, whose modes are the whole model
+            models.check_polarization(model, drive)
+    except ValueError as exc:
+        raise ConfigError(f"drive.polarization: {exc}") from None
     output = raw.get("output")
     _require(isinstance(output, str) and output, "output", "must be a non-empty path")
     _check_output(output)
@@ -293,7 +349,6 @@ def validate_config(raw):
         bath = open_system.BathSpec(gamma=float(gamma),
                                     beta=math.inf if beta == "inf" else float(beta))
 
-    lindblad_gamma, lindblad_k = 0.0, (0.0, 0.0)
     if task == "ness":
         lindblad = raw.get("lindblad", {})
         gamma = lindblad.get("gamma")
@@ -303,7 +358,6 @@ def validate_config(raw):
         _require(isinstance(kpt, list) and len(kpt) == 2
                  and all(_is_number(v) for v in kpt), "lindblad.k",
                  "must be a [kx, ky] pair")
-        lindblad_gamma, lindblad_k = float(gamma), (float(kpt[0]), float(kpt[1]))
 
     custom = None
     if model == "custom":
@@ -325,8 +379,6 @@ def validate_config(raw):
     _require(metric in HFE_REPORT[model], "summary_metric",
              f"{metric!r} not in the {model!r} hfe report {list(HFE_REPORT[model])}")
 
-    drive = models.DriveProtocol(omega=float(omega), amplitude=float(amplitude),
-                                 polarization=polarization)
     # the largest harmonic of a mode set M must hold; the lattice modes take theirs from M
     mode_cutoff = 1 if model == "dirac" else custom.n_max if custom else 0
     # the Sambe matrix needs M >= the model's mode cutoff, and replica selection
@@ -345,20 +397,19 @@ def validate_config(raw):
     # greens spreads its k-points, chern its grid rows over worker processes
     workers = _env_workers() if task in ("greens", "chern") else 1
     cfg = RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
-                    bath=bath, lindblad_gamma=lindblad_gamma, lindblad_k=lindblad_k,
-                    custom_modes=custom, write_curvature=curvature, summary_metric=metric,
-                    workers=workers, raw=copy.deepcopy(raw))
+                    bath=bath, custom_modes=custom, write_curvature=curvature,
+                    summary_metric=metric, workers=workers, raw=copy.deepcopy(raw))
+    _check_sizes(cfg)
     if task == "ness":
-        # find_ness's RK4 stability check, made before any output exists
-        period = 2.0 * math.pi / drive.omega
+        # the run's one system, at lindblad.k and decaying through the lowering operator at
+        # rate lindblad.gamma, and find_ness's RK4 stability check, before any output exists
+        cfg.lindblad = open_system.LindbladSystem(_model_at(cfg, *map(float, kpt))[0],
+                                                  [np.sqrt(float(gamma)) * np.eye(2, k=1)])
         steps = numerics["steps_per_period"]
-        system = _lindblad_system(cfg)
         try:
-            open_system.rk4_samples(system, 0.0, period, period / steps)
+            open_system.rk4_samples(cfg.lindblad, 0.0, drive.period, drive.period / steps)
         except ValueError as exc:
-            fewest = open_system.fewest_rk4_steps(system, 0.0, period, steps)
-            raise ConfigError(f"numerics.steps_per_period: {steps} is too few: {exc}; "
-                              f"the fewest that pass are {fewest}") from None
+            raise ConfigError(f"numerics.steps_per_period: {steps} is too few: {exc}") from None
     return cfg
 
 
@@ -390,13 +441,6 @@ def _model_at(cfg: RunConfig, kx=0.0, ky=0.0):
 
 def _modes(cfg: RunConfig, kx=0.0, ky=0.0):
     return _model_at(cfg, kx, ky)[1]()
-
-
-def _lindblad_system(cfg: RunConfig):
-    """The ness task's two-level system at lindblad.k, decaying at rate lindblad.gamma."""
-    lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return open_system.LindbladSystem(hamiltonian=_model_at(cfg, *cfg.lindblad_k)[0],
-                                      jumps=[np.sqrt(cfg.lindblad_gamma) * lowering])
 
 
 def _k_grid(cfg: RunConfig):
@@ -851,7 +895,7 @@ def task_greens(cfg: RunConfig, outdir):
 
 
 def task_ness(cfg: RunConfig, outdir):
-    ness = open_system.find_ness(_lindblad_system(cfg), cfg.drive.omega, tol=cfg.numerics["tol"],
+    ness = open_system.find_ness(cfg.lindblad, cfg.drive.omega, tol=cfg.numerics["tol"],
                                  steps_per_period=cfg.numerics["steps_per_period"])
     header = ["t"]
     for i in range(2):

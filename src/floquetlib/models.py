@@ -43,6 +43,9 @@ HONEYCOMB_RECIPROCAL = 2.0 * np.pi * np.linalg.solve(HONEYCOMB_LATTICE, np.eye(2
 
 HERMITICITY_TOL = 1e-10
 
+# each built-in model's drive: linear renormalizes the chain's hopping, circular opens a gap
+POLARIZATION = {"chain1d": "linear", "dirac": "circular", "honeycomb": "circular"}
+
 
 @dataclass(frozen=True)
 class DriveProtocol:
@@ -80,11 +83,19 @@ class DriveProtocol:
         ])
 
 
+def check_polarization(model, drive):
+    """Raise ValueError unless `drive` has the polarization POLARIZATION gives `model`."""
+    if drive.polarization != POLARIZATION[model]:
+        raise ValueError(f"model {model!r} is defined for {POLARIZATION[model]} polarization, "
+                         f"got {drive.polarization!r}")
+
+
 def sample_chain_1d(k, hopping, drive, t):
     """Driven 1d nearest-neighbor chain at momentum k, a 1x1 matrix.
 
     Dispersion -2J cos(k - A(t)) with A(t) = -(E/omega) sin(omega t).
     """
+    check_polarization("chain1d", drive)
     a = drive.vector_potential_1d(t)
     return np.asarray(-2.0 * hopping * np.cos(k - a), dtype=complex)[..., None, None]
 
@@ -95,8 +106,7 @@ def sample_dirac(kx, ky, drive, t):
     Defined for circular polarization only; the handedness of the drive
     is what breaks time-reversal symmetry.
     """
-    if drive.polarization != "circular":
-        raise ValueError("the driven Dirac model requires circular polarization")
+    check_polarization("dirac", drive)
     ax, ay = drive.vector_potential_2d(t)
     return (np.asarray(kx - ax)[..., None, None] * SIGMA_X
             + np.asarray(ky - ay)[..., None, None] * SIGMA_Y)
@@ -108,8 +118,7 @@ def sample_honeycomb(kx, ky, hopping, drive, t):
     Off-diagonal element J sum_i exp(i (k - A(t)) . delta_i) over the
     three pinned nearest-neighbor vectors; diagonal is zero.
     """
-    if drive.polarization != "circular":
-        raise ValueError("the driven honeycomb model requires circular polarization")
+    check_polarization("honeycomb", drive)
     kk = np.array([kx, ky]) - np.moveaxis(drive.vector_potential_2d(t), 0, -1)
     f = hopping * np.sum(np.exp(1j * (HONEYCOMB_DELTAS @ kk[..., None])), axis=(-2, -1))
     h = np.zeros(f.shape + (2, 2), dtype=complex)
@@ -272,6 +281,7 @@ def fourier_modes(sampler, omega, n_max):
 
 def chain_modes(k, hopping, drive, n_max):
     """Closed-form modes of the driven chain, H_n = -J J_n(z)((-1)^n e^{ik} + e^{-ik})."""
+    check_polarization("chain1d", drive)
     ns = np.arange(-n_max, n_max + 1)
     jn = bessel_j(ns, drive.amplitude)
     coeff = -hopping * jn * (((-1.0) ** ns) * np.exp(1j * k) + np.exp(-1j * k))
@@ -280,8 +290,7 @@ def chain_modes(k, hopping, drive, n_max):
 
 def dirac_modes(kx, ky, drive):
     """Closed-form modes of the driven Dirac point (single harmonic)."""
-    if drive.polarization != "circular":
-        raise ValueError("the driven Dirac model requires circular polarization")
+    check_polarization("dirac", drive)
     h1 = -0.5 * drive.amplitude * (SIGMA_X + 1j * SIGMA_Y)
     return FourierModeSet(drive.omega, np.stack([h1.conj().T, kx * SIGMA_X + ky * SIGMA_Y, h1]))
 
@@ -294,8 +303,7 @@ def honeycomb_modes(kx, ky, hopping, drive, n_max):
     mode n as f_n = J sum_i e^{i k . delta_i} (-i)^n J_n(A) e^{i n phi_i};
     the lower element is conj(f_{-n}).
     """
-    if drive.polarization != "circular":
-        raise ValueError("the driven honeycomb model requires circular polarization")
+    check_polarization("honeycomb", drive)
     ns = np.arange(-n_max, n_max + 1)
     jn = bessel_j(ns, drive.amplitude)
     bond_phases = np.exp(1j * (HONEYCOMB_DELTAS @ np.array([kx, ky])))

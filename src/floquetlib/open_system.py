@@ -20,6 +20,7 @@ from .models import FourierModeSet, _sample_times
 from .sambe import build_floquet_matrix
 
 RK4_LOAD_LIMIT = 0.1    # the largest step (max |H| + sum |L_j|^2) an RK4 step may take
+RK4_SEARCH_STEPS = 10 ** 5  # the most steps the fewest-steps search samples H for
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,8 @@ class LindbladSystem:
             arr = np.array(op, dtype=complex)
             if arr.shape != (dim, dim):
                 raise ValueError(f"jump operator {j} has shape {arr.shape}, expected {(dim, dim)}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"jump operator {j} is not finite")
             arr.setflags(write=False)
             cleaned.append(arr)
         object.__setattr__(self, "jumps", tuple(cleaned))
@@ -212,35 +215,50 @@ def rk4_samples(system: LindbladSystem, t0, t1, dt):
     the Hamiltonian in one call on the 2 n_steps + 1 points of the
     half-step grid: step i starts at point 2i, has its midpoint at 2i + 1
     and ends at 2i + 2. Raises unless the step taken satisfies
-    step (max |H| over those samples + sum |L_j|^2) < RK4_LOAD_LIMIT = 0.1.
+    step (max |H| over those samples + sum |L_j|^2) < RK4_LOAD_LIMIT = 0.1,
+    naming the fewest uniform steps over [t0, t1] that pass.
     """
     if t1 <= t0:
         raise ValueError("t_span must have t1 > t0")
     step, h, load = _rk4_load(system, t0, t1, max(1, int(round((t1 - t0) / dt))))
     if not load < RK4_LOAD_LIMIT:
+        fewest = _fewest_rk4_steps(system, t0, t1, load / step)
         raise ValueError(f"step {step:.4g} too large for stability: "
-                         f"step (max |H| + sum |L|^2) = {load:.3f} >= {RK4_LOAD_LIMIT}")
+                         f"step (max |H| + sum |L|^2) = {load:.3f} >= {RK4_LOAD_LIMIT}; "
+                         f"the fewest that pass are {fewest}")
     return step, h
 
 
 def _rk4_load(system: LindbladSystem, t0, t1, n_steps):
-    """(step, H on the half-step grid, stability load) of n_steps uniform steps."""
+    """(step, H on the half-step grid, stability load) of n_steps uniform steps.
+
+    A non-finite H raises, naming the first grid time where it occurs.
+    """
     step = (t1 - t0) / n_steps
-    h = _sample_times(system.hamiltonian, t0 + np.arange(2 * n_steps + 1) * (0.5 * step))
+    times = t0 + np.arange(2 * n_steps + 1) * (0.5 * step)
+    h = _sample_times(system.hamiltonian, times)
+    finite = np.isfinite(h).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"the Hamiltonian sampler is not finite at t = "
+                         f"{times[np.argmin(finite)]:.6g}, the first such time of the RK4 grid")
     load = step * (np.max(np.linalg.norm(h, 2, axis=(1, 2)))
                    + sum(np.linalg.norm(op, 2) ** 2 for op in system.jumps))
     return step, h, load
 
 
-def fewest_rk4_steps(system: LindbladSystem, t0, t1, n_steps):
+def _fewest_rk4_steps(system: LindbladSystem, t0, t1, rate):
     """The fewest uniform steps over [t0, t1] that rk4_samples accepts.
 
-    Starts from ceil(n_steps load / RK4_LOAD_LIMIT), the load of n_steps
-    steps scaled to the limit, and steps up until a count passes, then
-    down while one fewer passes too: max |H| is taken on each count's own
-    grid, so the scaling is an estimate.
+    Starts from ceil((t1 - t0) rate / RK4_LOAD_LIMIT), `rate` being the
+    load per unit step, max |H| + sum |L_j|^2, and steps up until a count
+    passes, then down while one fewer passes too: max |H| is taken on each
+    count's own grid, so the start is an estimate. A start above
+    RK4_SEARCH_STEPS is returned unsearched, as the text "about <start>".
     """
-    fewest = max(1, math.ceil(n_steps * _rk4_load(system, t0, t1, n_steps)[2] / RK4_LOAD_LIMIT))
+    estimate = (t1 - t0) * rate / RK4_LOAD_LIMIT
+    if estimate > RK4_SEARCH_STEPS:
+        return f"about {estimate:.3g}"
+    fewest = math.ceil(estimate)    # at least the count that failed, so at least 1
     while _rk4_load(system, t0, t1, fewest)[2] >= RK4_LOAD_LIMIT:
         fewest += 1
     while fewest > 1 and _rk4_load(system, t0, t1, fewest - 1)[2] < RK4_LOAD_LIMIT:

@@ -1339,7 +1339,7 @@ def test_coarse_steps_per_period_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     # the check is find_ness's own: 256 steps, the default, pass both
     cfg = validate_config(ness_at_steps(tmp_path, 256))
-    assert fq.find_ness(cli._lindblad_system(cfg), 5.0, steps_per_period=256).residual < 1e-9
+    assert fq.find_ness(cfg.lindblad, 5.0, steps_per_period=256).residual < 1e-9
     results, failures = cli.run_sweep(ness_at_steps(tmp_path, 256), "numerics.steps_per_period",
                                       [8.0, 256.0], workers=1)
     assert list(results) == [256.0]
@@ -1369,7 +1369,7 @@ def test_fewest_steps_search_corrects_its_estimate(tmp_path, capsys, omega, ampl
            "numerics": {"steps_per_period": 2}}
     assert main(["validate", write_config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err.endswith(f"; the fewest that pass are {fewest}\n")
-    system = cli._lindblad_system(validate_config({**raw, "numerics": {}}))
+    system = validate_config({**raw, "numerics": {}}).lindblad
     period = 2.0 * math.pi / omega
     load = fq.open_system._rk4_load(system, 0.0, period, 2)[2]
     assert math.ceil(2 * load / fq.open_system.RK4_LOAD_LIMIT) == estimate
@@ -1382,6 +1382,47 @@ def test_fewest_steps_search_corrects_its_estimate(tmp_path, capsys, omega, ampl
         return True
 
     assert [passes(n) for n in range(fewest - 3, fewest + 4)] == [False] * 3 + [True] * 4
+
+
+def test_ness_builds_one_lindblad_system(tmp_path, monkeypatch):
+    built = []
+
+    class Counted(fq.LindbladSystem):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(cli.open_system, "LindbladSystem", Counted)
+    assert main(["run", write_config(tmp_path, ness_at_steps(tmp_path, 256))]) == 0
+    assert len(built) == 1
+    assert (tmp_path / "out" / "ness.csv").exists()
+
+
+@pytest.mark.parametrize("payload, key, value", [
+    ({"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "ness",
+      "lindblad": {"gamma": 0.1}}, "steps_per_period", 10 ** 12),
+    ({"model": "chain1d", "drive": {"omega": 8.0, "amplitude": 1.0}, "task": "spectrum"},
+     "M", 10 ** 6),
+    ({"model": "chain1d", "drive": {"omega": 8.0, "amplitude": 1.0}, "task": "spectrum"},
+     "n_k", 10 ** 13),
+    ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
+      "bath": {"gamma": 0.05}}, "n_k", 10 ** 13),
+    ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
+      "bath": {"gamma": 0.05}}, "nu_points", 10 ** 12),
+    ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
+      "bath": {"gamma": 0.05}}, "M", 10 ** 6),
+    ({"model": "honeycomb", "drive": {"omega": 8.0, "amplitude": 1.0}, "task": "chern"},
+     "Nk", 10 ** 9),
+], ids=["ness-steps_per_period", "spectrum-M", "spectrum-n_k", "greens-n_k", "greens-nu_points",
+        "greens-M", "chern-Nk"])
+def test_size_beyond_memory_is_a_config_error(tmp_path, capsys, payload, key, value):
+    path = write_config(tmp_path, {**payload, "output": str(tmp_path / "out")})
+    for command in ("validate", "run"):
+        assert main([command, path, "--set", f"numerics.{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: numerics.{key}: {value} needs a ")
+        assert "more than this machine's" in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_truncated_json_is_a_config_error(tmp_path, capsys):

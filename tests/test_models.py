@@ -164,6 +164,29 @@ class TestHoneycomb:
         np.testing.assert_allclose(lengths, 1.0, atol=1e-15)
 
 
+# every sampler and closed-form builder, as (model, call with a drive)
+BUILDERS = [
+    ("chain1d", lambda drive: sample_chain_1d(0.3, 1.0, drive, 0.2)),
+    ("chain1d", lambda drive: chain_modes(0.3, 1.0, drive, 4)),
+    ("dirac", lambda drive: sample_dirac(0.3, -0.2, drive, 0.2)),
+    ("dirac", lambda drive: dirac_modes(0.3, -0.2, drive)),
+    ("honeycomb", lambda drive: sample_honeycomb(0.3, -0.2, 1.0, drive, 0.2)),
+    ("honeycomb", lambda drive: honeycomb_modes(0.3, -0.2, 1.0, drive, 4)),
+]
+
+
+@pytest.mark.parametrize("model, build", BUILDERS, ids=[
+    "sample_chain_1d", "chain_modes", "sample_dirac", "dirac_modes", "sample_honeycomb",
+    "honeycomb_modes"])
+def test_builders_take_only_their_models_polarization(model, build):
+    own = fq.models.POLARIZATION[model]
+    other = {"linear": "circular", "circular": "linear"}[own]
+    build(DriveProtocol(omega=5.0, amplitude=1.0, polarization=own))
+    with pytest.raises(ValueError, match=f"^model '{model}' is defined for {own} polarization, "
+                                         f"got '{other}'$"):
+        build(DriveProtocol(omega=5.0, amplitude=1.0, polarization=other))
+
+
 class TestFourierModes:
     def test_constant_sampler(self):
         modes = fourier_modes(lambda t: SIGMA_Z, 2.0, 3)

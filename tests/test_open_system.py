@@ -340,6 +340,12 @@ class TestLindbladRHS:
         with pytest.raises(ValueError, match=r"jump operator 1 has shape \(3, 3\), expected"):
             fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z, jumps=[LOWERING, np.eye(3)])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_jump_that_is_not_finite(self, value):
+        with pytest.raises(ValueError, match="^jump operator 1 is not finite$"):
+            fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z,
+                              jumps=[LOWERING, np.array([[0.0, value], [0.0, 0.0]])])
+
 
 class TestEvolveLindblad:
     def test_samples_the_half_step_grid_in_one_call(self):
@@ -434,6 +440,45 @@ class TestEvolveLindblad:
                                    jumps=[np.sqrt(0.1) * LOWERING])
         with pytest.raises(ValueError, match="stability"):
             fq.evolve_lindblad(system, np.eye(2, dtype=complex) / 2, (0.0, 1.0), 1.0 / 14.49)
+
+    @pytest.mark.parametrize("hamiltonian", [
+        lambda t: 30.0 * SIGMA_Z,
+        lambda t: narrow_pulse(t),
+    ], ids=["constant", "narrow_pulse"])
+    def test_unstable_step_names_the_fewest_that_pass(self, hamiltonian):
+        system = fq.LindbladSystem(hamiltonian=hamiltonian, jumps=[np.sqrt(0.4) * LOWERING])
+        rho = np.eye(2, dtype=complex) / 2
+        with pytest.raises(ValueError, match="stability") as excinfo:
+            fq.evolve_lindblad(system, rho, (0.0, 1.0), 0.01)
+        prefix, _, fewest = str(excinfo.value).rpartition("; the fewest that pass are ")
+        assert prefix.endswith(">= 0.1")
+        fewest = int(fewest)
+        fq.evolve_lindblad(system, rho, (0.0, 1.0), 1.0 / fewest)
+        with pytest.raises(ValueError, match=f"the fewest that pass are {fewest}$"):
+            fq.evolve_lindblad(system, rho, (0.0, 1.0), 1.0 / (fewest - 1))
+        # the one-period map and find_ness give the same verdict
+        with pytest.raises(ValueError, match=f"the fewest that pass are {fewest}$"):
+            fq.one_period_map(system, 2.0 * np.pi, steps_per_period=fewest - 1)
+        with pytest.raises(ValueError, match=f"the fewest that pass are {fewest}$"):
+            fq.find_ness(system, 2.0 * np.pi, steps_per_period=100)
+
+    def test_fewest_steps_past_the_search_limit_are_estimated(self):
+        # 10^10 steps would be sampled: the estimate is given, without a search
+        system = fq.LindbladSystem(hamiltonian=lambda t: 1e9 * SIGMA_Z, jumps=[LOWERING])
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="; the fewest that pass are about 1e\\+10$"):
+            fq.evolve_lindblad(system, np.eye(2, dtype=complex) / 2, (0.0, 1.0), 0.01)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("nan_from", [0.5, 0.0])
+    def test_non_finite_hamiltonian_names_the_first_time(self, nan_from):
+        def hamiltonian(t):
+            return np.where(np.asarray(t) >= nan_from, np.nan, 1.0)[..., None, None] * SIGMA_Z
+
+        system = fq.LindbladSystem(hamiltonian=hamiltonian, jumps=[LOWERING])
+        with pytest.raises(ValueError, match=f"^the Hamiltonian sampler is not finite at "
+                                             f"t = {nan_from:g}, the first such time"):
+            fq.evolve_lindblad(system, np.eye(2, dtype=complex) / 2, (0.0, 1.0), 0.1)
 
     def test_long_time_state_becomes_periodic(self):
         omega = 2.0 * np.pi
