@@ -45,7 +45,8 @@ cannot be created, a ness steps_per_period too coarse for RK4 stability
 (open_system.rk4_samples, run at validation on the run's one
 LindbladSystem, names the fewest steps that pass) and a size setting
 for which the run needs one array larger than the machine's physical
-memory (_check_sizes), all found before anything is made. A run or a sweep
+memory (_check_sizes; a custom_modes harmonic is sized before its mode
+array is built), all found before anything is made. A run or a sweep
 that fails removes the output directories it created while they are still
 empty (_output_dir). Outputs are deterministic for a fixed config and
 written atomically (_atomic_file: temp + rename, and no .tmp file survives
@@ -56,11 +57,12 @@ the physical band's largest Fourier weight in the edge blocks |m| = M over
 all k; above 1e-13 the run warns that numerics.M is too small.
 
 FLOQUET_WORKERS (default: the CPUs the process may use) caps the forked
-worker processes (_in_workers) that run a sweep's values, greens's k-points
-(each formatted as CSV text there, written here in k order) and chern's
-grid rows (matched here in one ordered pass). Outputs and warnings do not
-depend on it, and at 1 greens and chern fork nothing. spectrum stays
-serial: a pool item costs more than its 0.8 ms solve per k.
+worker processes (_in_workers, never more than those CPUs) that run a
+sweep's values, greens's k-points (each formatted as CSV text there,
+written here in k order) and chern's grid rows (matched here in one
+ordered pass). Outputs and warnings do not depend on it, and at 1
+greens and chern fork nothing. spectrum stays serial: a pool item costs
+more than its solve per k.
 """
 
 import argparse
@@ -239,13 +241,28 @@ def _bytes_text(nbytes):
     return f"{nbytes:.3g} EiB"
 
 
+def _count_text(n):
+    """An integer in full, or to 3 digits past 16 of them."""
+    return str(n) if n < 10 ** 16 else f"{n:.3g}"
+
+
+def _require_fits(key, value, shape, what, itemsize=16):
+    """Reject `key` when its array of `shape`, complex by default, exceeds physical memory."""
+    nbytes = itemsize * math.prod(float(size) for size in shape)    # inf past the float range
+    memory = _physical_memory()
+    _require(nbytes <= memory, key,
+             f"{value} needs a {' x '.join(map(_count_text, shape))} array ({what}) of "
+             f"{_bytes_text(nbytes)}, more than this machine's {_bytes_text(memory)} of memory")
+
+
 def _check_sizes(cfg):
     """Reject a size setting for which the run needs one array larger than physical memory.
 
     Per size setting, the largest array the run cannot do without, each
     made whole in one allocation: beyond the machine's memory it cannot be
     allocated, or only swaps. M comes first, so it is the setting named
-    when it alone is too large.
+    when it alone is too large. (custom_modes is sized in validate_config,
+    before its mode array is built.)
     """
     n = collections.defaultdict(int, cfg.numerics)      # the size settings the run reads
     dim = len(_model_at(cfg)[0](0.0))
@@ -260,12 +277,9 @@ def _check_sizes(cfg):
         "n_k": ((n["n_k"], side, dim), 16, "the eigenvectors at every k")
         if cfg.task == "spectrum" else ((n["n_k"],), 8, "the k grid"),
     }
-    memory = _physical_memory()
     for key, (shape, itemsize, what) in arrays.items():
-        nbytes = itemsize * math.prod(float(size) for size in shape)    # inf past the float range
-        _require(key not in cfg.numerics or nbytes <= memory, f"numerics.{key}",
-                 f"{n[key]} needs a {' x '.join(map(str, shape))} array ({what}) of "
-                 f"{_bytes_text(nbytes)}, more than this machine's {_bytes_text(memory)} of memory")
+        if key in cfg.numerics:
+            _require_fits(f"numerics.{key}", _count_text(n[key]), shape, what, itemsize)
 
 
 def validate_config(raw):
@@ -359,18 +373,34 @@ def validate_config(raw):
                  and all(_is_number(v) for v in kpt), "lindblad.k",
                  "must be a [kx, ky] pair")
 
+    # the Sambe matrix needs M >= the model's mode cutoff, and replica selection
+    # (spectrum, chern) its margin beyond it
+    margin = sambe.SELECTION_MARGIN if task in ("spectrum", "chern") else 0
     custom = None
     if model == "custom":
         triples = raw.get("custom_modes")
         _require(isinstance(triples, list) and triples, "custom_modes",
                  "custom model needs a non-empty list of (n, re, im) triples")
         try:
+            ns, mats = models.custom_mode_terms(triples)
+        except ValueError as exc:
+            raise ConfigError(f"custom_modes: {exc}") from None
+        harmonic, dim = max(map(abs, ns)), mats.shape[1]
+        if task == "ness":
+            _require(dim == 2, "custom_modes",
+                     f"ness task needs a two-level model (2x2 modes), got {dim}x{dim}")
+        # _check_sizes's rule, before the mode array exists: that array, and where the
+        # task reads M, the Sambe matrix at the least M the harmonic allows
+        text = f"harmonic {_count_text(harmonic)}"
+        _require_fits("custom_modes", text, (2 * harmonic + 1, dim, dim), "the Fourier modes")
+        if "numerics.M" in reads:
+            side = (2 * (harmonic + margin) + 1) * dim
+            _require_fits("custom_modes", text, (side, side),
+                          f"the Sambe matrix at M = {_count_text(harmonic + margin)}")
+        try:    # the modes' own checks, H_-n = H_n^dagger
             custom = models.custom_modes(float(omega), triples)
         except ValueError as exc:
             raise ConfigError(f"custom_modes: {exc}") from None
-        if task == "ness":
-            _require(custom.dim == 2, "custom_modes",
-                     f"ness task needs a two-level model (2x2 modes), got {custom.dim}x{custom.dim}")
 
     curvature = raw.get("write_curvature", False)
     _require(isinstance(curvature, bool), "write_curvature",
@@ -381,11 +411,9 @@ def validate_config(raw):
 
     # the largest harmonic of a mode set M must hold; the lattice modes take theirs from M
     mode_cutoff = 1 if model == "dirac" else custom.n_max if custom else 0
-    # the Sambe matrix needs M >= the model's mode cutoff, and replica selection
-    # (spectrum, chern) its margin beyond it. That margin is also their default,
+    # the selection margin is also the default margin of spectrum and chern,
     # certified by _certify_cutoff; greens defaults to six blocks, since its M
     # sets how many zones the unfolded frequency axis covers.
-    margin = sambe.SELECTION_MARGIN if task in ("spectrum", "chern") else 0
     m_cut = numerics.setdefault(
         "M", max(models.suggested_n_max(drive.amplitude), mode_cutoff) + (margin or 6))
     if "numerics.M" in reads:
@@ -668,13 +696,18 @@ def _write_manifest(outdir, raw, **fields):
 # ---------------------------------------------------------------------------
 # worker processes
 
+def _usable_cpus():
+    """The CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _env_workers():
-    """Worker count from FLOQUET_WORKERS (default: the CPUs this process may use)."""
+    """Worker count from FLOQUET_WORKERS (default: _usable_cpus)."""
     text = os.environ.get("FLOQUET_WORKERS")
     if text is None:
-        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return _usable_cpus()
     try:
         workers = int(text)
     except ValueError:
@@ -738,13 +771,15 @@ def _submit(pool, index):
 def _in_workers(fn, items, workers, isolate=False):
     """Yield (fn(item), None) or (None, the exception it raised) per item, in order.
 
-    The calls run in a pool of up to `workers` processes forked from this
-    one: they inherit the imported library, where a fresh import of numpy
-    and scipy per worker (spawn, forkserver) costs about 0.45 s, and `fn`
-    and `items` reach them without pickling; the library itself starts no
-    thread that a fork could catch holding a lock. Items are submitted at
-    most 2 x `workers` ahead of the one being yielded, so the results
-    waiting here stay few however many items there are. Each item's
+    The calls run in a pool of up to `workers` processes, and no more than
+    _usable_cpus (the fork context starts them all at the first submit),
+    forked from this one: they inherit the imported library, where a
+    fresh import of numpy and scipy per worker (spawn, forkserver) costs
+    about 0.45 s, and `fn` and `items` reach them without pickling; the
+    library itself starts no thread that a fork could catch holding a
+    lock. Items are submitted at most twice the pool's size ahead of the
+    one being yielded, so the results waiting here stay few however many
+    items there are. Each item's
     warnings are re-raised here (_relay) just before its outcome is
     yielded; a worker that dies fails every item it had not finished with
     BrokenProcessPool.
@@ -763,10 +798,11 @@ def _in_workers(fn, items, workers, isolate=False):
             except Exception as exc:  # noqa: BLE001 - the caller decides
                 yield None, exc
         return
+    size = min(workers, len(items), _usable_cpus())
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(items)), mp_context=multiprocessing.get_context("fork"),
+            max_workers=size, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=(fn, items)) as pool:
-        submitted = min(2 * workers, len(items))
+        submitted = min(2 * size, len(items))
         ahead = collections.deque(_submit(pool, index) for index in range(submitted))
         try:
             while ahead:
@@ -1083,7 +1119,7 @@ def main(argv=None):
     try:
         raw = _load_raw(args.config)
         _apply_overrides(raw, args.overrides)
-        if getattr(args, "output", None):
+        if getattr(args, "output", None) is not None:     # "" too: validate_config rejects it
             raw["output"] = args.output
         if args.command == "validate":
             validate_config(raw)

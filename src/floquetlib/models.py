@@ -321,6 +321,35 @@ def suggested_n_max(amplitude):
     return int(np.ceil(amplitude)) + 10
 
 
+def custom_mode_terms(triples):
+    """The checked terms of (n, real part, imaginary part) triples: (indices, matrices).
+
+    The indices are Python ints and the matrices one (len, d, d) complex
+    array. Nothing is indexed by harmonic yet, so a caller can size the
+    (2 n_max + 1, d, d) array custom_modes builds before it exists.
+    """
+    if not triples or not all(isinstance(e, (list, tuple)) and len(e) == 3 for e in triples):
+        raise ValueError("each custom mode must be a (n, real, imag) triple")
+    ns, re, im = zip(*triples)
+    try:
+        index = np.asarray(ns, dtype=float)
+        mats = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    except (TypeError, ValueError, OverflowError):     # OverflowError: an int past the floats
+        raise ValueError("custom modes need finite integer n and numeric matrices of one "
+                         "size") from None
+    # no integer cast before the index is known to be a finite integer
+    if index.ndim != 1 or not np.all(np.isfinite(index)) or np.any(index % 1):
+        raise ValueError(f"custom mode index must be an integer, got {index.tolist()}")
+    ns = [int(n) for n in index.tolist()]
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"custom mode indices repeat: {ns}")
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"custom modes are not square matrices (shape {mats.shape[1:]})")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("custom mode matrices must be finite")
+    return ns, mats
+
+
 def custom_modes(omega, triples):
     """Mode set from (n, real part, imaginary part) triples.
 
@@ -328,24 +357,8 @@ def custom_modes(omega, triples):
     user-supplied models; matrices arrive as nested lists. Harmonics
     missing from the list are zero; each n may appear once.
     """
-    if not triples or not all(isinstance(e, (list, tuple)) and len(e) == 3 for e in triples):
-        raise ValueError("each custom mode must be a (n, real, imag) triple")
-    ns, re, im = zip(*triples)
-    try:
-        ns = np.asarray(ns, dtype=float)
-        mats = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError("custom modes need integer n and numeric matrices of one size") from None
-    if ns.ndim != 1 or np.any(ns % 1):
-        raise ValueError(f"custom mode index must be an integer, got {ns.tolist()}")
-    ns = ns.astype(int)
-    if np.unique(ns).size != ns.size:
-        raise ValueError(f"custom mode indices repeat: {ns.tolist()}")
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError(f"custom modes are not square matrices (shape {mats.shape[1:]})")
-    if not np.all(np.isfinite(mats)):
-        raise ValueError("custom mode matrices must be finite")
-    n_max = int(np.max(np.abs(ns)))
+    ns, mats = custom_mode_terms(triples)
+    n_max = max(map(abs, ns))
     modes = np.zeros((2 * n_max + 1,) + mats.shape[1:], dtype=complex)
-    modes[ns + n_max] = mats
+    modes[np.add(ns, n_max)] = mats
     return FourierModeSet(omega, modes)

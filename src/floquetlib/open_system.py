@@ -358,8 +358,9 @@ def find_ness(system: LindbladSystem, omega, tol=1e-9, steps_per_period=256):
     (Phi_T - I) rho = 0 with tr rho = 1 is solved as one (dim^2 + 1) x
     dim^2 least-squares problem. The error in rho is about the residual
     |Phi_T rho - rho|_inf over the gap 1 - |lambda_2| of Phi_T, so raises
-    unless residual < tol * gap; a steady state that is not unique has
-    gap 0 and always raises. The trajectory is the same combination
+    unless residual < tol * gap. One level has gap 1: its map has the
+    single eigenvalue 1 and a unique fixed point. A steady state that is
+    not unique has gap 0 and always raises. The trajectory is the same combination
     sum_k rho_k images_k at every time, exact by linearity, with
     endpoints included (states[-1] vs states[0] shows the periodicity
     residual). Requires dissipation: at least one nonzero jump operator.
@@ -374,7 +375,7 @@ def find_ness(system: LindbladSystem, omega, tol=1e-9, steps_per_period=256):
     lhs = np.vstack((phi - np.eye(d2), np.eye(dim).ravel()))
     rho = np.linalg.lstsq(lhs, np.append(np.zeros(d2), 1.0), rcond=None)[0]
     residual = float(np.max(np.abs(phi @ rho - rho)))
-    gap = float(1.0 - np.sort(np.abs(np.linalg.eigvals(phi)))[-2])
+    gap = float(1.0 - np.sort(np.abs(np.linalg.eigvals(phi)))[-2]) if d2 > 1 else 1.0
     if not residual < tol * gap:
         raise RuntimeError(
             f"steady state not certified: residual {residual:.3e} is not below "

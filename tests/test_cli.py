@@ -126,7 +126,9 @@ class TestValidation:
                                   numerics={"n_k": 2})
         cfg = validate_config(payload)
         assert cfg.m_cut == 19 and "n_max" not in cfg.numerics
-        assert main(["run", write_config(tmp_path, payload)]) == 0
+        path = write_config(tmp_path, payload)
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 0
         # the built-in models take n_max + 2
         honeycomb = spectrum_config(
             tmp_path, model="honeycomb",
@@ -502,8 +504,10 @@ def test_settings_of_other_models_are_config_errors(tmp_path, capsys, model, key
     cli._set_by_path(payload, key, SETTING_VALUES[key])
     with pytest.raises(ConfigError, match=f"^{key}: {message}$"):
         validate_config(payload)
-    assert main(["run", write_config(tmp_path, payload)]) == 2
-    assert key in capsys.readouterr().err
+    path = write_config(tmp_path, payload)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -798,6 +802,7 @@ class TestRun:
         assert summary["residual"] <= 1e-12
         assert 0.0 < summary["gap"] < 10.0 * gamma
         rows = np.loadtxt(tmp_path / "out" / "ness.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (257, 9)      # t = 0 to T at the default 256 steps, 8 values each
         assert np.max(np.abs(rows[-1, 1:] - rows[0, 1:])) <= 1e-12
 
     def test_ness_columns_row_major(self, tmp_path):
@@ -1191,14 +1196,15 @@ class TestTaskWorkers:
              "numerics": {"Nk": 8}, "write_curvature": True}
 
     def run(self, tmp_path, monkeypatch, raw, workers, action="always"):
-        """Files and manifest diagnostics of one run, and the warnings it raised."""
+        """Files and manifest diagnostics of one `floquet run --output`, and its warnings."""
         monkeypatch.setenv("FLOQUET_WORKERS", str(workers))
         out = tmp_path / f"workers_{workers}_{action}"
-        cfg = validate_config({**raw, "output": str(out)})
-        assert cfg.workers == workers
+        assert validate_config({**raw, "output": str(out)}).workers == workers
+        path = write_config(tmp_path, {**raw, "output": str(tmp_path / "unused")})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
-            cli.run_config(cfg)
+            assert main(["run", path, "--output", str(out)]) == 0
+        assert not (tmp_path / "unused").exists()
         files = {path.name: path.read_bytes() for path in out.iterdir()
                  if path.name != "manifest.json"}
         manifest = json.loads((out / "manifest.json").read_text())
@@ -1275,6 +1281,39 @@ class TestTaskWorkers:
         results, failures = cli.run_sweep(raw, "drive.amplitude", [0.5, 1.0], workers=2)
         assert sorted(results) == [0.5, 1.0] and not failures
         assert pools.read_text().split() == [str(os.getpid())]
+
+    def test_pool_never_outnumbers_the_cpus(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and runs each item here: no process starts."""
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = cli.concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_worker_job", None)   # set here by the initializer
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("FLOQUET_WORKERS", "64")
+        payload = {**self.GREENS, "output": str(tmp_path / "out")}
+        assert validate_config(payload).workers == 64
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        raw = spectrum_config(tmp_path, task="hfe", output=str(tmp_path / "sweep"))
+        results, failures = cli.run_sweep(raw, "drive.amplitude", [0.5, 1.0, 1.5], workers=64)
+        assert sorted(results) == [0.5, 1.0, 1.5] and not failures
+        assert sizes == [2, 2]
 
 
 def test_set_overrides_config(tmp_path):
@@ -1422,6 +1461,51 @@ def test_size_beyond_memory_is_a_config_error(tmp_path, capsys, payload, key, va
         err = capsys.readouterr().err
         assert err.startswith(f"config error: numerics.{key}: {value} needs a ")
         assert "more than this machine's" in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("task", ["hfe", "spectrum"])
+@pytest.mark.parametrize("harmonic, shown", [(10 ** 12, "1000000000000"), (1e300, "1e+300")],
+                         ids=["1e12", "1e300"])
+def test_custom_harmonic_beyond_memory_is_a_config_error(tmp_path, capsys, task, harmonic, shown):
+    # sized before any integer cast and before the (2 n_max + 1, 1, 1) mode array exists
+    triples = [[harmonic, [[0.3]], [[0.0]]], [-harmonic, [[0.3]], [[0.0]]]]
+    path = write_config(tmp_path, spectrum_config(tmp_path, model="custom", task=task,
+                                                  custom_modes=triples))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: custom_modes: harmonic {shown} needs a ")
+            assert "(the Fourier modes)" in err and "more than this machine's" in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_custom_harmonic_sized_at_the_least_replica_cutoff(tmp_path, capsys, monkeypatch):
+    # in 1 MiB the modes of harmonic 1000 fit, the Sambe matrix at M = 1002 does not
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2.0 ** 20)
+    triples = [[1000, [[0.1]], [[0.0]]], [-1000, [[0.1]], [[0.0]]]]
+    payload = spectrum_config(tmp_path, model="custom", custom_modes=triples,
+                              numerics={"n_k": 2, "M": 5000})
+    path = write_config(tmp_path, payload)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: custom_modes: harmonic 1000 needs a 2005 x 2005 array "
+            "(the Sambe matrix at M = 1002) of 61.3 MiB")
+    assert os.listdir(tmp_path) == ["config.json"]
+    # hfe reads no M: only the mode array is sized
+    path = write_config(tmp_path, spectrum_config(tmp_path, model="custom", task="hfe",
+                                                  custom_modes=triples))
+    assert main(["validate", path]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_empty_output_flag_is_a_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, spectrum_config(tmp_path))
+    assert main([command, path, "--output", ""]) == 2
+    assert capsys.readouterr().err == "config error: output: must be a non-empty path\n"
     assert os.listdir(tmp_path) == ["config.json"]
 
 

@@ -609,6 +609,14 @@ class TestFindNESS:
         with pytest.raises(RuntimeError, match="gap 0.000e"):
             fq.find_ness(system, omega=2.0 * np.pi)
 
+    def test_one_level_map_has_gap_one(self):
+        # Phi_T = (1): the single eigenvalue 1 and a unique fixed point, with no second |lambda|
+        system = fq.LindbladSystem(hamiltonian=lambda t: np.zeros((1, 1)),
+                                   jumps=[np.array([[1.0]])])
+        ness = fq.find_ness(system, omega=5.0)
+        assert (ness.gap, ness.residual) == (1.0, 0.0)
+        np.testing.assert_array_equal(ness.states, np.ones((257, 1, 1)))
+
     def test_samples_the_half_step_grid_in_one_call(self):
         modes = fq.dirac_modes(0.0, 0.0, CIRCULAR_DRIVE)
         array_calls = []
