@@ -9,7 +9,7 @@ Lindblad steady states).
 
 __version__ = "0.1.0"
 
-from .bessel import bessel_j, bessel_j0_zero
+from .bessel import bessel_j
 from .models import (
     DriveProtocol,
     FourierModeSet,
@@ -37,13 +37,11 @@ from .sambe import (
     FloquetMatrix,
     QuasienergySolution,
     build_floquet_matrix,
-    convergence_scan,
     evolve_state_floquet,
     floquet_coefficients,
     fold_to_bz,
     physical_band,
     quasienergies,
-    replica_centers,
     select_physical_band,
 )
 from .highfreq import (

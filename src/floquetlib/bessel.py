@@ -31,8 +31,3 @@ def bessel_j(n, x):
     if not np.all(np.isfinite(x)):
         raise ValueError(f"bessel_j needs finite arguments, got {x}")
     return special.jv(n, x)
-
-
-def bessel_j0_zero():
-    """First positive root of J_0."""
-    return float(special.jn_zeros(0, 1)[0])

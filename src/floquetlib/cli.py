@@ -679,7 +679,7 @@ def _csv_bytes(block, template):
 
 
 def _write_json(path, payload):
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def config_hash(raw):
@@ -892,8 +892,10 @@ def task_chern(cfg: RunConfig, outdir):
         fieldvals = topology.berry_curvature_grid(grid, band)
         number = topology.chern_number(fieldvals)
         residual = abs(fieldvals.total / (2.0 * np.pi) - number)
+        # a lone band has no gap: null, since JSON has no infinity
+        gap = fieldvals.min_gap if math.isfinite(fieldvals.min_gap) else None
         reports.append({"band": band, "chern": number,
-                        "residual": float(residual), "min_gap": fieldvals.min_gap})
+                        "residual": float(residual), "min_gap": gap})
         if cfg.write_curvature:
             # plaquette (i, j) centre at ((i+1/2) b1 + (j+1/2) b2) / nk, i outer
             frac = (np.arange(grid.nk) + 0.5) / grid.nk
@@ -1022,8 +1024,10 @@ def run_sweep(raw, parameter, values, workers=None):
     Each value runs in a worker process of its own pool (_in_workers, with
     `isolate`, so one worker forks too). Individual failures, a worker that
     dies included, do not stop the sweep; they are recorded in the
-    manifest and skipped in the aggregate. The warnings the values raised
-    are re-raised here, in value order.
+    manifest and skipped in the aggregate. After a worker dies, each value
+    its broken pool fails runs again alone, one at a time, so only the
+    value that killed it fails. The warnings the values raised are
+    re-raised here, in value order.
     """
     _require(values, "--values", "at least one value required")
     # float() reads nan, inf and 1e400, which manifest.json cannot hold
@@ -1045,10 +1049,12 @@ def run_sweep(raw, parameter, values, workers=None):
              "workers", f"must be an integer >= 1, got {workers!r}")
     results, failures = {}, {}
     with _output_dir(base.output) as root:
-        outcomes = _in_workers(functools.partial(_sweep_one, raw, parameter),
-                               [(v, os.path.join(root, name)) for v, name in zip(values, names)],
-                               workers, isolate=True)
-        for (summary, error), value in zip(outcomes, values):    # outcomes first: it runs out
+        run_value = functools.partial(_sweep_one, raw, parameter)
+        items = [(v, os.path.join(root, name)) for v, name in zip(values, names)]
+        outcomes = _in_workers(run_value, items, workers, isolate=True)  # zipped first: it runs out
+        for (summary, error), item, value in zip(outcomes, items, values):
+            if isinstance(error, concurrent.futures.process.BrokenProcessPool):  # run alone
+                [(summary, error)] = _in_workers(run_value, [item], 1, isolate=True)
             if error is None:
                 results[value] = summary
             else:   # recorded, the sweep continues
@@ -1126,7 +1132,7 @@ def main(argv=None):
             print("config OK")
         elif args.command == "run":
             summary = run_config(validate_config(raw))
-            print(json.dumps(summary, sort_keys=True, default=float))
+            print(json.dumps(summary, sort_keys=True, default=float, allow_nan=False))
         else:
             try:    # an empty item too: float("") raises
                 values = [float(item) for item in args.values.split(",")]

@@ -36,14 +36,13 @@ class HaldaneParameters:
 
     j_eff renormalizes the nearest-neighbor hopping; k_eff is the
     magnitude of the induced imaginary next-nearest-neighbor hopping
-    i tau k_eff. chirality = +1 is the convention pinned in
+    i tau k_eff, with the chirality tau = +1 pinned in
     models.haldane_bloch (hops along delta_1 - delta_2, delta_2 - delta_3,
     delta_3 - delta_1 on the first sublattice).
     """
 
     j_eff: float
     k_eff: float
-    chirality: int = 1
 
 
 def van_vleck_hf(modes: FourierModeSet):

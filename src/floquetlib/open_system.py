@@ -64,9 +64,9 @@ class GreensFunctionGrid:
 
     Frequencies live in the folded zone [-omega/2, omega/2); block index
     n maps a folded nu to the physical frequency nu + n omega. Only G^R
-    and the diagonal of Sigma^K are stored: the advanced and Keldysh
-    functions are formed on request, and observables read diagonals
-    (tr[G^A]_nn = conj tr[G^R]_nn, and [G^K]_ii from G^R and Sigma^K).
+    and the diagonal of Sigma^K are stored: G^K is formed on request,
+    and observables read diagonals (tr[G^A]_nn = conj tr[G^R]_nn, and
+    [G^K]_ii from G^R and Sigma^K).
     """
 
     omega: float
@@ -81,13 +81,10 @@ class GreensFunctionGrid:
         return 2 * self.m_cut + 1
 
     @property
-    def g_advanced(self):
-        return self.g_retarded.conj().transpose(0, 2, 1)
-
-    @property
     def g_keldysh(self):
         """G^K = G^R Sigma^K G^A as (n_nu, D, D), computed on every access."""
-        return (self.g_retarded * self.sigma_keldysh[:, None, :]) @ self.g_advanced
+        g_r = self.g_retarded
+        return (g_r * self.sigma_keldysh[:, None, :]) @ g_r.conj().transpose(0, 2, 1)
 
     def block_traces(self, diagonals):
         """Per-block sums of (n_nu, D) diagonals: (n_nu, 2M+1), column n + M for block n."""
@@ -100,8 +97,8 @@ def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
     G^R(nu) = [(nu + m omega) delta_{mn} - H_{m-n} + i gamma delta_{mn}]^{-1}.
     The bath's retarded self-energy is the scalar -i gamma on every block,
     so with the Floquet matrix H_F = V E V^dagger, G^R(nu) equals
-    V (nu + i gamma - E)^{-1} V^dagger at every nu. G^A = (G^R)^dagger and
-    G^K = G^R Sigma_b^K G^A are formed on request. The system self-energy
+    V (nu + i gamma - E)^{-1} V^dagger at every nu. G^K = G^R Sigma_b^K G^A,
+    with G^A = (G^R)^dagger, is formed on request. The system self-energy
     is zero by scope, so the only broadening is the bath's.
     """
     energies, vectors = np.linalg.eigh(build_floquet_matrix(modes, m_cut).matrix)
@@ -202,10 +199,6 @@ def _rhs(system: LindbladSystem, rho, h_eff):
 class LindbladTrajectory:
     times: np.ndarray
     states: np.ndarray   # (n_times, dim, dim)
-
-    @property
-    def final(self):
-        return self.states[-1]
 
 
 def rk4_samples(system: LindbladSystem, t0, t1, dt):

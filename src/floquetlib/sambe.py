@@ -60,10 +60,6 @@ class FloquetMatrix:
         if not herm <= 1e-9:
             raise ValueError(f"extended-space matrix is not Hermitian (error {herm:.2e})")
 
-    def block(self, m, n):
-        d, m0 = self.dim, self.m_cut
-        return self.matrix[(m + m0) * d:(m + m0 + 1) * d, (n + m0) * d:(n + m0 + 1) * d]
-
 
 def build_floquet_matrix(modes: FourierModeSet, m_cut):
     """Assemble the extended-space matrix from a Fourier mode set.
@@ -208,12 +204,6 @@ def physical_band(modes: FourierModeSet, m_cut):
     return _pick(fm, raw, vecs, w0)
 
 
-def replica_centers(sol: QuasienergySolution):
-    """Block index where each state's Fourier weight peaks."""
-    weights = sol.fourier_weights()
-    return np.argmax(weights, axis=0) - sol.m_cut
-
-
 def floquet_coefficients(sol: QuasienergySolution, psi0, t0):
     """Expansion coefficients of a state over the physical Floquet basis."""
     if not sol.physical:
@@ -241,19 +231,3 @@ def evolve_state_floquet(sol: QuasienergySolution, psi0, t0, t):
             f"norm drift {drift:.2e} > 1e-4: extended-space truncation too small",
             stacklevel=2)
     return psi_t
-
-
-def convergence_scan(modes: FourierModeSet, m_values):
-    """Physical-band drift against the largest cutoff in the list.
-
-    Returns [(M, max |delta eps|)] for each M in ascending m_values,
-    measured against the solution at max(m_values).
-    """
-    m_values = list(m_values)
-    if m_values != sorted(m_values):
-        raise ValueError("m_values must be ascending")
-    bands = {}
-    for m in m_values:
-        bands[m] = np.sort(physical_band(modes, m).quasienergies)
-    reference = bands[m_values[-1]]
-    return [(m, float(np.max(np.abs(bands[m] - reference)))) for m in m_values]

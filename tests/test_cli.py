@@ -316,6 +316,23 @@ class TestValidation:
         assert main(["run", write_config(tmp_path, payload)]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_ness_validation_memory_follows_the_held_harmonics(self, tmp_path):
+        # sigma_z plus 0.3 sigma_x at +-2000: 3 of 4001 harmonics held; summing
+        # all of them at every sampled time peaked at 63 MiB
+        zero = np.zeros((2, 2)).tolist()
+        payload = spectrum_config(
+            tmp_path, model="custom", task="ness", lindblad={"gamma": 0.4},
+            custom_modes=[[0, np.diag([1.0, -1.0]).tolist(), zero],
+                          [2000, [[0.0, 0.3], [0.3, 0.0]], zero],
+                          [-2000, [[0.0, 0.3], [0.3, 0.0]], zero]])
+        tracemalloc.start()
+        try:
+            validate_config(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     @pytest.mark.parametrize("value", ["no", 0, 1, None])
     def test_write_curvature_must_be_boolean(self, tmp_path, value):
         payload = spectrum_config(tmp_path, model="honeycomb", task="chern",
@@ -889,6 +906,21 @@ class TestRun:
             assert curvature[0] == "kx,ky,F"
             assert len(curvature) == 1 + 12 * 12
 
+    def test_chern_of_one_band_is_strict_json(self, tmp_path, capsys):
+        def strict(text):
+            def reject(name):
+                raise ValueError(f"not JSON: {name}")
+            return json.loads(text, parse_constant=reject)
+
+        zero = [[0.0]]
+        payload = spectrum_config(
+            tmp_path, model="custom", task="chern", numerics={"Nk": 4},
+            custom_modes=[[0, [[0.5]], zero], [1, [[0.2]], zero], [-1, [[0.2]], zero]])
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        [band] = strict((tmp_path / "out" / "chern.json").read_text())["bands"]
+        assert band["chern"] == 0 and band["min_gap"] is None
+        assert strict(capsys.readouterr().out)["bands"] == [band]
+
     @pytest.mark.parametrize("model", ["chain1d", "honeycomb"])
     def test_default_replica_cutoff_matches_wide_cutoff(self, tmp_path, model):
         polarization = "linear" if model == "chain1d" else "circular"
@@ -1158,15 +1190,18 @@ class TestSweep:
             return run_config(cfg)
 
         monkeypatch.setattr(cli, "run_config", dies_at_one)  # fork carries the patch over
-        values = [0.5, 1.0, 1.5]
-        raw = spectrum_config(tmp_path, task="hfe")
-        results, failures = cli.run_sweep(raw, "drive.amplitude", values, workers=1)
-        assert 1.0 in failures and "terminated abruptly" in failures[1.0]
-        assert sorted([*results, *failures]) == values
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert sorted(manifest["failures"]) == sorted(str(v) for v in failures)
-        rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
-        assert len(rows) == 1 + len(results)
+        values = [0.5, 1.0, 1.5, 2.0, 2.5]
+        for workers in (1, 2):
+            root = tmp_path / f"workers_{workers}"
+            raw = spectrum_config(tmp_path, task="hfe", output=str(root))
+            results, failures = cli.run_sweep(raw, "drive.amplitude", values, workers=workers)
+            # the pool breaks, and the values after the dead one run alone
+            assert list(failures) == [1.0] and "terminated abruptly" in failures[1.0]
+            assert list(results) == [0.5, 1.5, 2.0, 2.5]
+            manifest = json.loads((root / "manifest.json").read_text())
+            assert list(manifest["failures"]) == ["1.0"]
+            rows = (root / "sweep.csv").read_text().strip().splitlines()
+            assert len(rows) == 1 + len(results)
 
     @pytest.mark.parametrize("task, extra", [("spectrum", {}),
                                              ("greens", {"bath": {"gamma": 0.1},

@@ -192,15 +192,15 @@ class TestFourierModes:
         modes = fourier_modes(lambda t: SIGMA_Z, 2.0, 3)
         np.testing.assert_allclose(modes.mode(0), SIGMA_Z, atol=1e-14)
         for n in (1, 2, 3):
-            assert modes.max_mode_norm(n) < 1e-12
+            assert np.max(np.abs(modes.mode(n))) < 1e-12
 
     def test_single_harmonic(self):
         omega = 2.0
         modes = fourier_modes(lambda t: np.cos(omega * t) * SIGMA_X, omega, 3)
         np.testing.assert_allclose(modes.mode(1), SIGMA_X / 2, atol=1e-13)
         np.testing.assert_allclose(modes.mode(-1), SIGMA_X / 2, atol=1e-13)
-        assert modes.max_mode_norm(0) < 1e-13
-        assert modes.max_mode_norm(2) < 1e-13
+        assert np.max(np.abs(modes.mode(0))) < 1e-13
+        assert np.max(np.abs(modes.mode(2))) < 1e-13
 
     def test_chain_reconstruction(self):
         drive = DriveProtocol(omega=3.0, amplitude=2.0)
@@ -244,7 +244,7 @@ class TestFourierModes:
             modes = fourier_modes(
                 lambda t: sample_chain_1d(np.pi / 2, 1.0, drive, t), drive.omega,
                 suggested_n_max(1.0))
-        assert modes.max_mode_norm(0) < 1e-15
+        assert np.max(np.abs(modes.mode(0))) < 1e-15
 
     def test_vanishing_time_average_underresolved_warns(self):
         # same k, strong drive cut at n_max = 3: J_3(8) exceeds J_1(8)
@@ -359,7 +359,7 @@ class TestModeSetInvariants:
         drive = DriveProtocol(omega=omega, amplitude=0.0)
         modes = fourier_modes(lambda t: sample_chain_1d(k, 1.0, drive, t), omega, 4)
         for n in range(1, 5):
-            assert modes.max_mode_norm(n) < 1e-13
+            assert np.max(np.abs(modes.mode(n))) < 1e-13
 
     def test_reconstruction_all_builtins(self):
         # Bessel-decay heuristic cutoff keeps the reconstruction error
@@ -409,6 +409,23 @@ def test_custom_modes_missing_harmonic_is_zero():
     for n in (-1, 1):
         assert np.array_equal(modes.mode(n), np.zeros((2, 2)))
     np.testing.assert_allclose(modes.mode(-2), 0.25 * SIGMA_X)
+
+
+def test_sample_equals_the_full_sum_on_a_set_with_gaps():
+    # harmonics 0, +-3 and +-7 held, the ten between them zero
+    rng = np.random.default_rng(3)
+    modes = np.zeros((15, 2, 2), dtype=complex)
+    h0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    modes[7] = h0 + h0.conj().T
+    for n in (3, 7):
+        modes[7 + n] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        modes[7 - n] = modes[7 + n].conj().T
+    mode_set = FourierModeSet(1.3, modes)
+    ts = rng.uniform(0.0, 10.0, 17)
+    phases = np.exp(-1j * np.arange(-7, 8) * 1.3 * ts[:, None])
+    full = np.einsum("tn,nij->tij", phases, modes)
+    assert np.max(np.abs(mode_set.sample(ts) - full)) < 1e-14
+    assert np.max(np.abs(mode_set.sample(ts[5]) - full[5])) < 1e-14
 
 
 @pytest.mark.parametrize("indices", [(0, 0), (0, 1.5)], ids=["repeated", "fractional"])

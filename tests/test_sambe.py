@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import floquetlib as fq
 from floquetlib.models import SIGMA_X, SIGMA_Z
@@ -14,6 +15,12 @@ def static_modes(matrix, omega, n_max=0):
     modes = np.zeros((2 * n_max + 1,) + matrix.shape, dtype=complex)
     modes[n_max] = matrix
     return fq.FourierModeSet(omega, modes)
+
+
+def block(fm, m, n):
+    """Block (m, n) of a FloquetMatrix: rows of block m, columns of block n."""
+    d, m0 = fm.dim, fm.m_cut
+    return fm.matrix[(m + m0) * d:(m + m0 + 1) * d, (n + m0) * d:(n + m0 + 1) * d]
 
 
 def reference_floquet_matrix(modes, m_cut):
@@ -89,8 +96,8 @@ class TestBuildFloquetMatrix:
         modes = fq.honeycomb_modes(0.5, 0.3, 1.0, drive, 4)
         fm = fq.build_floquet_matrix(modes, 7)
         assert np.max(np.abs(fm.matrix - fm.matrix.conj().T)) < 1e-12
-        assert np.max(np.abs(fm.block(7, 0))) == 0.0  # |m-n| > n_max is zero
-        np.testing.assert_allclose(fm.block(3, 1), modes.mode(2), atol=1e-15)
+        assert np.max(np.abs(block(fm, 7, 0))) == 0.0  # |m-n| > n_max is zero
+        np.testing.assert_allclose(block(fm, 3, 1), modes.mode(2), atol=1e-15)
 
     def test_rejects_non_hermitian_at_construction(self):
         matrix = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -155,8 +162,8 @@ class TestToeplitzBuild:
     def test_gap_harmonic_blocks(self):
         modes = gap_harmonic_modes()
         fm = fq.build_floquet_matrix(modes, 4)
-        assert np.max(np.abs(fm.block(1, 0))) == 0.0
-        assert np.array_equal(fm.block(3, 1), modes.mode(2))
+        assert np.max(np.abs(block(fm, 1, 0))) == 0.0
+        assert np.array_equal(block(fm, 3, 1), modes.mode(2))
 
 
 class TestQuasienergies:
@@ -176,7 +183,7 @@ class TestQuasienergies:
         assert abs(gap - (np.sqrt(29.0) - 5.0)) < 1e-6
 
     def test_dynamical_localization(self):
-        root = fq.bessel_j0_zero()
+        root = special.jn_zeros(0, 1)[0]
         drive = fq.DriveProtocol(omega=8.0, amplitude=root)
         band = []
         for k in np.linspace(-np.pi, np.pi, 16, endpoint=False):
@@ -234,7 +241,8 @@ class TestSelectPhysicalBand:
     def test_replica_centers(self):
         sol = fq.select_physical_band(
             fq.quasienergies(fq.build_floquet_matrix(static_modes(SIGMA_Z, 5.0), 3)))
-        np.testing.assert_array_equal(fq.replica_centers(sol), [0, 0])
+        centers = np.argmax(sol.fourier_weights(), axis=0) - sol.m_cut
+        np.testing.assert_array_equal(centers, [0, 0])
 
 
 def seeded_modes(model, seed):
@@ -287,7 +295,8 @@ class TestPhysicalBand:
         assert np.max(np.abs(window.weight0() - full.weight0())) < 1e-12
         # the same replica of every state: equal up to eigensolver rounding
         assert np.max(np.abs(window.raw_energies - full.raw_energies)) < 1e-12
-        np.testing.assert_array_equal(fq.replica_centers(window), fq.replica_centers(full))
+        np.testing.assert_array_equal(np.argmax(window.fourier_weights(), axis=0),
+                                      np.argmax(full.fourier_weights(), axis=0))
 
     def test_level_outside_window_falls_back(self, full_solves):
         # the central replica of the level at 1.5 omega lies outside (-omega, omega]
@@ -514,19 +523,24 @@ class TestEvolveState:
             fq.evolve_state_floquet(sol, np.array([1.0, 0.0]), 0.0, 1.0)
 
 
+def band_drift(modes, m_cut, m_ref):
+    """Largest change of the physical band between cutoffs m_cut and m_ref."""
+    return np.max(np.abs(fq.physical_band(modes, m_cut).quasienergies
+                         - fq.physical_band(modes, m_ref).quasienergies))
+
+
 class TestConvergenceScan:
     def test_static_all_zero(self):
-        report = fq.convergence_scan(static_modes(SIGMA_Z, 5.0, n_max=1), [3, 5, 7])
-        assert all(dev == 0.0 for _, dev in report)
+        modes = static_modes(SIGMA_Z, 5.0, n_max=1)
+        assert band_drift(modes, 3, 7) == 0.0
+        assert band_drift(modes, 5, 7) == 0.0
 
     def test_chain_bessel_tail(self):
-        # a modest replica cutoff already agrees with cutoff + 5 to 1e-10
+        # a modest replica cutoff already agrees with a far larger one to 1e-10
         # (the coupling tail decays like a high-order Bessel function)
         drive = fq.DriveProtocol(omega=8.0, amplitude=1.0)
         modes = fq.chain_modes(0.5, 1.0, drive, 6)
-        report = fq.convergence_scan(modes, [8, 13, 21])
-        assert report[0][1] < 1e-10
-        assert report[-1][1] == 0.0
+        assert band_drift(modes, 8, 21) < 1e-10
 
     def test_dirac_gap_cutoff_insensitive(self):
         drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
@@ -542,10 +556,4 @@ class TestConvergenceScan:
     def test_dirac_gap_converged(self):
         drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
         modes = fq.dirac_modes(0.0, 0.0, drive)
-        report = fq.convergence_scan(modes, [8, 16])
-        assert report[0][1] < 1e-9
-
-    def test_rejects_unsorted(self):
-        drive = fq.DriveProtocol(omega=5.0, amplitude=0.5, polarization="circular")
-        with pytest.raises(ValueError, match="ascending"):
-            fq.convergence_scan(fq.dirac_modes(0.0, 0.0, drive), [8, 4])
+        assert band_drift(modes, 8, 16) < 1e-9
