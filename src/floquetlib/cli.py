@@ -54,7 +54,9 @@ a failed write), with a manifest.json recording the config hash, version,
 the numerics the run read after defaults, and wall time.
 For spectrum and chern it also holds "diagnostics": {"edge_weight": ...},
 the physical band's largest Fourier weight in the edge blocks |m| = M over
-all k; above 1e-13 the run warns that numerics.M is too small.
+all k; above 1e-13 the run warns that numerics.M is too small. For greens
+it holds "diagnostics": {"spectral_sum": ..., "occupation_excess": ...},
+the smallest sum A dnu / dim over k and the largest N - A.
 
 FLOQUET_WORKERS (default: the CPUs the process may use) caps the forked
 worker processes (_in_workers, never more than those CPUs) that run a
@@ -270,7 +272,7 @@ def _check_sizes(cfg):
     arrays = {      # per setting: (shape, bytes per entry, what the array holds)
         "M": ((side, side), 16, "the Sambe matrix"),
         "Nk": ((n["Nk"] + 1, n["Nk"] + 1, side, dim), 16, "the eigenvectors over the grid"),
-        "nu_points": ((n["nu_points"], side, side), 16, "G^R at one k"),
+        "nu_points": ((n["nu_points"], side, side), 16, "the G^R columns at one k"),
         "steps_per_period": ((n["steps_per_period"] + 1, dim ** 2, dim, dim), 16,
                              "the RK4 images of the matrix units"),
         # spectrum keeps the eigenvectors of every k, greens the k grid only
@@ -910,26 +912,33 @@ def task_chern(cfg: RunConfig, outdir):
 
 
 def _greens_rows(cfg: RunConfig, nu, k):
-    """The greens.csv text of the (nu, k, A, N) rows at one k, and the peak of A there."""
+    """The greens.csv text of the (nu, k, A, N) rows at one k, and three scalars there.
+
+    They are the peak of A, its sum rule sum A dnu / dim and the largest N - A.
+    """
     grid = open_system.floquet_greens(_modes(cfg, k), cfg.bath, cfg.m_cut, nu)
     freqs, spec = open_system.spectral_function(grid)
     _, occ = open_system.occupation_function(grid)
     rows = np.column_stack((freqs, np.full(freqs.size, k), spec, occ))
-    return b"".join(_csv_blocks(rows)), spec.max()
+    spectral_sum = spec.sum() * (cfg.drive.omega / nu.size) / grid.dim
+    return b"".join(_csv_blocks(rows)), spec.max(), spectral_sum, np.max(occ - spec)
 
 
 def task_greens(cfg: RunConfig, outdir):
     omega = cfg.drive.omega
     nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
-    peaks = []
+    scalars = []
     # each k's rows are formatted where they are computed and written in k order
     with _atomic_file(os.path.join(outdir, "greens.csv")) as handle:
         handle.write(b"nu_unfolded,k,A,N\n")
-        for text, peak in _worker_map(functools.partial(_greens_rows, cfg, nu), _k_grid(cfg),
-                                      cfg.workers):
+        for text, *at_k in _worker_map(functools.partial(_greens_rows, cfg, nu), _k_grid(cfg),
+                                       cfg.workers):
             handle.write(text)
-            peaks.append(peak)
-    return {"summary_metric": float(max(peaks))}
+            scalars.append(at_k)
+    peaks, sums, excesses = np.array(scalars).T
+    return {"summary_metric": float(peaks.max()),
+            "diagnostics": {"spectral_sum": float(sums.min()),
+                            "occupation_excess": float(excesses.max())}}
 
 
 def task_ness(cfg: RunConfig, outdir):

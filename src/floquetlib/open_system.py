@@ -3,8 +3,9 @@
 Two complementary routes to the dissipative steady state of a driven
 system. The Green's-function route couples a noninteracting system to a
 wide-band free-fermion bath and solves the Dyson equation in the Floquet
-matrix representation from one eigendecomposition of the Floquet matrix;
-the Lindblad route integrates the GKSL master equation in time and finds
+matrix representation from one eigendecomposition of the Floquet matrix,
+reading the spectral and occupation functions in its eigenbasis; the
+Lindblad route integrates the GKSL master equation in time and finds
 the time-periodic steady state as a fixed point of the one-period map.
 One RK4 period on the matrix units gives that map and, by linearity,
 the steady state at every step of the period.
@@ -60,25 +61,43 @@ def bath_self_energy(bath: BathSpec, nu, n, omega):
 
 @dataclass(frozen=True)
 class GreensFunctionGrid:
-    """Retarded Floquet matrices and the bath's Keldysh self-energy on a frequency grid.
+    """Floquet Green's functions on a frequency grid, kept in the eigenbasis of H_F.
 
     Frequencies live in the folded zone [-omega/2, omega/2); block index
-    n maps a folded nu to the physical frequency nu + n omega. Only G^R
-    and the diagonal of Sigma^K are stored: G^K is formed on request,
-    and observables read diagonals (tr[G^A]_nn = conj tr[G^R]_nn, and
-    [G^K]_ii from G^R and Sigma^K).
+    n maps a folded nu to the physical frequency nu + n omega. The bath's
+    retarded self-energy is the scalar -i gamma, so with H_F = V E V^dagger,
+    G^R(nu) = V diag r(nu) V^dagger with the resolvent r = 1/(nu + i gamma - E).
+    Only V and r are stored: the observables read what they need from
+    them, and the (n_nu, D, D) matrices G^R and G^K are formed only when
+    read.
     """
 
     omega: float
     m_cut: int
     dim: int
     nu: np.ndarray
-    g_retarded: np.ndarray       # (n_nu, D, D) with D = (2M+1) dim
-    sigma_keldysh: np.ndarray    # (n_nu, D) diagonal of the bath's Sigma^K
+    vectors: np.ndarray      # (D, D) eigenvectors V of H_F, D = (2M+1) dim
+    resolvent: np.ndarray    # (n_nu, D) r(nu), one column per eigenvalue
+    bath: BathSpec
 
     @property
     def n_blocks(self):
         return 2 * self.m_cut + 1
+
+    @property
+    def _block_index(self):
+        """Block n of each of the D rows and columns, from -M up."""
+        return np.repeat(np.arange(-self.m_cut, self.m_cut + 1), self.dim)
+
+    @property
+    def sigma_keldysh(self):
+        """(n_nu, D) diagonal of the bath's Sigma^K, computed on every access."""
+        return bath_self_energy(self.bath, self.nu[:, None], self._block_index, self.omega)[1]
+
+    @property
+    def g_retarded(self):
+        """G^R = V diag r V^dagger as (n_nu, D, D), computed on every access."""
+        return (self.vectors * self.resolvent[:, None, :]) @ self.vectors.conj().T
 
     @property
     def g_keldysh(self):
@@ -97,19 +116,17 @@ def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
     G^R(nu) = [(nu + m omega) delta_{mn} - H_{m-n} + i gamma delta_{mn}]^{-1}.
     The bath's retarded self-energy is the scalar -i gamma on every block,
     so with the Floquet matrix H_F = V E V^dagger, G^R(nu) equals
-    V (nu + i gamma - E)^{-1} V^dagger at every nu. G^K = G^R Sigma_b^K G^A,
-    with G^A = (G^R)^dagger, is formed on request. The system self-energy
-    is zero by scope, so the only broadening is the bath's.
+    V (nu + i gamma - E)^{-1} V^dagger at every nu: the grid keeps V and
+    that resolvent, and forms no matrix per frequency. G^K = G^R Sigma_b^K
+    G^A, with G^A = (G^R)^dagger, is formed on request. The system
+    self-energy is zero by scope, so the only broadening is the bath's.
     """
     energies, vectors = np.linalg.eigh(build_floquet_matrix(modes, m_cut).matrix)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    block_index = np.repeat(np.arange(-m_cut, m_cut + 1), modes.dim)
-    sigma_r, sigma_k = bath_self_energy(bath, nu_grid[:, None], block_index, modes.omega)
-    resolvent = 1.0 / (nu_grid[:, None] - sigma_r - energies)
-    g_r = (vectors * resolvent[:, None, :]) @ vectors.conj().T
+    resolvent = 1.0 / (nu_grid[:, None] + 1j * bath.gamma - energies)
     return GreensFunctionGrid(
         omega=modes.omega, m_cut=m_cut, dim=modes.dim,
-        nu=nu_grid, g_retarded=g_r, sigma_keldysh=sigma_k)
+        nu=nu_grid, vectors=vectors, resolvent=resolvent, bath=bath)
 
 
 def _unfold(grid: GreensFunctionGrid, values):
@@ -123,26 +140,40 @@ def _unfold(grid: GreensFunctionGrid, values):
 def spectral_function(grid: GreensFunctionGrid):
     """A(nu + n omega) = -(1/pi) Im tr [G^R(nu)]_{nn}, on the unfolded axis.
 
-    Returns (frequencies, values) sorted by physical frequency; spectral
-    weight outside the covered window (2M+1 zones wide) is truncated,
-    which matters only for the Lorentzian tails.
+    [G^R]_ii = sum_a |V_ia|^2 r_a, so the diagonal is one (n_nu, D) x
+    (D, D) product, a sum of nonnegative terms: A >= 0. Returns
+    (frequencies, values) sorted by physical frequency; spectral weight
+    outside the covered window (2M+1 zones wide) is truncated, which
+    matters only for the Lorentzian tails.
     """
-    tr_r = grid.block_traces(np.diagonal(grid.g_retarded, axis1=1, axis2=2))
-    return _unfold(grid, -np.imag(tr_r) / np.pi)
+    diagonal = -grid.resolvent.imag @ (np.abs(grid.vectors) ** 2).T
+    return _unfold(grid, grid.block_traces(diagonal) / np.pi)
 
 
 def occupation_function(grid: GreensFunctionGrid):
-    """Occupied spectrum N(nu + n omega) from the lesser function.
+    """Occupied spectrum N(nu + n omega) from the lesser function, on the unfolded axis.
 
-    N = (1/2 pi i) tr [G^<]_{nn} with G^< = (G^K - G^R + G^A)/2, which
-    reduces to the spectral function times the Fermi factor in
-    equilibrium, so 0 <= N <= A pointwise. Sigma^K is diagonal, so
-    [G^K]_ii = sum_j |G^R_ij|^2 Sigma^K_j and no Keldysh matrix is formed.
+    N = (1/2 pi i) tr [G^<]_{nn} with G^< = G^R Sigma^< G^A (Tsuji, Oka
+    & Aoki, PRB 78, 235124 (2008)). The bath's Sigma^< = 2i gamma f is
+    diagonal, f = (1 - tanh(beta (nu + n omega) / 2)) / 2 its occupation
+    per column, so N_i = (gamma / pi) sum_j f_j |G^R_ij|^2 >= 0; and
+    G^R - G^A = -2i gamma G^R G^A with f <= 1 gives N <= A up to
+    rounding. Only the columns of G^R where f is nonzero at some nu are
+    formed, in one (n_columns D, D) x (D, n_nu) product; every column
+    skipped adds exactly 0. In equilibrium N reduces to A times the
+    Fermi factor.
     """
-    tr_r = grid.block_traces(np.diagonal(grid.g_retarded, axis1=1, axis2=2))
-    keldysh = np.einsum("fij,fj->fi", np.abs(grid.g_retarded) ** 2, grid.sigma_keldysh)
-    lesser = 0.5 * (grid.block_traces(keldysh) - tr_r + tr_r.conj())
-    return _unfold(grid, np.real(lesser / (2j * np.pi)))
+    fermi = 0.5 * (1.0 - grid.bath.thermal_factor(
+        grid.nu[:, None] + grid._block_index * grid.omega))
+    columns = np.flatnonzero(fermi.any(axis=0))
+    # G^R_ij = sum_a V_ia conj(V_ja) r_a: [c, i, f] = G^R_{i, columns[c]}(nu_f)
+    v = grid.vectors
+    products = v * v[columns].conj()[:, None, :]
+    g_r = (products.reshape(-1, len(v)) @ grid.resolvent.T).reshape(len(columns), len(v), -1)
+    weight = np.abs(g_r)
+    weight *= weight
+    occupied = np.einsum("cif,fc->fi", weight, fermi[:, columns])
+    return _unfold(grid, grid.block_traces(occupied) * (grid.bath.gamma / np.pi))
 
 
 @dataclass(frozen=True)

@@ -886,6 +886,16 @@ class TestRun:
         assert np.all(data[:, 2] >= -1e-10)          # A >= 0
         assert np.all(data[:, 3] <= data[:, 2] + 1e-8)  # N <= A
 
+    def test_greens_manifest_records_sum_rule_and_occupation_excess(self, tmp_path):
+        payload = {"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0},
+                   "task": "greens", "output": str(tmp_path / "out"),
+                   "bath": {"gamma": 0.05, "beta": 20.0}, "numerics": {"n_k": 4}}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
+        assert sorted(diagnostics) == ["occupation_excess", "spectral_sum"]
+        assert abs(diagnostics["spectral_sum"] - 1.0) < 1e-3
+        assert abs(diagnostics["occupation_excess"]) < 1e-12     # N <= A up to rounding
+
     def test_chern_task(self, tmp_path):
         payload = {
             "model": "honeycomb",

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,10 +220,39 @@ class TestOccupationFunction:
         assert above == pytest.approx(0.018496274263404788, rel=1e-6)
 
 
+class TestGreensAtTaskDefaults:
+    """One k of the chain at the greens task's defaults: M 17, 401 frequencies."""
+
+    MODES = fq.chain_modes(0.9, 1.0, fq.DriveProtocol(omega=5.0, amplitude=1.0), 15)
+
+    @pytest.mark.parametrize("beta", [20.0, math.inf])
+    def test_occupation_nonnegative_and_bounded_by_spectrum(self, beta):
+        grid = fq.floquet_greens(self.MODES, fq.BathSpec(gamma=0.05, beta=beta), 17,
+                                 fbz_grid(5.0))
+        _, spec = fq.spectral_function(grid)
+        _, occ = fq.occupation_function(grid)
+        assert spec.min() >= 0.0 and occ.min() >= 0.0
+        assert np.all(occ <= spec + 1e-15 * spec.max())
+
+    def test_observables_form_no_retarded_matrix_per_frequency(self):
+        # one (401, 35, 35) complex G^R is 7.5 MiB; the observables need half its columns
+        tracemalloc.start()
+        try:
+            grid = fq.floquet_greens(self.MODES, fq.BathSpec(gamma=0.05, beta=20.0), 17,
+                                     fbz_grid(5.0))
+            fq.spectral_function(grid)
+            fq.occupation_function(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+
 class TestDenseDysonOracle:
     @pytest.mark.parametrize("name, modes", MODELS)
     @pytest.mark.parametrize("gamma", [0.05, 1e-3])
-    @pytest.mark.parametrize("beta", [20.0, math.inf])
+    # at beta 0.2 the bath occupies every column of G^R somewhere on the grid
+    @pytest.mark.parametrize("beta", [20.0, math.inf, 0.2])
     def test_observables_match_dense_inverse(self, name, modes, gamma, beta):
         bath = fq.BathSpec(gamma=gamma, beta=beta)
         m_cut, nu = modes.n_max + 3, fbz_grid(modes.omega, 101)
@@ -241,11 +271,11 @@ class TestBlockTraceObservables:
     def test_identical_to_per_block_traces(self, name, modes, beta):
         grid = fq.floquet_greens(modes, fq.BathSpec(gamma=0.05, beta=beta),
                                  modes.n_max + 3, fbz_grid(modes.omega, 101))
+        # A and N come from the eigenbasis, not from the G^R and G^K matrices
         freqs, spec = fq.spectral_function(grid)
         want_freqs, want_spec = reference_spectral(grid, grid.g_retarded)
         assert np.array_equal(freqs, want_freqs)
-        assert np.array_equal(spec, want_spec)
-        # N reads the diagonal of G^K from G^R, not the Keldysh matrix itself
+        np.testing.assert_allclose(spec, want_spec, rtol=0, atol=1e-14)
         occ_freqs, occ = fq.occupation_function(grid)
         want_freqs, want_occ = reference_occupation(grid, grid.g_retarded, grid.g_keldysh)
         assert np.array_equal(occ_freqs, want_freqs)
