@@ -4,9 +4,14 @@ Everything here works directly with the time-ordered evolution operator,
 so it is independent of the extended-space diagonalization and can be
 used to cross-check it. The integrator is a midpoint-exponential
 product: unitary by construction at every step and second-order accurate
-in the step size.
+in the step size. A 2x2 step is the closed form
+exp(-i dt H) = e^{-i dt h0} [cos(dt r) I - i (sin(dt r) / r)(H - h0 I)]
+for H = h0 I + v.sigma with r = |v|, and 2x2 steps are multiplied
+elementwise; any other dimension exponentiates each step through eigh
+and multiplies with batched matmul.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -42,33 +47,77 @@ def evolve(sampler, t_start, t_end, n_steps):
         Number of midpoint steps, an integer (NumPy's too) of at least 1;
         accuracy is O((dt)^2).
     """
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+    # bool is an Integral; True must not pass as one step
+    if (isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
+            or n_steps < 1):
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    for name, value in (("t_start", t_start), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if t_end == t_start:
-        dim = np.asarray(sampler(t_start)).shape[0]
-        return np.eye(dim, dtype=complex)
+        return np.eye(_square_dim(np.shape(sampler(t_start))), dtype=complex)
     if t_end < t_start:
         return evolve(sampler, t_end, t_start, n_steps).conj().T
     dt = (t_end - t_start) / n_steps
     mids = t_start + dt * (np.arange(n_steps) + 0.5)
     hs = _sample_times(sampler, mids)
+    dim = _square_dim(hs.shape[1:])
     herm = np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))
     if not herm <= 1e-9:
         raise ValueError(f"sampler is not Hermitian along the path (error {herm:.2e})")
+    if dim == 2:
+        return _ordered_product(_steps_2x2(hs, dt))
     energies, frames = np.linalg.eigh(hs)
     phases = np.exp(-1j * dt * energies)
     steps = np.einsum("tij,tj,tkj->tik", frames, phases, frames.conj())
     return _ordered_product(steps)
 
 
+def _square_dim(shape):
+    # the sampler's H(t) must be a (d, d) matrix
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"sampler must return a square matrix, got shape {tuple(shape)}")
+    return shape[0]
+
+
+def _steps_2x2(hs, dt):
+    # exp(-i dt H) for H = h0 I + v.sigma, r = |v|, in closed form:
+    # e^{-i dt h0} [cos(dt r) I - i (sin(dt r) / r)(H - h0 I)]. Like eigh,
+    # it reads the diagonal's real part and the lower off-diagonal element
+    h00, h11, off = hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0]
+    h0, vz = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+    r = np.sqrt(vz * vz + off.real * off.real + off.imag * off.imag)
+    # step = a I + b (H - h0 I); np.sinc keeps sin(dt r) / r finite at r = 0
+    phase = np.exp(-1j * dt * h0)
+    a = phase * np.cos(dt * r)
+    b = -1j * phase * (dt * np.sinc(dt * r / np.pi))
+    # stored entry-major, (2, 2, n), so _ordered_product reads it without a copy
+    steps = np.empty((2, 2, len(hs)), dtype=complex)
+    steps[0, 0] = a + b * vz
+    steps[1, 1] = a - b * vz
+    steps[1, 0] = b * off
+    steps[0, 1] = b * off.conj()
+    return np.moveaxis(steps, -1, 0)
+
+
 def _ordered_product(steps):
     # steps[j] acts at time j; result is steps[-1] @ ... @ steps[0],
     # reduced pairwise so the loop count is logarithmic
-    mats = steps
-    while len(mats) > 1:
-        pairs = mats[1::2] @ mats[:-1:2]
-        mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
-    return mats[0]
+    if steps.shape[-1] != 2:
+        mats = steps
+        while len(mats) > 1:
+            pairs = mats[1::2] @ mats[:-1:2]
+            mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
+        return mats[0]
+    # 2x2: the same reduction on (2, 2, n) entry arrays, elementwise, as
+    # batched @ spends most of its time per matrix: with L the later and
+    # E the earlier step, (L E)_ij = L_i0 E_0j + L_i1 E_1j
+    mats = np.ascontiguousarray(np.moveaxis(steps, 0, -1))
+    while mats.shape[-1] > 1:
+        later, earlier = mats[..., 1::2], mats[..., :-1:2]
+        pairs = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        mats = np.concatenate([pairs, mats[..., -1:]], axis=-1) if mats.shape[-1] % 2 else pairs
+    return mats[..., 0]
 
 
 def unitarity_error(u):
@@ -106,6 +155,7 @@ def stroboscopic_hf(sampler, s, omega, n_steps=4096):
     an eigenphase falls within 1e-10 of the branch cut at pi, where the
     Hermitian extraction is ill-defined.
     """
+    _check_omega(omega)
     period = 2.0 * np.pi / omega
     u = evolve(sampler, s, s + period, n_steps)
     phases, frame = _unitary_eigensystem(u)
@@ -126,6 +176,7 @@ def micromotion(sampler, s, t, omega, n_steps=4096, hf=None):
     A precomputed StroboscopicHF for the same s may be passed to avoid
     recomputing the one-period propagator.
     """
+    _check_omega(omega)
     if hf is None:
         hf = stroboscopic_hf(sampler, s, omega, n_steps)
     steps = max(1, int(round(n_steps * abs(t - s) * omega / (2.0 * np.pi))))
@@ -141,6 +192,7 @@ def quasienergies_from_monodromy(u, omega):
     eps_j = -(omega / 2 pi) arg(lambda_j) with arg in (-pi, pi], hence
     eps in [-omega/2, omega/2). Input must be unitary.
     """
+    _check_omega(omega)
     err = unitarity_error(u)
     if not err <= 1e-8:
         raise ValueError(f"matrix is not unitary (error {err:.2e})")
@@ -150,5 +202,13 @@ def quasienergies_from_monodromy(u, omega):
 
 def monodromy(sampler, omega, s=0.0, n_steps=4096):
     """One-period propagator U(s + T, s)."""
+    _check_omega(omega)
     period = 2.0 * np.pi / omega
     return evolve(sampler, s, s + period, n_steps)
+
+
+def _check_omega(omega):
+    # a zero, negative or non-finite omega has no period T = 2 pi / omega
+    if (isinstance(omega, bool) or not isinstance(omega, numbers.Real)
+            or not math.isfinite(omega) or omega <= 0):
+        raise ValueError(f"omega must be a finite number > 0, got {omega!r}")

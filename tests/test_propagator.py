@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ def drive_dirac(omega=5.0, amplitude=1.0):
     return d, (lambda t: sample_dirac(0.3, -0.2, d, t))
 
 
+# spin-1 operators, for a sampler with d = 3
+SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
+SPIN1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+
+def driven_spin1(t):
+    """Spin 1 in a static field along z and a field along x at omega 5; takes arrays of t."""
+    return SPIN1_Z + 0.8 * np.cos(5.0 * np.asarray(t))[..., None, None] * SPIN1_X
+
+
 def reference_evolve(sampler, t_start, t_end, n_steps):
     """Midpoint-exponential product with one sampler call per step (the per-t oracle)."""
     dt = (t_end - t_start) / n_steps
@@ -45,10 +57,23 @@ class TestEvolve:
         lambda t: sample_honeycomb(0.4, -0.7, 1.0, drive_dirac(6.0, 0.8)[0], t),
         honeycomb_modes(0.4, -0.7, 1.0, drive_dirac(6.0, 0.8)[0], 8).sample,
         lambda t: float(t) * SIGMA_Z + SIGMA_X,      # scalar-only: sampled per midpoint
-    ], ids=["chain1d", "dirac", "honeycomb", "mode_set", "scalar_only"])
+        driven_spin1,
+    ], ids=["chain1d", "dirac", "honeycomb", "mode_set", "scalar_only", "spin1"])
     def test_matches_per_t_reference(self, sampler):
-        np.testing.assert_allclose(evolve(sampler, 0.1, 1.3, 512),
-                                   reference_evolve(sampler, 0.1, 1.3, 512), rtol=0, atol=1e-12)
+        # an odd step count, so the pairwise product carries leftover steps
+        np.testing.assert_allclose(evolve(sampler, 0.1, 1.3, 509),
+                                   reference_evolve(sampler, 0.1, 1.3, 509), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("h, dt", [
+        (0.7 * np.eye(2), 0.3),                                    # H proportional to I, r = 0
+        (np.array([[0.5, 2.0 - 1.5j], [2.0 + 1.5j, -1.5]]), 1.4),   # dt r > pi
+        (np.array([[1.3, 0.2 - 0.4j], [0.2 + 0.4j, -0.6]]), 0.05),  # unequal diagonal, complex v
+    ], ids=["identity", "beyond_pi", "complex_offdiagonal"])
+    def test_one_2x2_step_matches_eigh(self, h, dt):
+        h = np.asarray(h, dtype=complex)
+        energies, frame = np.linalg.eigh(h)
+        expected = (frame * np.exp(-1j * dt * energies)) @ frame.conj().T
+        np.testing.assert_allclose(evolve(lambda t: h, 0.0, dt, 1), expected, rtol=0, atol=1e-14)
 
     def test_static_half_rotation(self):
         u = evolve(lambda t: SIGMA_Z, 0.0, np.pi, 64)
@@ -88,6 +113,28 @@ class TestEvolve:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             evolve(lambda t: SIGMA_Z, 0.0, 1.0, 0)
+
+    def test_rejects_a_bool_step_count(self):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            evolve(lambda t: SIGMA_Z, 0.0, 1.0, True)
+
+    @pytest.mark.parametrize("t_start, t_end, name", [
+        (0.0, np.nan, "t_end"), (0.0, np.inf, "t_end"), (-np.inf, 1.0, "t_start"),
+        (np.nan, 1.0, "t_start"),
+    ])
+    def test_rejects_a_non_finite_bound_before_sampling(self, t_start, t_end, name):
+        def sampler(t):
+            raise AssertionError("the sampler must not be called")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            evolve(sampler, t_start, t_end, 8)
+
+    @pytest.mark.parametrize("value", [1.0, np.ones(2), np.ones((2, 3))],
+                             ids=["scalar", "vector", "non_square"])
+    def test_rejects_a_sampler_that_returns_no_square_matrix(self, value):
+        shape = np.shape(value)
+        for t_end in (1.0, 0.0):    # a real interval, and the empty one
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                evolve(lambda t: value, 0.0, t_end, 8)
 
     def test_rejects_a_non_integer_step_count(self):
         # 2.5 steps would take 3 midpoints at dt = T / 2.5 and so integrate to 1.2 T
@@ -193,6 +240,19 @@ class TestMonodromyQuasienergies:
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="unitary"):
             quasienergies_from_monodromy(2.0 * np.eye(2, dtype=complex), 1.0)
+
+    @pytest.mark.parametrize("omega", [0.0, -2.0, np.nan, np.inf, True])
+    def test_every_entry_point_requires_a_positive_finite_omega(self, omega):
+        _, sampler = drive_dirac()
+        hf = stroboscopic_hf(sampler, 0.0, 5.0, n_steps=64)
+        calls = [lambda: monodromy(sampler, omega, n_steps=64),
+                 lambda: stroboscopic_hf(sampler, 0.0, omega, n_steps=64),
+                 lambda: micromotion(sampler, 0.0, 0.3, omega, n_steps=64),
+                 lambda: micromotion(sampler, 0.0, 0.3, omega, n_steps=64, hf=hf),
+                 lambda: quasienergies_from_monodromy(np.eye(2, dtype=complex), omega)]
+        for call in calls:
+            with pytest.raises(ValueError, match="omega must be a finite number > 0"):
+                call()
 
     def test_folded_range(self):
         d, sampler = drive_dirac(omega=4.0, amplitude=1.2)
