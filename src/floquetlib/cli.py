@@ -273,8 +273,8 @@ def _check_sizes(cfg):
         "M": ((side, side), 16, "the Sambe matrix"),
         "Nk": ((n["Nk"] + 1, n["Nk"] + 1, side, dim), 16, "the eigenvectors over the grid"),
         "nu_points": ((n["nu_points"], side, side), 16, "the G^R columns at one k"),
-        "steps_per_period": ((n["steps_per_period"] + 1, dim ** 2, dim, dim), 16,
-                             "the RK4 images of the matrix units"),
+        "steps_per_period": ((2 * n["steps_per_period"] + 1, dim ** 2, dim ** 2), 16,
+                             "the Lindblad superoperators of the RK4 step maps"),
         # spectrum keeps the eigenvectors of every k, greens the k grid only
         "n_k": ((n["n_k"], side, dim), 16, "the eigenvectors at every k")
         if cfg.task == "spectrum" else ((n["n_k"],), 8, "the k grid"),
@@ -506,7 +506,7 @@ def _write_csv(path, header, table):
     Every value prints exactly as '%.12g' % v would, so integral values
     (branch and replica indices) print as str(int) would. The table goes
     out CSV_BLOCK_ROWS rows at a time, each block turned into bytes by a
-    numpy kernel (`_csv_bytes`) with no Python call per value:
+    numpy kernel (`_csv_slots`) with no Python call per value:
 
     * per cell, e = floor(log10|x|) and the 12-digit mantissa m = rint(s),
       s = |x| 10^(11-e); m = 10^12 carries into e + 1;
@@ -536,10 +536,16 @@ def _write_csv(path, header, table):
 
 def _csv_blocks(table):
     """The rows of a float table as CSV text, one uint8 array per CSV_BLOCK_ROWS rows."""
-    template = np.tile(np.frombuffer(_SLOT_TEMPLATE, np.uint8), (table.shape[1], 1))
-    template[:-1, -1] = ord(",")
+    template = _templates(table.shape[1])
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         yield _csv_bytes(table[start:start + CSV_BLOCK_ROWS], template)
+
+
+def _templates(n_cols):
+    """(n_cols, _SLOT) slot templates, each ending in its column's separator."""
+    template = np.tile(np.frombuffer(_SLOT_TEMPLATE, np.uint8), (n_cols, 1))
+    template[:-1, -1] = ord(",")
+    return template
 
 
 # The %.12g kernel. A cell's text is cut from a fixed slot holding every byte
@@ -601,7 +607,7 @@ def _keep_table():
     return keep.reshape(-1, _SLOT)
 
 
-_KEEP = _keep_table()
+_KEEP_CELLS = _keep_table().view(f"V{_SLOT}")[:, 0]     # one void item per keep mask
 
 
 def _exact_text(values):
@@ -609,17 +615,27 @@ def _exact_text(values):
     return np.array(["%.12g" % v for v in values.tolist()], dtype=f"S{_SLOT - 1}")
 
 
-def _bytes_field(slot, start, width):
-    """Bytes start:start+width of every slot, one void item per slot."""
-    return slot[:, start:start + width].view(f"V{width}")[:, 0]
+def _bytes_field(cells, start, width):
+    """Bytes start:start+width along the last axis of `cells`, one void item each."""
+    return cells[..., start:start + width].view(f"V{width}")[..., 0]
 
 
 def _csv_bytes(block, template):
-    """CSV text of an (n_rows, n_cols) float block as a 1-d uint8 array.
+    """CSV text of an (n_rows, n_cols) float block as a 1-d uint8 array (see _csv_slots)."""
+    slot, keep = _csv_slots(block, template)
+    return slot[keep]
 
-    `template` is an (n_cols, _SLOT) uint8 array, each row a slot template
-    ending in that column's separator.
+
+def _csv_slots(block, template, lead=0):
+    """The slots of an (n_rows, n_cols) float block and their keep mask.
+
+    Both are (n_rows, lead + n_cols _SLOT): each row holds its cells'
+    slots in order after `lead` bytes left unset for the caller, and
+    slot[keep] of the slots is the block's CSV text. `template` is an
+    (n_cols, _SLOT) uint8 array, each row a slot template ending in that
+    column's separator.
     """
+    n_rows, n_cols = block.shape
     x = block.ravel()
     a = np.abs(x)
     zero = a == 0
@@ -658,26 +674,33 @@ def _csv_bytes(block, template):
            + np.signbit(x)).astype(np.int16)
     del cls, zeros
 
-    slot = np.empty((x.size, _SLOT), np.uint8)
-    slot.view(f"V{_SLOT}").reshape(len(block), -1)[:] = template.view(f"V{_SLOT}")[:, 0]
-    digits = digits.view("V12")[:, 0]
-    _bytes_field(slot, _INT, 12)[:] = digits
-    _bytes_field(slot, _FRAC, 12)[:] = digits
+    slot = np.empty((n_rows, lead + n_cols * _SLOT), np.uint8)
+    cells = slot[:, lead:].reshape(n_rows, n_cols, _SLOT)
+    cells.view(f"V{_SLOT}")[..., 0] = template.view(f"V{_SLOT}")[:, 0]
+    digits = digits.view("V12")[:, 0].reshape(n_rows, n_cols)
+    _bytes_field(cells, _INT, 12)[:] = digits
+    _bytes_field(cells, _FRAC, 12)[:] = digits
     del digits
-    _bytes_field(slot, _EXP, 5)[:] = _EXP_FIELDS.take(e + 400)
+    _bytes_field(cells, _EXP, 5)[:] = _EXP_FIELDS.take(e + 400).reshape(n_rows, n_cols)
     # the dot after digit e in fixed notation, after d0 in exponent form; for
     # e < 0 it lands on an unused digit of the first copy
-    lead = np.where(fixed, e, 0)
-    slot.ravel()[np.arange(_FRAC, slot.size, _SLOT) + lead] = ord(".")
-    del e, fixed, lead
-    keep = _KEEP.take(key, axis=0)
+    dot = np.arange(n_rows)[:, None] * slot.shape[1] + (lead + _FRAC + _SLOT * np.arange(n_cols))
+    dot += np.where(fixed, e, 0).reshape(n_rows, n_cols)
+    slot.ravel()[dot] = ord(".")
+    del e, fixed, dot
+    keep = np.empty(slot.shape, bool)
+    keep_cells = keep[:, lead:].reshape(n_rows, n_cols, _SLOT)
+    # every key is in range: "clip" spares take a buffered copy of its output
+    _KEEP_CELLS.take(key.reshape(n_rows, n_cols), out=keep_cells.view(f"V{_SLOT}")[..., 0],
+                     mode="clip")
     del key
     exact = np.flatnonzero(~(certain | zero))
     if exact.size:
         text = _exact_text(x[exact]).view(np.uint8).reshape(exact.size, _SLOT - 1)
-        slot[exact, :-1] = text
-        keep[exact, :-1] = text != 0
-    return slot[keep]
+        row, col = np.divmod(exact, n_cols)
+        cells[row, col, :-1] = text
+        keep_cells[row, col, :-1] = text != 0
+    return slot, keep
 
 
 def _write_json(path, payload):
@@ -911,28 +934,76 @@ def task_chern(cfg: RunConfig, outdir):
             "diagnostics": _certify_cutoff(cfg, weights)}
 
 
-def _greens_rows(cfg: RunConfig, nu, k):
-    """The greens.csv text of the (nu, k, A, N) rows at one k, and three scalars there.
+def _leading_cells(values):
+    """(text, keep) of a leading column formatted once for many blocks, each cell with its comma.
 
-    They are the peak of A, its sum rule sum A dnu / dim and the largest N - A.
+    One void item per cell each, trimmed to the slot bytes some cell
+    keeps: the bytes no cell keeps add nothing to the text.
+    """
+    slot, keep = _csv_slots(values[:, None], _templates(2)[:1])
+    used = keep.any(axis=0)
+    width = f"V{np.count_nonzero(used)}"
+    return tuple(np.ascontiguousarray(a[:, used]).view(width)[:, 0] for a in (slot, keep))
+
+
+def _greens_text(nu_cells, k, spec, occ):
+    """The greens.csv text of the (nu_unfolded, k, A, N) rows at one k.
+
+    Equal to b"".join(_csv_blocks(table)) of the full table. `nu_cells` is
+    the _leading_cells of the nu_unfolded column, which no k changes; k is
+    formatted once ('%.12g', as the kernel's fallback does), and only A
+    and N go through the kernel. Each block's rows are put together after
+    the kernel's slots and cut out in its one compress.
+    """
+    nu_text, nu_keep = nu_cells
+    nu_width = nu_text.itemsize
+    k_text = _exact_text(np.array([k]))[0] + b","
+    k_width = len(k_text)
+    k_cell = np.frombuffer(k_text, f"V{k_width}")
+    k_keep = np.ones(k_width, bool).view(k_cell.dtype)
+    values = np.column_stack((spec, occ))
+    template = _templates(2)
+
+    def block(start):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        slot, keep = _csv_slots(values[rows], template, lead=nu_width + k_width)
+        _bytes_field(slot, 0, nu_width)[:] = nu_text[rows]
+        _bytes_field(keep, 0, nu_width)[:] = nu_keep[rows]
+        _bytes_field(slot, nu_width, k_width)[:] = k_cell
+        _bytes_field(keep, nu_width, k_width)[:] = k_keep
+        return slot[keep]
+
+    return b"".join(block(start) for start in range(0, len(values), CSV_BLOCK_ROWS))
+
+
+def _greens_rows(cfg: RunConfig, nu, frequencies, nu_cells, k):
+    """The greens.csv text at one k (_greens_text), and three scalars there.
+
+    They are the peak of A, its sum rule sum A dnu / dim and the largest
+    N - A. `frequencies` is the unfolded axis that `nu_cells` formats.
     """
     grid = open_system.floquet_greens(_modes(cfg, k), cfg.bath, cfg.m_cut, nu)
     freqs, spec = open_system.spectral_function(grid)
+    if not np.array_equal(freqs, frequencies):
+        raise RuntimeError(f"the spectral function at k = {k!r} is not on the run's "
+                           "nu_unfolded axis")
     _, occ = open_system.occupation_function(grid)
-    rows = np.column_stack((freqs, np.full(freqs.size, k), spec, occ))
     spectral_sum = spec.sum() * (cfg.drive.omega / nu.size) / grid.dim
-    return b"".join(_csv_blocks(rows)), spec.max(), spectral_sum, np.max(occ - spec)
+    return (_greens_text(nu_cells, k, spec, occ), spec.max(), spectral_sum,
+            np.max(occ - spec))
 
 
 def task_greens(cfg: RunConfig, outdir):
     omega = cfg.drive.omega
     nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
+    # the nu_unfolded column is the same at every k: formatted here, before the workers fork
+    frequencies = open_system.unfolded_axis(nu, cfg.m_cut, omega)[0]
+    rows = functools.partial(_greens_rows, cfg, nu, frequencies, _leading_cells(frequencies))
     scalars = []
     # each k's rows are formatted where they are computed and written in k order
     with _atomic_file(os.path.join(outdir, "greens.csv")) as handle:
         handle.write(b"nu_unfolded,k,A,N\n")
-        for text, *at_k in _worker_map(functools.partial(_greens_rows, cfg, nu), _k_grid(cfg),
-                                       cfg.workers):
+        for text, *at_k in _worker_map(rows, _k_grid(cfg), cfg.workers):
             handle.write(text)
             scalars.append(at_k)
     peaks, sums, excesses = np.array(scalars).T

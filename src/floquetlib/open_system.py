@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import FourierModeSet, _sample_times
+from .propagator import _check_count, _check_positive
 from .sambe import build_floquet_matrix
 
 RK4_LOAD_LIMIT = 0.1    # the largest step (max |H| + sum |L_j|^2) an RK4 step may take
@@ -129,12 +130,23 @@ def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
         nu=nu_grid, vectors=vectors, resolvent=resolvent, bath=bath)
 
 
+def unfolded_axis(nu, m_cut, omega):
+    """The physical frequencies nu + n omega of blocks n = -M..M, sorted, and their order.
+
+    Returns (frequencies, order): frequencies = axis[order] for the
+    block-major axis, block n's nu first. The frequencies do not depend
+    on k, so the greens task formats them once per run.
+    """
+    shifts = np.arange(-m_cut, m_cut + 1) * omega
+    axis = (np.asarray(nu)[None, :] + shifts[:, None]).ravel()
+    order = np.argsort(axis, kind="stable")
+    return axis[order], order
+
+
 def _unfold(grid: GreensFunctionGrid, values):
     """Sort (n_nu, 2M+1) per-block values onto the axis nu + n omega."""
-    shifts = np.arange(-grid.m_cut, grid.m_cut + 1) * grid.omega
-    axis = (grid.nu[None, :] + shifts[:, None]).ravel()
-    order = np.argsort(axis, kind="stable")
-    return axis[order], values.T.ravel()[order]
+    frequencies, order = unfolded_axis(grid.nu, grid.m_cut, grid.omega)
+    return frequencies, values.T.ravel()[order]
 
 
 def spectral_function(grid: GreensFunctionGrid):
@@ -214,12 +226,9 @@ class LindbladSystem:
 
 def lindblad_rhs(system: LindbladSystem, rho, t):
     """GKSL right-hand side -i[H, rho] + sum_j (L rho L+ - {L+L, rho}/2)."""
+    # as -i(H_eff rho - rho H_eff+) + sum_j L rho L+
     h_eff = np.asarray(system.hamiltonian(t), dtype=complex) + system._shift
-    return _rhs(system, np.asarray(rho, dtype=complex), h_eff)
-
-
-def _rhs(system: LindbladSystem, rho, h_eff):
-    """lindblad_rhs as -i(H_eff rho - rho H_eff+) + sum_j L rho L+, H_eff already formed."""
+    rho = np.asarray(rho, dtype=complex)
     out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
     for op in system.jumps:
         out += op @ rho @ op.conj().T
@@ -229,7 +238,7 @@ def _rhs(system: LindbladSystem, rho, h_eff):
 @dataclass(frozen=True)
 class LindbladTrajectory:
     times: np.ndarray
-    states: np.ndarray   # (n_times, dim, dim)
+    states: np.ndarray   # (n_times, dim, dim), or (n_times, n, dim, dim) for a stack
 
 
 def rk4_samples(system: LindbladSystem, t0, t1, dt):
@@ -294,24 +303,43 @@ def _rk4(system: LindbladSystem, rho, t0, t1, dt):
     """Classical RK4 over [t0, t1] at nominal step dt; returns (times, states).
 
     Steps and samples H as rk4_samples does, which raises for an unstable
-    step. rho is one matrix or a (n, dim, dim) stack: the right-hand side
-    is linear and broadcasts over the leading axis, so a stack costs the
-    same sampler calls as one state. states[i] is the state after i steps.
+    step. On row-major flattened density matrices the GKSL generator at
+    each sample is the superoperator
+    L(t) = -i (H_eff x I - I x H_eff*) + sum_j L_j x L_j*, and RK4 on a
+    linear equation is a linear map per step: with L_a, L_m, L_b at the
+    step's start, midpoint and end, K1 = L_a, K2 = L_m (I + dt/2 K1),
+    K3 = L_m (I + dt/2 K2), K4 = L_b (I + dt K3) and
+    M = I + (dt/6)(K1 + 2 K2 + 2 K3 + K4). Every M - I is formed at once,
+    as (n_steps, dim^2, dim^2) products, and rho, one matrix or a
+    (n, dim, dim) stack, is carried through them as rho + (M - I) rho,
+    the form of an RK4 update. states[i] is the state after i steps.
     Warns, naming the caller's caller, when the trace of any state drifts
     by more than 1e-6.
     """
     step, h = rk4_samples(system, t0, t1, dt)
-    n_steps = len(h) // 2
+    n_steps, dim, d2 = len(h) // 2, system.dim, system.dim ** 2
     h_eff = system._shift + h
+    eye = np.eye(dim)
+    gen = (np.einsum("tik,jl->tijkl", h_eff, eye)
+           - np.einsum("ik,tjl->tijkl", eye, h_eff.conj())).reshape(len(h), d2, d2)
+    gen *= -1j
+    gen += sum(np.kron(op, op.conj()) for op in system.jumps)
+    start, mid, end = gen[:-1:2], gen[1::2], gen[2::2]
+    k2 = mid + (0.5 * step) * (mid @ start)
+    k3 = mid + (0.5 * step) * (mid @ k2)
+    k4 = end + step * (end @ k3)
+    # M - I, applied as rho + (M - I) rho: forming I + (M - I) first would round
+    # away the low digits of each step's increment
+    increments = (step / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
+    del gen, start, mid, end, k2, k3, k4
     states = np.empty((n_steps + 1,) + np.shape(rho), dtype=complex)
     states[0] = rho
+    # row vectors: vec(rho) of step i + 1 is vec(rho) of step i times M_i^T
+    vecs = states.reshape(n_steps + 1, -1, d2)
+    increments_t = increments.transpose(0, 2, 1)
     for i in range(n_steps):
-        rho = states[i]
-        k1 = _rhs(system, rho, h_eff[2 * i])
-        k2 = _rhs(system, rho + 0.5 * step * k1, h_eff[2 * i + 1])
-        k3 = _rhs(system, rho + 0.5 * step * k2, h_eff[2 * i + 1])
-        k4 = _rhs(system, rho + step * k3, h_eff[2 * i + 2])
-        states[i + 1] = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.matmul(vecs[i], increments_t[i], out=vecs[i + 1])
+        vecs[i + 1] += vecs[i]
     drift = np.max(np.abs(np.trace(states[-1], axis1=-2, axis2=-1)
                           - np.trace(states[0], axis1=-2, axis2=-1)))
     if drift > 1e-6:
@@ -320,8 +348,8 @@ def _rk4(system: LindbladSystem, rho, t0, t1, dt):
 
 
 def _warn_negativity(rho):
-    """Warn, naming the caller's caller, when rho has an eigenvalue below -1e-6."""
-    floor = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+    """Warn, naming the caller's caller, when rho, or one of a stack, has an eigenvalue < -1e-6."""
+    floor = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))))
     if floor < -1e-6:
         warnings.warn(f"density matrix developed negativity {floor:.2e}", stacklevel=3)
 
@@ -333,10 +361,16 @@ def evolve_lindblad(system: LindbladSystem, rho0, t_span, dt):
     diagnostics for integrator or model trouble and are reported through
     warnings rather than silently repaired. The step taken, (t1 - t0) /
     round((t1 - t0) / dt), must satisfy step (|H| + sum |L_j|^2) < 0.1
-    with |H| the largest over the sampled grid.
+    with |H| the largest over the sampled grid. A t_span that is not
+    finite or a dt that is not a finite number > 0 raises, naming it.
+    rho0 is one density matrix or an (n, dim, dim) stack of them, each
+    evolved on its own.
     """
-    times, states = _rk4(system, np.asarray(rho0, dtype=complex),
-                         float(t_span[0]), float(t_span[1]), dt)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got {tuple(t_span)!r}")
+    _check_positive("dt", dt)
+    times, states = _rk4(system, np.asarray(rho0, dtype=complex), t0, t1, dt)
     _warn_negativity(states[-1])
     return LindbladTrajectory(times=times, states=states)
 
@@ -356,6 +390,13 @@ class PeriodicSteadyState:
         return self.states[0]
 
 
+def _period(omega, steps_per_period):
+    """T = 2 pi / omega, once omega and steps_per_period are checked."""
+    _check_positive("omega", omega)
+    _check_count("steps_per_period", steps_per_period)
+    return 2.0 * np.pi / omega
+
+
 def one_period_map(system: LindbladSystem, omega, steps_per_period=256):
     """The RK4 one-period map Phi_T as a (dim^2, dim^2) matrix.
 
@@ -366,7 +407,7 @@ def one_period_map(system: LindbladSystem, omega, steps_per_period=256):
     Same stability check and trace-drift warning as evolve_lindblad
     (drift taken over the images of the basis).
     """
-    period = 2.0 * np.pi / omega
+    period = _period(omega, steps_per_period)
     d2 = system.dim ** 2
     basis = np.eye(d2, dtype=complex).reshape(d2, system.dim, system.dim)
     _, images = _rk4(system, basis, 0.0, period, period / steps_per_period)
@@ -378,20 +419,22 @@ def find_ness(system: LindbladSystem, omega, tol=1e-9, steps_per_period=256):
 
     Runs one RK4 period on the stack of dim^2 matrix units, keeping all
     (steps_per_period + 1) dim^4 complex values (66 KB for two levels at
-    256 steps). The last images are Phi_T, as in one_period_map, and
-    (Phi_T - I) rho = 0 with tr rho = 1 is solved as one (dim^2 + 1) x
-    dim^2 least-squares problem. The error in rho is about the residual
-    |Phi_T rho - rho|_inf over the gap 1 - |lambda_2| of Phi_T, so raises
-    unless residual < tol * gap. One level has gap 1: its map has the
-    single eigenvalue 1 and a unique fixed point. A steady state that is
-    not unique has gap 0 and always raises. The trajectory is the same combination
-    sum_k rho_k images_k at every time, exact by linearity, with
-    endpoints included (states[-1] vs states[0] shows the periodicity
-    residual). Requires dissipation: at least one nonzero jump operator.
+    256 steps); forming the RK4 step maps takes about 8 steps_per_period
+    dim^4 more (the call peaks at 612 KB there). The last images are
+    Phi_T, as in one_period_map, and (Phi_T - I) rho = 0 with tr rho = 1
+    is solved as one (dim^2 + 1) x dim^2 least-squares problem. The
+    error in rho is about the residual |Phi_T rho - rho|_inf over the gap
+    1 - |lambda_2| of Phi_T, so raises unless residual < tol * gap. One
+    level has gap 1: its map has the single eigenvalue 1 and a unique
+    fixed point. A steady state that is not unique has gap 0 and always
+    raises. The trajectory is the same combination sum_k rho_k images_k
+    at every time, exact by linearity, with endpoints included
+    (states[-1] vs states[0] shows the periodicity residual). Requires
+    dissipation: at least one nonzero jump operator.
     """
+    period = _period(omega, steps_per_period)
     if not system.jumps or all(np.max(np.abs(op)) == 0.0 for op in system.jumps):
         raise ValueError("steady-state search needs at least one nonzero jump operator")
-    period = 2.0 * np.pi / omega
     dim, d2 = system.dim, system.dim ** 2
     basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)
     times, images = _rk4(system, basis, 0.0, period, period / steps_per_period)

@@ -47,13 +47,8 @@ def evolve(sampler, t_start, t_end, n_steps):
         Number of midpoint steps, an integer (NumPy's too) of at least 1;
         accuracy is O((dt)^2).
     """
-    # bool is an Integral; True must not pass as one step
-    if (isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
-            or n_steps < 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    for name, value in (("t_start", t_start), ("t_end", t_end)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_count("n_steps", n_steps)
+    _check_finite(t_start=t_start, t_end=t_end)
     if t_end == t_start:
         return np.eye(_square_dim(np.shape(sampler(t_start))), dtype=complex)
     if t_end < t_start:
@@ -155,7 +150,7 @@ def stroboscopic_hf(sampler, s, omega, n_steps=4096):
     an eigenphase falls within 1e-10 of the branch cut at pi, where the
     Hermitian extraction is ill-defined.
     """
-    _check_omega(omega)
+    _check_positive("omega", omega)
     period = 2.0 * np.pi / omega
     u = evolve(sampler, s, s + period, n_steps)
     phases, frame = _unitary_eigensystem(u)
@@ -176,7 +171,8 @@ def micromotion(sampler, s, t, omega, n_steps=4096, hf=None):
     A precomputed StroboscopicHF for the same s may be passed to avoid
     recomputing the one-period propagator.
     """
-    _check_omega(omega)
+    _check_positive("omega", omega)
+    _check_finite(s=s, t=t)     # before the step count, which cannot round them
     if hf is None:
         hf = stroboscopic_hf(sampler, s, omega, n_steps)
     steps = max(1, int(round(n_steps * abs(t - s) * omega / (2.0 * np.pi))))
@@ -192,7 +188,7 @@ def quasienergies_from_monodromy(u, omega):
     eps_j = -(omega / 2 pi) arg(lambda_j) with arg in (-pi, pi], hence
     eps in [-omega/2, omega/2). Input must be unitary.
     """
-    _check_omega(omega)
+    _check_positive("omega", omega)
     err = unitarity_error(u)
     if not err <= 1e-8:
         raise ValueError(f"matrix is not unitary (error {err:.2e})")
@@ -202,13 +198,25 @@ def quasienergies_from_monodromy(u, omega):
 
 def monodromy(sampler, omega, s=0.0, n_steps=4096):
     """One-period propagator U(s + T, s)."""
-    _check_omega(omega)
+    _check_positive("omega", omega)
     period = 2.0 * np.pi / omega
     return evolve(sampler, s, s + period, n_steps)
 
 
-def _check_omega(omega):
-    # a zero, negative or non-finite omega has no period T = 2 pi / omega
-    if (isinstance(omega, bool) or not isinstance(omega, numbers.Real)
-            or not math.isfinite(omega) or omega <= 0):
-        raise ValueError(f"omega must be a finite number > 0, got {omega!r}")
+def _check_count(name, value):
+    # bool is an Integral; True must not pass as one step
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(name, value):
+    # a zero, negative or non-finite omega has no period T = 2 pi / omega, nor dt a step
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value <= 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")

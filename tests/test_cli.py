@@ -608,6 +608,24 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
         assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("k", [-0.0, 0.0, 1e-5, -math.pi])
+def test_greens_text_matches_the_full_table(k, monkeypatch):
+    rng = np.random.default_rng(29)
+    rows = 2 * cli.CSV_BLOCK_ROWS + 77
+    nu = np.sort(rng.uniform(-40.0, 40.0, rows))
+    nu[[7, -7]] = -1.23456789012e-300, 4.5e+300    # outside the kernel's range: '%.12g' itself
+    spec = rng.exponential(size=rows)
+    occ = spec * rng.uniform(size=rows)
+    occ[::5] = 0.0
+    exact = []
+    monkeypatch.setattr(cli, "_exact_text",
+                        lambda v, inner=cli._exact_text: exact.append(v.tolist()) or inner(v))
+    cells = cli._leading_cells(nu)
+    assert len(exact) == 1 and {nu[7], nu[-7]} <= set(exact[0])
+    table = np.column_stack((nu, np.full(rows, k), spec, occ))
+    assert cli._greens_text(cells, k, spec, occ) == b"".join(cli._csv_blocks(table))
+
+
 def torture_doubles(rng):
     """About 1M doubles covering every branch of the %.12g kernel."""
     def signed(values):
@@ -1288,10 +1306,10 @@ class TestTaskWorkers:
     def test_dead_worker_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
         greens_rows = cli._greens_rows
 
-        def dies_at_third_k(cfg, nu, k):
+        def dies_at_third_k(cfg, nu, frequencies, nu_cells, k):
             if k == cli._k_grid(cfg)[2]:
                 os._exit(1)  # a worker killed, say out of memory
-            return greens_rows(cfg, nu, k)
+            return greens_rows(cfg, nu, frequencies, nu_cells, k)
 
         monkeypatch.setattr(cli, "_greens_rows", dies_at_third_k)  # fork carries the patch
         monkeypatch.setenv("FLOQUET_WORKERS", "2")
@@ -1482,29 +1500,31 @@ def test_ness_builds_one_lindblad_system(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "ness.csv").exists()
 
 
-@pytest.mark.parametrize("payload, key, value", [
+@pytest.mark.parametrize("payload, key, value, array", [
     ({"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "ness",
-      "lindblad": {"gamma": 0.1}}, "steps_per_period", 10 ** 12),
+      "lindblad": {"gamma": 0.1}}, "steps_per_period", 10 ** 12,
+     "2000000000001 x 4 x 4 array (the Lindblad superoperators of the RK4 step maps)"),
     ({"model": "chain1d", "drive": {"omega": 8.0, "amplitude": 1.0}, "task": "spectrum"},
-     "M", 10 ** 6),
+     "M", 10 ** 6, "2000001 x 2000001 array (the Sambe matrix)"),
     ({"model": "chain1d", "drive": {"omega": 8.0, "amplitude": 1.0}, "task": "spectrum"},
-     "n_k", 10 ** 13),
+     "n_k", 10 ** 13, "array (the eigenvectors at every k)"),
     ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
-      "bath": {"gamma": 0.05}}, "n_k", 10 ** 13),
+      "bath": {"gamma": 0.05}}, "n_k", 10 ** 13, "10000000000000 array (the k grid)"),
     ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
-      "bath": {"gamma": 0.05}}, "nu_points", 10 ** 12),
+      "bath": {"gamma": 0.05}}, "nu_points", 10 ** 12, "array (the G^R columns at one k)"),
     ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
-      "bath": {"gamma": 0.05}}, "M", 10 ** 6),
+      "bath": {"gamma": 0.05}}, "M", 10 ** 6, "2000001 x 2000001 array (the Sambe matrix)"),
     ({"model": "honeycomb", "drive": {"omega": 8.0, "amplitude": 1.0}, "task": "chern"},
-     "Nk", 10 ** 9),
+     "Nk", 10 ** 9, "array (the eigenvectors over the grid)"),
 ], ids=["ness-steps_per_period", "spectrum-M", "spectrum-n_k", "greens-n_k", "greens-nu_points",
         "greens-M", "chern-Nk"])
-def test_size_beyond_memory_is_a_config_error(tmp_path, capsys, payload, key, value):
+def test_size_beyond_memory_is_a_config_error(tmp_path, capsys, payload, key, value, array):
     path = write_config(tmp_path, {**payload, "output": str(tmp_path / "out")})
     for command in ("validate", "run"):
         assert main([command, path, "--set", f"numerics.{key}={value}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: numerics.{key}: {value} needs a ")
+        assert f" {array} of " in err
         assert "more than this machine's" in err
     assert os.listdir(tmp_path) == ["config.json"]
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -437,6 +438,19 @@ class TestEvolveLindblad:
             fq.evolve_lindblad(system, np.diag([1.3, -0.3]), (0.0, 0.1), 0.01)
         assert [w.filename for w in record] == [__file__]
 
+    @pytest.mark.parametrize("t_span, dt, message", [
+        ((0.0, 1.0), 0.0, "dt must be a finite number > 0, got 0.0"),
+        ((0.0, 1.0), -0.01, "dt must be a finite number > 0, got -0.01"),
+        ((0.0, 1.0), np.nan, "dt must be a finite number > 0, got nan"),
+        ((0.0, 1.0), True, "dt must be a finite number > 0, got True"),
+        ((0.0, np.inf), 0.01, "t_span must be finite, got (0.0, inf)"),
+        ((np.nan, 1.0), 0.01, "t_span must be finite, got (nan, 1.0)"),
+    ])
+    def test_names_a_bad_step_or_span(self, t_span, dt, message):
+        system = fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z, jumps=[LOWERING])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fq.evolve_lindblad(system, np.eye(2, dtype=complex) / 2, t_span, dt)
+
     def test_rejects_an_empty_span(self):
         system = fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z, jumps=[LOWERING])
         with pytest.raises(ValueError, match="t1 > t0"):
@@ -568,11 +582,71 @@ class TestOnePeriodMap:
         assert phi.shape == (4, 4)
         assert np.max(np.abs((phi @ rho.ravel()).reshape(2, 2) - stepped)) < 1e-13
 
+    @staticmethod
+    def three_level_system():
+        """A driven three-level system with a ladder decay and dephasing."""
+        omega = CIRCULAR_DRIVE.omega
+        static = np.diag([0.0, 0.7, -0.4]).astype(complex)
+        coupling = np.array([[0, 0.5, 0.2j], [0.5, 0, 0.3], [-0.2j, 0.3, 0]], dtype=complex)
+
+        def hamiltonian(t):
+            return static + np.cos(omega * np.asarray(t))[..., None, None] * coupling
+
+        jumps = [np.sqrt(0.3) * np.eye(3, k=1), np.sqrt(0.2) * np.diag([1.0, -1.0, 0.5])]
+        return fq.LindbladSystem(hamiltonian=hamiltonian, jumps=jumps)
+
+    def test_three_levels_two_jumps_match_per_t_reference(self):
+        system = self.three_level_system()
+        phi = fq.one_period_map(system, CIRCULAR_DRIVE.omega, steps_per_period=256)
+        want = reference_one_period_map(system, CIRCULAR_DRIVE.omega, 256)
+        assert phi.shape == (9, 9)
+        np.testing.assert_allclose(phi, want, rtol=0, atol=1e-13)
+
+    def test_a_stack_of_states_matches_per_t_reference(self):
+        system = self.three_level_system()
+        rng = np.random.default_rng(5)
+        roots = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        stack = roots @ roots.conj().transpose(0, 2, 1)
+        stack /= np.trace(stack, axis1=1, axis2=2)[:, None, None]
+        period = CIRCULAR_DRIVE.period
+        states = fq.evolve_lindblad(system, stack, (0.0, period), period / 256).states
+        assert states.shape == (257, 4, 3, 3)
+        want = stack.reshape(4, 9) @ reference_one_period_map(system, CIRCULAR_DRIVE.omega, 256).T
+        np.testing.assert_allclose(states[-1].reshape(4, 9), want, rtol=0, atol=1e-13)
+
+    def test_trace_drift_case_matches_per_t_reference(self):
+        # a non-Hermitian H: the map grows the trace, and warns, but is still RK4's
+        system = fq.LindbladSystem(hamiltonian=lambda t: 0.5j * np.eye(2) + 0.3 * SIGMA_X,
+                                   jumps=[np.sqrt(0.5) * LOWERING])
+        with pytest.warns(UserWarning, match="trace drift"):
+            phi = fq.one_period_map(system, 2.0 * np.pi, steps_per_period=128)
+        np.testing.assert_allclose(phi, reference_one_period_map(system, 2.0 * np.pi, 128),
+                                   rtol=0, atol=1e-13)
+
     def test_rejects_unstable_step_before_building(self):
         system = fq.LindbladSystem(hamiltonian=lambda t: 30.0 * SIGMA_Z,
                                    jumps=[LOWERING])
         with pytest.raises(ValueError, match="stability"):
             fq.find_ness(system, omega=2.0 * np.pi, steps_per_period=16)
+
+
+@pytest.mark.parametrize("entry", [fq.one_period_map, fq.find_ness])
+class TestPeriodArguments:
+    SYSTEM = fq.LindbladSystem(hamiltonian=lambda t: SIGMA_Z, jumps=[LOWERING])
+
+    @pytest.mark.parametrize("steps", [256.4, 256.0, 0, -3, np.nan, True])
+    def test_names_a_step_count_that_is_not_a_positive_integer(self, entry, steps):
+        with pytest.raises(ValueError, match=f"^steps_per_period must be an integer >= 1, "
+                                             f"got {re.escape(repr(steps))}$"):
+            entry(self.SYSTEM, 2.0 * np.pi, steps_per_period=steps)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf, True])
+    def test_names_an_omega_without_a_period(self, entry, omega):
+        with pytest.raises(ValueError, match="^omega must be a finite number > 0, got "):
+            entry(self.SYSTEM, omega, steps_per_period=64)
+
+    def test_takes_a_numpy_integer(self, entry):
+        entry(self.SYSTEM, 2.0 * np.pi, steps_per_period=np.int64(64))
 
 
 class TestFindNESS:

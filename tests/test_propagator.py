@@ -202,6 +202,15 @@ class TestMicromotion:
         p_period = micromotion(sampler, 0.1, 0.1 + d.period, d.omega, n_steps=8192, hf=hf)
         assert np.max(np.abs(p_period - np.eye(2))) < 1e-7
 
+    @pytest.mark.parametrize("s, t, name", [(0.0, np.nan, "t"), (0.0, np.inf, "t"),
+                                            (np.nan, 0.3, "s"), (-np.inf, 0.3, "s")])
+    def test_rejects_a_non_finite_time_before_the_step_count(self, s, t, name):
+        d, sampler = drive_dirac()
+        hf = stroboscopic_hf(sampler, 0.0, d.omega, n_steps=64)
+        for given in (None, hf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+                micromotion(sampler, s, t, d.omega, n_steps=64, hf=given)
+
     def test_reconstructs_full_propagator(self):
         # U(t, t0) = P_s(t) exp(-i (t - t0) H_F(s)) P_s(t0)^{-1}
         d, sampler = drive_dirac()
