@@ -3,9 +3,10 @@
 Every Bessel-renormalized quantity in the toolkit (effective hoppings,
 drive harmonics) takes J_n(x) from here. `bessel_j` is a broadcasting
 front to scipy.special.jv that keeps the toolkit's input contract:
-integer orders and finite arguments only. A mode set takes all of its
-J_n(A) from one call on the order array. The tests check it against
-the standard identities
+integer orders and finite arguments only. The mode builders call it
+once per (hopping, A, n_max) on the whole order array and cache the
+result, so a k-grid at one drive computes J_n(A) once. The tests check
+it against the standard identities
 
     J_0(0) = 1,  J_n(0) = 0 (n > 0)
     J_{-n}(x) = (-1)^n J_n(x)

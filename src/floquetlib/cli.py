@@ -72,6 +72,7 @@ import collections
 import concurrent.futures
 import contextlib
 import copy
+import ctypes
 import functools
 import hashlib
 import json
@@ -741,14 +742,47 @@ def _env_workers():
     return workers
 
 
+# the thread-count setters of the OpenBLAS builds numpy (64-bit ints) and scipy load
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+@functools.lru_cache(maxsize=1)
+def _blas_thread_setters():
+    """The _BLAS_THREAD_SETTERS exported by the OpenBLAS libraries loaded in this process.
+
+    Found once per process through /proc/self/maps; none where that file
+    is missing or no loaded library exports one.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setters.append(setter)
+    return tuple(setters)
+
+
 # In a pool worker process: the function and items its pool runs. Set there by
 # _start_worker when the worker is forked, so neither is ever pickled.
 _worker_job = None
 
 
-def _start_worker(fn, items):
+def _start_worker(fn, items, blas_setters):
+    """Keep the pool's job and run BLAS on one thread: the workers already share the CPUs."""
     global _worker_job
     _worker_job = fn, items
+    for setter in blas_setters:
+        setter(1)
 
 
 def _run_item(index):
@@ -802,10 +836,11 @@ def _in_workers(fn, items, workers, isolate=False):
     fresh import of numpy and scipy per worker (spawn, forkserver) costs
     about 0.45 s, and `fn` and `items` reach them without pickling; the
     library itself starts no thread that a fork could catch holding a
-    lock. Items are submitted at most twice the pool's size ahead of the
-    one being yielded, so the results waiting here stay few however many
-    items there are. Each item's
-    warnings are re-raised here (_relay) just before its outcome is
+    lock. Each worker runs BLAS on one thread, through the setters
+    _blas_thread_setters finds here before the fork. Items are submitted
+    at most twice the pool's size ahead of the one being yielded, so the
+    results waiting here stay few however many items there are. Each
+    item's warnings are re-raised here (_relay) just before its outcome is
     yielded; a worker that dies fails every item it had not finished with
     BrokenProcessPool.
 
@@ -826,7 +861,7 @@ def _in_workers(fn, items, workers, isolate=False):
     size = min(workers, len(items), _usable_cpus())
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=size, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(fn, items)) as pool:
+            initializer=_start_worker, initargs=(fn, items, _blas_thread_setters())) as pool:
         submitted = min(2 * size, len(items))
         ahead = collections.deque(_submit(pool, index) for index in range(submitted))
         try:

@@ -17,6 +17,7 @@ the hopping unless stated):
   of times, giving t.shape + (d, d) with each row equal to the scalar call.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -279,12 +280,28 @@ def fourier_modes(sampler, omega, n_max):
     return mode_set
 
 
-def chain_modes(k, hopping, drive, n_max):
-    """Closed-form modes of the driven chain, H_n = -J J_n(z)((-1)^n e^{ik} + e^{-ik})."""
-    check_polarization("chain1d", drive)
+def _read_only(*arrays):
+    """The arrays as a tuple, each made read-only: a cached array is shared by every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _chain_factors(hopping, amplitude, n_max):
+    """The k-independent factors of chain_modes: -J J_n(A) and (-1)^n, read-only."""
     ns = np.arange(-n_max, n_max + 1)
-    jn = bessel_j(ns, drive.amplitude)
-    coeff = -hopping * jn * (((-1.0) ** ns) * np.exp(1j * k) + np.exp(-1j * k))
+    return _read_only(-hopping * bessel_j(ns, amplitude), (-1.0) ** ns)
+
+
+def chain_modes(k, hopping, drive, n_max):
+    """Closed-form modes of the driven chain, H_n = -J J_n(z)((-1)^n e^{ik} + e^{-ik}).
+
+    -J J_n(z) and (-1)^n are computed once per (hopping, amplitude, n_max).
+    """
+    check_polarization("chain1d", drive)
+    scale, signs = _chain_factors(hopping, drive.amplitude, n_max)
+    coeff = scale * (signs * np.exp(1j * k) + np.exp(-1j * k))
     return FourierModeSet(drive.omega, coeff.reshape(-1, 1, 1))
 
 
@@ -295,22 +312,34 @@ def dirac_modes(kx, ky, drive):
     return FourierModeSet(drive.omega, np.stack([h1.conj().T, kx * SIGMA_X + ky * SIGMA_Y, h1]))
 
 
+@functools.lru_cache(maxsize=8)
+def _honeycomb_factors(hopping, amplitude, n_max):
+    """The k-independent factors of honeycomb_modes, read-only.
+
+    J J_n(A) (-i)^n of shape (2 n_max + 1,) and the bond harmonics
+    e^{i n phi_i} of shape (2 n_max + 1, 3).
+    """
+    ns = np.arange(-n_max, n_max + 1)
+    phis = np.arctan2(HONEYCOMB_DELTAS[:, 1], HONEYCOMB_DELTAS[:, 0])
+    return _read_only(hopping * bessel_j(ns, amplitude) * ((-1j) ** ns),
+                      np.exp(1j * ns[:, None] * phis))
+
+
 def honeycomb_modes(kx, ky, hopping, drive, n_max):
     """Closed-form modes of the driven honeycomb lattice.
 
     Per bond, exp(-i A . delta_i) = exp(-i A cos(omega t - phi_i)) expands
     through the Jacobi-Anger identity, giving the off-diagonal element of
     mode n as f_n = J sum_i e^{i k . delta_i} (-i)^n J_n(A) e^{i n phi_i};
-    the lower element is conj(f_{-n}).
+    the lower element is conj(f_{-n}). The factors that do not depend on k,
+    J (-i)^n J_n(A) and e^{i n phi_i}, are computed once per (hopping,
+    amplitude, n_max).
     """
     check_polarization("honeycomb", drive)
-    ns = np.arange(-n_max, n_max + 1)
-    jn = bessel_j(ns, drive.amplitude)
+    scale, harmonics = _honeycomb_factors(hopping, drive.amplitude, n_max)
     bond_phases = np.exp(1j * (HONEYCOMB_DELTAS @ np.array([kx, ky])))
-    phis = np.arctan2(HONEYCOMB_DELTAS[:, 1], HONEYCOMB_DELTAS[:, 0])
-    bonds = np.sum(bond_phases * np.exp(1j * ns[:, None] * phis), axis=1)
-    f = hopping * jn * ((-1j) ** ns) * bonds
-    modes = np.zeros((ns.size, 2, 2), dtype=complex)
+    f = scale * np.sum(bond_phases * harmonics, axis=1)
+    modes = np.zeros((scale.size, 2, 2), dtype=complex)
     modes[:, 0, 1] = f
     modes[:, 1, 0] = np.conj(f)[::-1]
     return FourierModeSet(drive.omega, modes)

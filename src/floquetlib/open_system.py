@@ -274,7 +274,9 @@ def _rk4_load(system: LindbladSystem, t0, t1, n_steps):
     if not finite.all():
         raise ValueError(f"the Hamiltonian sampler is not finite at t = "
                          f"{times[np.argmin(finite)]:.6g}, the first such time of the RK4 grid")
-    load = step * (np.max(np.linalg.norm(h, 2, axis=(1, 2)))
+    # the 2-norm |H| is sqrt(max eigenvalue of H^dagger H), for a non-Hermitian H too
+    top = np.max(np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)[:, -1])
+    load = step * (np.sqrt(max(top, 0.0))
                    + sum(np.linalg.norm(op, 2) ** 2 for op in system.jumps))
     return step, h, load
 

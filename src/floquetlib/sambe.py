@@ -12,13 +12,14 @@ the largest Fourier weight in the central block.
 each side of zero, certified exact by the central-weight sum rule.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .models import FourierModeSet
+from .models import FourierModeSet, _read_only
 
 # blocks replica selection keeps between the mode cutoff and the edges |m| = M
 SELECTION_MARGIN = 2
@@ -61,22 +62,39 @@ class FloquetMatrix:
             raise ValueError(f"extended-space matrix is not Hermitian (error {herm:.2e})")
 
 
+@functools.lru_cache(maxsize=4)
+def _sambe_layout(m_cut, n_max, dim):
+    """(gather index, diagonal m values) of the ((2M+1) dim)^2 matrix, read-only.
+
+    Entry (row, col) of block (m, n) takes flat element (m - n + n_max, row,
+    col) of the mode array, or the one zero appended after it where
+    |m - n| > n_max. The diagonal holds m, repeated dim times.
+    """
+    ms = np.arange(-m_cut, m_cut + 1)
+    diff = (ms[:, None] - ms[None, :])[:, None, :, None]
+    entry = np.arange(dim * dim).reshape(1, dim, 1, dim)
+    size = ms.size * dim
+    index = np.where(np.abs(diff) <= n_max, (diff + n_max) * (dim * dim) + entry,
+                     (2 * n_max + 1) * dim * dim).reshape(size, size)
+    return _read_only(index, np.repeat(ms, dim))
+
+
 def build_floquet_matrix(modes: FourierModeSet, m_cut):
     """Assemble the extended-space matrix from a Fourier mode set.
 
-    Block (m, n) holds H_{m-n} - m omega delta_{mn}: the block-Toeplitz
-    gather modes.mode(m - n) over the (2M+1)^2 index differences, which
-    is zero wherever |m - n| > n_max, plus the diagonal shift. Rejects
-    m_cut < n_max since that would silently drop drive modes.
+    Block (m, n) holds H_{m-n} - m omega delta_{mn}: one gather from the
+    flat modes with a zero appended, which stands in for every |m - n| >
+    n_max, then the diagonal shift. The gather index depends only on
+    (M, n_max, dim) and is built once per cutoff set. Rejects m_cut <
+    n_max since that would silently drop drive modes.
     """
     n_max = modes.n_max
     if m_cut < n_max:
         raise ValueError(f"replica cutoff M={m_cut} must be >= n_max={n_max}")
     d = modes.dim
-    ms = np.arange(-m_cut, m_cut + 1)
-    size = ms.size * d
-    big = modes.mode(ms[:, None] - ms[None, :]).transpose(0, 2, 1, 3).reshape(size, size)
-    big[np.diag_indices(size)] -= np.repeat(ms * modes.omega, d)
+    index, diagonal = _sambe_layout(m_cut, n_max, d)
+    big = np.concatenate([modes.modes.ravel(), np.zeros(1, complex)]).take(index)
+    big.reshape(-1)[::big.shape[0] + 1] -= diagonal * modes.omega
     return FloquetMatrix(omega=modes.omega, m_cut=m_cut, dim=d, n_max=n_max, matrix=big)
 
 

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -1345,6 +1346,30 @@ class TestTaskWorkers:
         assert sorted(results) == [0.5, 1.0] and not failures
         assert pools.read_text().split() == [str(os.getpid())]
 
+    def test_workers_run_blas_on_one_thread(self):
+        setters = cli._blas_thread_setters()
+        if not setters:
+            pytest.skip("no loaded BLAS library exports a thread-count setter")
+        with open("/proc/self/maps") as maps:
+            libraries = [ctypes.CDLL(path) for path in sorted(
+                {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})]
+        getters = [getattr(library, name.replace("_set_", "_get_"))
+                   for library in libraries for name in cli._BLAS_THREAD_SETTERS
+                   if hasattr(library, name)]
+        assert len(getters) == len(setters)
+        for getter in getters:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+        before = [getter() for getter in getters]
+        try:
+            for setter in setters:
+                setter(2)
+            assert [getter() for getter in getters] == [2] * len(getters)
+            seen = list(cli._worker_map(lambda item: [getter() for getter in getters], [0, 1], 2))
+            assert seen == [[1] * len(getters)] * 2
+        finally:
+            for setter, threads in zip(setters, before):
+                setter(threads)
+
     def test_pool_never_outnumbers_the_cpus(self, tmp_path, monkeypatch):
         sizes = []
 
@@ -1367,6 +1392,7 @@ class TestTaskWorkers:
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_worker_job", None)   # set here by the initializer
+        monkeypatch.setattr(cli, "_blas_thread_setters", lambda: ())   # keep this BLAS as it is
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("FLOQUET_WORKERS", "64")
@@ -1377,6 +1403,32 @@ class TestTaskWorkers:
         results, failures = cli.run_sweep(raw, "drive.amplitude", [0.5, 1.0, 1.5], workers=64)
         assert sorted(results) == [0.5, 1.0, 1.5] and not failures
         assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("task, key, sizes", [("spectrum", "n_k", (8, 64)),
+                                              ("chern", "Nk", (4, 24))])
+def test_bessel_calls_do_not_grow_with_the_k_grid(tmp_path, monkeypatch, task, key, sizes):
+    monkeypatch.setenv("FLOQUET_WORKERS", "1")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fq.bessel.bessel_j(*args)
+
+    for module in (fq.models, fq.highfreq):
+        monkeypatch.setattr(module, "bessel_j", counted)
+    counts = []
+    for size in sizes:
+        for cached in vars(fq.models).values():     # each run starts with no factor cached
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        calls.clear()
+        path = write_config(tmp_path, {
+            "model": "honeycomb", "task": task, "output": str(tmp_path / f"{task}_{size}"),
+            "drive": {"omega": 8.0, "amplitude": 1.0}, "numerics": {key: size}})
+        assert main(["run", path]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_set_overrides_config(tmp_path):

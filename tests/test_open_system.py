@@ -499,6 +499,24 @@ class TestEvolveLindblad:
         with pytest.raises(ValueError, match=f"the fewest that pass are {fewest}$"):
             fq.find_ness(system, 2.0 * np.pi, steps_per_period=100)
 
+    @pytest.mark.parametrize("hamiltonian", [
+        lambda t: narrow_pulse(t),
+        lambda t: np.zeros(np.shape(t) + (2, 2), complex),
+        # non-Hermitian, as in the trace-drift case
+        lambda t: 0.5j * np.eye(2) + 0.3 * np.cos(2.0 * np.pi * np.asarray(t))[..., None, None]
+        * SIGMA_X,
+        # a fixed 3x3 matrix that is neither Hermitian nor normal, times a phase
+        lambda t: np.exp(1j * np.asarray(t))[..., None, None]
+        * np.array([[1.0, 2.0j, 0.0], [0.5, -1.0, 1.0 + 1.0j], [0.0, 3.0, 0.25j]]),
+    ], ids=["narrow_pulse", "zero", "non_hermitian", "three_levels"])
+    def test_load_takes_the_svd_two_norm(self, hamiltonian):
+        jumps = [np.sqrt(0.4) * LOWERING] if np.shape(hamiltonian(0.0)) == (2, 2) else []
+        system = fq.LindbladSystem(hamiltonian=hamiltonian, jumps=jumps)
+        step, h, load = fq.open_system._rk4_load(system, 0.0, 1.0, 64)
+        want = step * (np.max(np.linalg.norm(h, 2, axis=(1, 2)))
+                       + sum(np.linalg.norm(op, 2) ** 2 for op in jumps))
+        np.testing.assert_allclose(load, want, rtol=1e-13, atol=0)
+
     def test_fewest_steps_past_the_search_limit_are_estimated(self):
         # 10^10 steps would be sampled: the estimate is given, without a search
         system = fq.LindbladSystem(hamiltonian=lambda t: 1e9 * SIGMA_Z, jumps=[LOWERING])

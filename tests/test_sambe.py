@@ -166,6 +166,86 @@ class TestToeplitzBuild:
         assert np.array_equal(block(fm, 3, 1), modes.mode(2))
 
 
+def reference_chain_modes(k, hopping, drive, n_max):
+    """chain_modes' mode array, every factor computed at this k."""
+    ns = np.arange(-n_max, n_max + 1)
+    jn = special.jv(ns, drive.amplitude)
+    coeff = -hopping * jn * (((-1.0) ** ns) * np.exp(1j * k) + np.exp(-1j * k))
+    return coeff.reshape(-1, 1, 1)
+
+
+def reference_honeycomb_modes(kx, ky, hopping, drive, n_max):
+    """honeycomb_modes' mode array, every factor computed at this k."""
+    ns = np.arange(-n_max, n_max + 1)
+    jn = special.jv(ns, drive.amplitude)
+    bond_phases = np.exp(1j * (fq.models.HONEYCOMB_DELTAS @ np.array([kx, ky])))
+    phis = np.arctan2(fq.models.HONEYCOMB_DELTAS[:, 1], fq.models.HONEYCOMB_DELTAS[:, 0])
+    bonds = np.sum(bond_phases * np.exp(1j * ns[:, None] * phis), axis=1)
+    f = hopping * jn * ((-1j) ** ns) * bonds
+    modes = np.zeros((ns.size, 2, 2), dtype=complex)
+    modes[:, 0, 1] = f
+    modes[:, 1, 0] = np.conj(f)[::-1]
+    return modes
+
+
+def reference_gather(modes, m_cut):
+    """The Sambe matrix as one modes.mode(m - n) gather plus the diagonal shift."""
+    ms = np.arange(-m_cut, m_cut + 1)
+    size = ms.size * modes.dim
+    big = modes.mode(ms[:, None] - ms[None, :]).transpose(0, 2, 1, 3).reshape(size, size)
+    big[np.diag_indices(size)] -= np.repeat(ms * modes.omega, modes.dim)
+    return big
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+class TestCachedBuilds:
+    """Mode builders and the Sambe build, whose k-independent parts are cached."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(30)
+        yield 0.7, -0.4, 0.0, 0, 0, 5.0
+        for _ in range(40):
+            amplitude = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 3.0))
+            n_max = int(rng.integers(0, 7))
+            yield (*rng.uniform(-np.pi, np.pi, 2), amplitude, n_max,
+                   n_max + int(rng.integers(0, 4)), float(rng.uniform(1.0, 10.0)))
+
+    def test_bit_identical_to_the_per_k_formulas(self):
+        for kx, ky, amplitude, n_max, m_cut, omega in self.draws():
+            linear = fq.DriveProtocol(omega=omega, amplitude=amplitude)
+            circular = replace(linear, polarization="circular")
+            # the second k at the same drive and cutoffs reads the cache
+            for qx, qy in [(kx, ky), (ky, kx)]:
+                for modes, want in [
+                        (fq.chain_modes(qx, 1.3, linear, n_max),
+                         reference_chain_modes(qx, 1.3, linear, n_max)),
+                        (fq.honeycomb_modes(qx, qy, 0.8, circular, n_max),
+                         reference_honeycomb_modes(qx, qy, 0.8, circular, n_max))]:
+                    assert_same_bits(modes.modes, want)
+                    assert_same_bits(fq.build_floquet_matrix(modes, m_cut).matrix,
+                                     reference_gather(modes, m_cut))
+
+    def test_cache_is_read_only_and_outputs_are_not(self):
+        drive = fq.DriveProtocol(omega=4.0, amplitude=1.2, polarization="circular")
+        modes = fq.honeycomb_modes(0.3, 0.5, 1.0, drive, 4)
+        first = fq.build_floquet_matrix(modes, 6)
+        cached = (fq.models._chain_factors(1.0, 1.2, 4) + fq.models._honeycomb_factors(1.0, 1.2, 4)
+                  + fq.sambe._sambe_layout(6, 4, 2))
+        assert not any(array.flags.writeable for array in cached)
+        with pytest.raises(ValueError, match="read-only"):
+            modes.modes[0, 0, 1] = 7.0
+        assert not any(np.shares_memory(modes.modes, array) for array in cached)
+        first.matrix[...] = 7.0
+        again = fq.honeycomb_modes(0.3, 0.5, 1.0, drive, 4)
+        assert_same_bits(again.modes, reference_honeycomb_modes(0.3, 0.5, 1.0, drive, 4))
+        assert_same_bits(fq.build_floquet_matrix(again, 6).matrix, reference_gather(again, 6))
+
+
 class TestQuasienergies:
     def test_static_replica_multiplicity(self):
         omega = 5.0
