@@ -4,11 +4,16 @@ Everything here works directly with the time-ordered evolution operator,
 so it is independent of the extended-space diagonalization and can be
 used to cross-check it. The integrator is a midpoint-exponential
 product: unitary by construction at every step and second-order accurate
-in the step size. A 2x2 step is the closed form
-exp(-i dt H) = e^{-i dt h0} [cos(dt r) I - i (sin(dt r) / r)(H - h0 I)]
-for H = h0 I + v.sigma with r = |v|, and 2x2 steps are multiplied
-elementwise; any other dimension exponentiates each step through eigh
-and multiplies with batched matmul.
+in the step size.
+
+* d = 1: the steps commute, so U = exp(-i dt sum_j h(t_j)).
+* d = 2: for H = h0 I + v.sigma with r = |v|, a step is e^{-i dt h0} S
+  with S = [[a, -conj(b)], [b, conj(a)]] in SU(2), a = cos(dt r) - i s v_z,
+  b = -i s H_10 and s = sin(dt r) / r. The scalar phases commute out as
+  one exp(-i dt sum_j h0), and the product of the S runs on the (a, b)
+  pairs alone (Cayley-Klein form).
+* d >= 3: each step is exponentiated through eigh and the steps are
+  multiplied with batched matmul.
 """
 
 import math
@@ -57,15 +62,14 @@ def evolve(sampler, t_start, t_end, n_steps):
     mids = t_start + dt * (np.arange(n_steps) + 0.5)
     hs = _sample_times(sampler, mids)
     dim = _square_dim(hs.shape[1:])
-    herm = np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))
-    if not herm <= 1e-9:
-        raise ValueError(f"sampler is not Hermitian along the path (error {herm:.2e})")
+    if dim == 1:
+        return _evolve_1x1(hs[:, 0, 0], dt)
     if dim == 2:
-        return _ordered_product(_steps_2x2(hs, dt))
+        return _evolve_2x2(hs, dt)
+    _check_hermitian(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1))))
     energies, frames = np.linalg.eigh(hs)
     phases = np.exp(-1j * dt * energies)
-    steps = np.einsum("tij,tj,tkj->tik", frames, phases, frames.conj())
-    return _ordered_product(steps)
+    return _ordered_product(np.einsum("tij,tj,tkj->tik", frames, phases, frames.conj()))
 
 
 def _square_dim(shape):
@@ -75,44 +79,59 @@ def _square_dim(shape):
     return shape[0]
 
 
-def _steps_2x2(hs, dt):
-    # exp(-i dt H) for H = h0 I + v.sigma, r = |v|, in closed form:
-    # e^{-i dt h0} [cos(dt r) I - i (sin(dt r) / r)(H - h0 I)]. Like eigh,
-    # it reads the diagonal's real part and the lower off-diagonal element
-    h00, h11, off = hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0]
-    h0, vz = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+def _check_hermitian(herm):
+    # written so that a NaN error fails too
+    if not herm <= 1e-9:
+        raise ValueError(f"sampler is not Hermitian along the path (error {herm:.2e})")
+
+
+def _evolve_1x1(h, dt):
+    # the steps commute: one phase from the summed real parts, which is what eigh reads
+    _check_hermitian(np.max(np.abs(h - h.conj())))
+    return np.array([[np.exp(-1j * dt * np.sum(h.real))]])
+
+
+def _evolve_2x2(hs, dt):
+    # the entries of H - H^dagger: (0, 0), (1, 1) and (0, 1), whose (1, 0) mirror has the
+    # same modulus; one np.max over one array, so a NaN anywhere (a real one too) fails
+    flat = hs.reshape(len(hs), 4)
+    diag = flat[:, ::3]
+    _check_hermitian(np.max(np.abs(np.concatenate(
+        [(diag - diag.conj()).ravel(), flat[:, 1] - flat[:, 2].conj()]))))
+    # like eigh, read the diagonal's real part and the lower off-diagonal element
+    h00, h11, off = diag[:, 0].real, diag[:, 1].real, flat[:, 2]
+    vz = 0.5 * (h00 - h11)
     r = np.sqrt(vz * vz + off.real * off.real + off.imag * off.imag)
-    # step = a I + b (H - h0 I); np.sinc keeps sin(dt r) / r finite at r = 0
-    phase = np.exp(-1j * dt * h0)
-    a = phase * np.cos(dt * r)
-    b = -1j * phase * (dt * np.sinc(dt * r / np.pi))
-    # stored entry-major, (2, 2, n), so _ordered_product reads it without a copy
-    steps = np.empty((2, 2, len(hs)), dtype=complex)
-    steps[0, 0] = a + b * vz
-    steps[1, 1] = a - b * vz
-    steps[1, 0] = b * off
-    steps[0, 1] = b * off.conj()
-    return np.moveaxis(steps, -1, 0)
+    # np.sinc keeps s = sin(dt r) / r finite at r = 0
+    s = dt * np.sinc(dt * r / np.pi)
+    alpha, beta = _su2_product(np.cos(dt * r) - 1j * s * vz, -1j * s * off)
+    phase = np.exp(-0.5j * dt * np.sum(h00 + h11))
+    return phase * np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]])
 
 
-def _ordered_product(steps):
-    # steps[j] acts at time j; result is steps[-1] @ ... @ steps[0],
+def _su2_product(alpha, beta):
+    # (alpha, beta) of step j stand for [[alpha, -conj(beta)], [beta, conj(alpha)]]; the
+    # result is step[-1] @ ... @ step[0], reduced pairwise. With L the later and E the
+    # earlier step, L E has alpha_L alpha_E - conj(beta_L) beta_E and
+    # beta_L alpha_E + conj(alpha_L) beta_E
+    while alpha.size > 1:
+        a_late, b_late, a_early, b_early = alpha[1::2], beta[1::2], alpha[:-1:2], beta[:-1:2]
+        pair_a = a_late * a_early - b_late.conj() * b_early
+        pair_b = b_late * a_early + a_late.conj() * b_early
+        if alpha.size % 2:
+            pair_a = np.concatenate([pair_a, alpha[-1:]])
+            pair_b = np.concatenate([pair_b, beta[-1:]])
+        alpha, beta = pair_a, pair_b
+    return alpha[0], beta[0]
+
+
+def _ordered_product(mats):
+    # mats[j] acts at time j; result is mats[-1] @ ... @ mats[0],
     # reduced pairwise so the loop count is logarithmic
-    if steps.shape[-1] != 2:
-        mats = steps
-        while len(mats) > 1:
-            pairs = mats[1::2] @ mats[:-1:2]
-            mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
-        return mats[0]
-    # 2x2: the same reduction on (2, 2, n) entry arrays, elementwise, as
-    # batched @ spends most of its time per matrix: with L the later and
-    # E the earlier step, (L E)_ij = L_i0 E_0j + L_i1 E_1j
-    mats = np.ascontiguousarray(np.moveaxis(steps, 0, -1))
-    while mats.shape[-1] > 1:
-        later, earlier = mats[..., 1::2], mats[..., :-1:2]
-        pairs = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
-        mats = np.concatenate([pairs, mats[..., -1:]], axis=-1) if mats.shape[-1] % 2 else pairs
-    return mats[..., 0]
+    while len(mats) > 1:
+        pairs = mats[1::2] @ mats[:-1:2]
+        mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
+    return mats[0]
 
 
 def unitarity_error(u):

@@ -214,7 +214,9 @@ def physical_band(modes: FourierModeSet, m_cut):
     _require_margin(fm)
     raw, vecs = scipy.linalg.eigh(fm.matrix, subset_by_value=(-fm.omega, fm.omega),
                                   driver="evr")
-    w0 = fourier_weights(vecs[fm.m_cut * fm.dim:(fm.m_cut + 1) * fm.dim], fm.dim)[0]
+    # squared column norms of the central rows; an empty window gives an empty w0
+    central = vecs[fm.m_cut * fm.dim:(fm.m_cut + 1) * fm.dim]
+    w0 = np.sum(np.abs(central) ** 2, axis=0)
     ranked = np.sort(w0)[::-1]
     if not (ranked.size >= fm.dim and fm.dim - np.sum(ranked) < ranked[fm.dim - 1]):
         full = quasienergies(fm)

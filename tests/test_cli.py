@@ -1000,6 +1000,18 @@ class TestRun:
         assert manifest["diagnostics"]["edge_weight"] > cli.EDGE_WEIGHT_TOL
         assert f"{manifest['diagnostics']['edge_weight']:.1e}" in str(caught[0].message)
 
+    def test_a_window_without_eigenpairs_runs(self, tmp_path):
+        # at omega 0.3, M 3 the windowed solve finds no eigenpair in (-omega, omega] at some
+        # k; the full solve takes over, and the truncation shows as an edge-weight warning
+        payload = spectrum_config(tmp_path, model="honeycomb",
+                                  drive={"omega": 0.3, "amplitude": 1.0},
+                                  numerics={"M": 3, "n_k": 16})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", write_config(tmp_path, payload)]) == 0
+        assert any("edge blocks |m| = M = 3" in str(w.message) for w in caught)
+        assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1 + 2 * 16
+
     def test_curvature_rows_i_outer_j_inner(self, tmp_path):
         nk = 6
         drive = fq.DriveProtocol(omega=10.0, amplitude=1.0, polarization="circular")

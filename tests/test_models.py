@@ -78,6 +78,15 @@ NAN_INPUTS = {
                       "not Hermitian on the time grid"),
     "evolve": (lambda: fq.evolve(lambda t: _nan_at(SIGMA_Z, (0, 0)), 0.0, 1.0, 4),
                "not Hermitian along the path"),
+    # a NaN with zero imaginary part must fail on every entry the 2x2 and 1x1 checks read
+    "evolve (0, 1)": (lambda: fq.evolve(lambda t: _nan_at(SIGMA_X, (0, 1)), 0.0, 1.0, 4),
+                      "not Hermitian along the path"),
+    "evolve (1, 0)": (lambda: fq.evolve(lambda t: _nan_at(SIGMA_X, (1, 0)), 0.0, 1.0, 4),
+                      "not Hermitian along the path"),
+    "evolve (1, 1)": (lambda: fq.evolve(lambda t: _nan_at(SIGMA_Z, (1, 1)), 0.0, 1.0, 4),
+                      "not Hermitian along the path"),
+    "evolve 1x1": (lambda: fq.evolve(lambda t: _nan_at(np.ones((1, 1)), (0, 0)), 0.0, 1.0, 4),
+                   "not Hermitian along the path"),
     "BathSpec gamma": (lambda: fq.BathSpec(gamma=np.nan, beta=1.0), "coupling must be positive"),
     "fold_to_bz": (lambda: fq.fold_to_bz(0.1, np.nan), "omega must be positive"),
     "quasienergies_from_monodromy": (lambda: fq.quasienergies_from_monodromy(

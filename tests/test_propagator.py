@@ -39,6 +39,19 @@ def driven_spin1(t):
     return SPIN1_Z + 0.8 * np.cos(5.0 * np.asarray(t))[..., None, None] * SPIN1_X
 
 
+def seeded_sampler(dim, seed=7):
+    """H(t) = A + cos(3 t) B + sin(1.7 t) C, random Hermitian, so tr H(t) varies; takes arrays of t."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    a, b, c = raw + raw.conj().transpose(0, 2, 1)
+
+    def sampler(t):
+        t = np.asarray(t)[..., None, None]
+        return a + np.cos(3.0 * t) * b + np.sin(1.7 * t) * c
+
+    return sampler
+
+
 def reference_evolve(sampler, t_start, t_end, n_steps):
     """Midpoint-exponential product with one sampler call per step (the per-t oracle)."""
     dt = (t_end - t_start) / n_steps
@@ -63,6 +76,15 @@ class TestEvolve:
         # an odd step count, so the pairwise product carries leftover steps
         np.testing.assert_allclose(evolve(sampler, 0.1, 1.3, 509),
                                    reference_evolve(sampler, 0.1, 1.3, 509), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_summed_phase_matches_per_t_reference(self, dim):
+        # the trace part of every step commutes out as one summed phase
+        sampler = seeded_sampler(dim)
+        for t_start, t_end in ((0.1, 1.3), (1.3, 0.1)):
+            np.testing.assert_allclose(evolve(sampler, t_start, t_end, 509),
+                                       reference_evolve(sampler, t_start, t_end, 509),
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("h, dt", [
         (0.7 * np.eye(2), 0.3),                                    # H proportional to I, r = 0

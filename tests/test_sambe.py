@@ -412,6 +412,15 @@ class TestPhysicalBand:
         assert len(full_solves) == 1
         np.testing.assert_array_equal(phys.raw_energies, full_route(modes, 2).raw_energies)
 
+    def test_empty_window_falls_back(self, full_solves):
+        # at M = 2 the replicas of the levels at 4 and 6 omega span 2 to 8 omega: the window
+        # (-omega, omega] holds no eigenpair at all
+        omega = 5.0
+        modes = static_modes(np.diag([4.0 * omega, 6.0 * omega]), omega)
+        phys = fq.physical_band(modes, 2)
+        assert len(full_solves) == 1
+        np.testing.assert_array_equal(phys.raw_energies, full_route(modes, 2).raw_energies)
+
     def test_strong_drive_warns_through_window(self, full_solves):
         # weakest picked w0 is 0.43; the window misses 0.38 of the weight
         drive = fq.DriveProtocol(omega=3.0, amplitude=2.0, polarization="circular")
