@@ -60,11 +60,11 @@ the smallest sum A dnu / dim over k and the largest N - A.
 
 FLOQUET_WORKERS (default: the CPUs the process may use) caps the forked
 worker processes (_in_workers, never more than those CPUs) that run a
-sweep's values, greens's k-points (each formatted as CSV text there,
-written here in k order) and chern's grid rows (matched here in one
-ordered pass). Outputs and warnings do not depend on it, and at 1
-greens and chern fork nothing. spectrum stays serial: a pool item costs
-more than its solve per k.
+sweep's values, greens's k-points (each formatted as CSV text there by
+_csv_blocks, which assembles every CSV, and written here in k order)
+and chern's grid rows (matched here in one ordered pass). Outputs and
+warnings do not depend on it, and at 1 greens and chern fork nothing.
+spectrum stays serial: a pool item costs more than its solve per k.
 """
 
 import argparse
@@ -134,7 +134,7 @@ MAX_DEFAULT_AMPLITUDE = 50.0
 # the physical band's largest Fourier weight in the edge blocks |m| = M above
 # which spectrum and chern warn; see _certify_cutoff
 EDGE_WEIGHT_TOL = 1e-13
-CSV_BLOCK_ROWS = 8192    # rows formatted and written per block by _write_csv
+CSV_BLOCK_ROWS = 8192    # rows formatted per block by _csv_blocks
 
 
 class ConfigError(ValueError):
@@ -505,9 +505,10 @@ def _write_csv(path, header, table):
     """Write an (n_rows, n_cols) float array under a header line.
 
     Every value prints exactly as '%.12g' % v would, so integral values
-    (branch and replica indices) print as str(int) would. The table goes
-    out CSV_BLOCK_ROWS rows at a time, each block turned into bytes by a
-    numpy kernel (`_csv_slots`) with no Python call per value:
+    (branch and replica indices) print as str(int) would. Every CSV the
+    CLI writes is put together by `_csv_blocks`, here and in greens' per-k
+    rows: CSV_BLOCK_ROWS rows at a time, each block turned into bytes by
+    a numpy kernel (`_csv_slots`) with no Python call per value:
 
     * per cell, e = floor(log10|x|) and the 12-digit mantissa m = rint(s),
       s = |x| 10^(11-e); m = 10^12 carries into e + 1;
@@ -535,11 +536,28 @@ def _write_csv(path, header, table):
             handle.write(block)
 
 
-def _csv_blocks(table):
-    """The rows of a float table as CSV text, one uint8 array per CSV_BLOCK_ROWS rows."""
+def _csv_blocks(table, lead=()):
+    """The rows of a float table as CSV text, one uint8 array per CSV_BLOCK_ROWS rows.
+
+    `lead` holds preformatted leading columns, each a (text, keep) pair
+    from _leading_cells with one item per row or one item for every row.
+    Each block's lead cells go into the gap _csv_slots leaves before the
+    table's cells, and the block's text is cut out in its one compress.
+    """
     template = _templates(table.shape[1])
+    lead = [[np.broadcast_to(a, len(table)) for a in cells] for cells in lead]
+    width = sum(text.itemsize for text, _ in lead)
     for start in range(0, len(table), CSV_BLOCK_ROWS):
-        yield _csv_bytes(table[start:start + CSV_BLOCK_ROWS], template)
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        slot, keep = _csv_slots(table[rows], template, lead=width)
+        at = 0
+        for text, text_keep in lead:
+            _bytes_field(slot, at, text.itemsize)[:] = text[rows]
+            _bytes_field(keep, at, text.itemsize)[:] = text_keep[rows]
+            at += text.itemsize
+        block = slot[keep]
+        del slot, keep      # one block's slots alive at a time, not two
+        yield block
 
 
 def _templates(n_cols):
@@ -619,12 +637,6 @@ def _exact_text(values):
 def _bytes_field(cells, start, width):
     """Bytes start:start+width along the last axis of `cells`, one void item each."""
     return cells[..., start:start + width].view(f"V{width}")[..., 0]
-
-
-def _csv_bytes(block, template):
-    """CSV text of an (n_rows, n_cols) float block as a 1-d uint8 array (see _csv_slots)."""
-    slot, keep = _csv_slots(block, template)
-    return slot[keep]
 
 
 def _csv_slots(block, template, lead=0):
@@ -981,38 +993,8 @@ def _leading_cells(values):
     return tuple(np.ascontiguousarray(a[:, used]).view(width)[:, 0] for a in (slot, keep))
 
 
-def _greens_text(nu_cells, k, spec, occ):
-    """The greens.csv text of the (nu_unfolded, k, A, N) rows at one k.
-
-    Equal to b"".join(_csv_blocks(table)) of the full table. `nu_cells` is
-    the _leading_cells of the nu_unfolded column, which no k changes; k is
-    formatted once ('%.12g', as the kernel's fallback does), and only A
-    and N go through the kernel. Each block's rows are put together after
-    the kernel's slots and cut out in its one compress.
-    """
-    nu_text, nu_keep = nu_cells
-    nu_width = nu_text.itemsize
-    k_text = _exact_text(np.array([k]))[0] + b","
-    k_width = len(k_text)
-    k_cell = np.frombuffer(k_text, f"V{k_width}")
-    k_keep = np.ones(k_width, bool).view(k_cell.dtype)
-    values = np.column_stack((spec, occ))
-    template = _templates(2)
-
-    def block(start):
-        rows = slice(start, start + CSV_BLOCK_ROWS)
-        slot, keep = _csv_slots(values[rows], template, lead=nu_width + k_width)
-        _bytes_field(slot, 0, nu_width)[:] = nu_text[rows]
-        _bytes_field(keep, 0, nu_width)[:] = nu_keep[rows]
-        _bytes_field(slot, nu_width, k_width)[:] = k_cell
-        _bytes_field(keep, nu_width, k_width)[:] = k_keep
-        return slot[keep]
-
-    return b"".join(block(start) for start in range(0, len(values), CSV_BLOCK_ROWS))
-
-
 def _greens_rows(cfg: RunConfig, nu, frequencies, nu_cells, k):
-    """The greens.csv text at one k (_greens_text), and three scalars there.
+    """The greens.csv text of the (nu_unfolded, k, A, N) rows at one k, and three scalars there.
 
     They are the peak of A, its sum rule sum A dnu / dim and the largest
     N - A. `frequencies` is the unfolded axis that `nu_cells` formats.
@@ -1024,8 +1006,9 @@ def _greens_rows(cfg: RunConfig, nu, frequencies, nu_cells, k):
                            "nu_unfolded axis")
     _, occ = open_system.occupation_function(grid)
     spectral_sum = spec.sum() * (cfg.drive.omega / nu.size) / grid.dim
-    return (_greens_text(nu_cells, k, spec, occ), spec.max(), spectral_sum,
-            np.max(occ - spec))
+    text = b"".join(_csv_blocks(np.column_stack((spec, occ)),
+                                (nu_cells, _leading_cells(np.array([k])))))
+    return text, spec.max(), spectral_sum, np.max(occ - spec)
 
 
 def task_greens(cfg: RunConfig, outdir):
@@ -1152,6 +1135,8 @@ def run_sweep(raw, parameter, values, workers=None):
     names = [f"{leaf}_{value:.10g}" for value in values]
     clashes = sorted({name for name in names if names.count(name) > 1})
     _require(not clashes, "--values", f"values share an output directory: {clashes}")
+    # results and failures are keyed by value, and -0.0 == 0.0
+    _require(len(set(values)) == len(values), "--values", f"values repeat: {list(values)}")
     base = validate_config(raw)  # fail fast before spawning work
     # the numeric settings the run reads: every dotted key but two non-numeric ones
     numeric = [key for key in _reads(base.model, base.task)

@@ -621,10 +621,20 @@ def test_greens_text_matches_the_full_table(k, monkeypatch):
     exact = []
     monkeypatch.setattr(cli, "_exact_text",
                         lambda v, inner=cli._exact_text: exact.append(v.tolist()) or inner(v))
-    cells = cli._leading_cells(nu)
+    lead = (cli._leading_cells(nu), cli._leading_cells(np.array([k])))
     assert len(exact) == 1 and {nu[7], nu[-7]} <= set(exact[0])
+    values = np.column_stack((spec, occ))
     table = np.column_stack((nu, np.full(rows, k), spec, occ))
-    assert cli._greens_text(cells, k, spec, occ) == b"".join(cli._csv_blocks(table))
+    assert b"".join(cli._csv_blocks(values, lead)) == b"".join(cli._csv_blocks(table))
+
+
+def test_csv_blocks_take_several_per_row_leading_columns():
+    rng = np.random.default_rng(32)
+    table = rng.standard_normal((cli.CSV_BLOCK_ROWS + 3, 5)) * 10.0 ** rng.integers(-8, 9, 5)
+    table[::3, 1] = -0.0
+    lead = (cli._leading_cells(table[:, 0]), cli._leading_cells(table[:, 1]))
+    expected = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in table.tolist())
+    assert b"".join(cli._csv_blocks(table[:, 2:], lead)) == expected.encode()
 
 
 def torture_doubles(rng):
@@ -688,6 +698,22 @@ def test_csv_writer_memory_bounded_by_one_block(tmp_path):
     tracemalloc.start()
     try:
         cli._write_csv(str(path), "a,b,c,d", table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+    # greens.csv rows at one k: the unfolded nu axis and k as leading cells, formatted
+    # before the blocks, then A and N
+    nu = np.linspace(-2.5, 2.5, 401, endpoint=False)
+    frequencies = np.resize(fq.open_system.unfolded_axis(nu, 27, 5.0)[0], len(table))
+    lead = (cli._leading_cells(frequencies), cli._leading_cells(np.array([-3.0925])))
+    values = np.abs(table[:, :2])
+    path = tmp_path / "greens.csv"
+    tracemalloc.start()
+    try:
+        with open(path, "wb") as handle:
+            for block in cli._csv_blocks(values, lead):
+                handle.write(block)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1652,6 +1678,14 @@ def test_non_numeric_sweep_value_is_a_config_error(tmp_path, capsys):
     assert main(["sweep", path, "--param", "drive.amplitude", "--values", "1,x"]) == 2
     assert capsys.readouterr().err.startswith("config error: --values: not numeric")
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_values_equal_as_numbers_are_a_config_error(tmp_path, capsys):
+    # -0 and 0 name two directories but one key of the results
+    path = write_config(tmp_path, spectrum_config(tmp_path, task="hfe"))
+    assert main(["sweep", path, "--param", "drive.amplitude", "--values=-0,0,1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --values: values repeat")
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_set_through_a_number_is_a_config_error(tmp_path, capsys):
