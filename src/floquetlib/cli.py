@@ -32,12 +32,15 @@ calls, rejects any other.
 
 The replica cutoff numerics.M is the only cutoff a run takes. The chain1d
 and honeycomb modes are built in closed form with every harmonic up to
-M - 2 (sambe.SELECTION_MARGIN), so raising M raises both truncations; hfe,
-which has no M, builds them up to highfreq.bessel_tail_order(A). M
-defaults to max(ceil(A) + 10, mode cutoff) + 2 for spectrum and chern and
-+ 6 for greens, the mode cutoff being 1 for dirac, the largest given
-harmonic for custom and 0 for chain1d and honeycomb; drive.amplitude may
-not exceed 50 where a cutoff derives from it.
+2M, all the Sambe matrix holds, so the edge blocks |m| = M are the only
+truncation; hfe, which has no M, builds them up to
+highfreq.bessel_tail_order(A). For spectrum and chern, M defaults to
+default_replica_cutoff(omega, A, W), which follows the drive, and at least
+the mode cutoff + 2; where that default fails the truncation certificate,
+the run raises it (_certified). greens defaults to max(ceil(A) + 10, mode
+cutoff) + 6. The mode cutoff is 1 for dirac, the largest given harmonic
+for custom and 0 for chain1d and honeycomb; drive.amplitude may not
+exceed 50 where a cutoff derives from it.
 
 Exit codes: 0 success, 2 config/schema error, 3 solver error. Config
 errors include an unreadable config file, an output directory that
@@ -52,11 +55,14 @@ empty (_output_dir). Outputs are deterministic for a fixed config and
 written atomically (_atomic_file: temp + rename, and no .tmp file survives
 a failed write), with a manifest.json recording the config hash, version,
 the numerics the run read after defaults, and wall time.
-For spectrum and chern it also holds "diagnostics": {"edge_weight": ...},
-the physical band's largest Fourier weight in the edge blocks |m| = M over
-all k; above 1e-13 the run warns that numerics.M is too small. For greens
-it holds "diagnostics": {"spectral_sum": ..., "occupation_excess": ...},
-the smallest sum A dnu / dim over k and the largest N - A.
+For spectrum and chern it also holds "diagnostics": {"edge_weight": ...,
+"m_raises": ...}, the physical band's largest Fourier weight in the edge
+blocks |m| = M over all k, and how often the run raised a default M; its
+numerics.M is the M the run used. Above 1e-13 at an explicit M, or at the
+largest M that fits in memory, the run warns that numerics.M is too small.
+For greens it holds "diagnostics": {"spectral_sum": ...,
+"occupation_excess": ...}, the smallest sum A dnu / dim over k and the
+largest N - A.
 
 FLOQUET_WORKERS (default: the CPUs the process may use) caps the forked
 worker processes (_in_workers, never more than those CPUs) that run a
@@ -82,7 +88,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -126,13 +132,17 @@ TASK_MODELS = {"chern": ("honeycomb", "custom"), "ness": ("dirac", "honeycomb", 
 _BUILT_IN = tuple(models.POLARIZATION)
 MODEL_KEYS = {"custom_modes": ("custom",), "lindblad.k": _BUILT_IN, "drive.amplitude": _BUILT_IN,
               "drive.polarization": _BUILT_IN}
-# the models whose mode sets the CLI cuts, at M - sambe.SELECTION_MARGIN (see _model_at)
-_LATTICES = ("chain1d", "honeycomb")
-# the largest A from which a cutoff may derive: the default M = ceil(A) + 12 or more,
-# and the bessel_tail_order(A) harmonics of hfe's lattice modes
+# the half-bandwidth max_t |H(t)| of the lattices, whose mode sets the CLI builds with
+# every harmonic up to 2M (see _model_at)
+HALF_BANDWIDTH = {"chain1d": 2.0, "honeycomb": 3.0}
+_LATTICES = tuple(HALF_BANDWIDTH)
+# the largest A from which a cutoff may derive: the default M of spectrum and chern
+# (default_replica_cutoff, 1.9 A and more) or of greens (ceil(A) + 16), up to twice which
+# the lattice modes then hold every harmonic, and the bessel_tail_order(A) harmonics of
+# hfe's lattice modes
 MAX_DEFAULT_AMPLITUDE = 50.0
 # the physical band's largest Fourier weight in the edge blocks |m| = M above
-# which spectrum and chern warn; see _certify_cutoff
+# which spectrum and chern warn; see _certified
 EDGE_WEIGHT_TOL = 1e-13
 CSV_BLOCK_ROWS = 8192    # rows formatted per block by _csv_blocks
 
@@ -155,6 +165,7 @@ class RunConfig:
     write_curvature: bool = False
     summary_metric: str = "J_eff"               # the hfe.json key hfe sums up
     workers: int = 1                            # greens and chern: FLOQUET_WORKERS
+    raise_m: bool = False       # spectrum and chern at a default M: _certified may raise it
     raw: dict = field(default_factory=dict)
 
     @property
@@ -412,15 +423,21 @@ def validate_config(raw):
     _require(metric in HFE_REPORT[model], "summary_metric",
              f"{metric!r} not in the {model!r} hfe report {list(HFE_REPORT[model])}")
 
-    # the largest harmonic of a mode set M must hold; the lattice modes take theirs from M
-    mode_cutoff = 1 if model == "dirac" else custom.n_max if custom else 0
-    # the selection margin is also the default margin of spectrum and chern,
-    # certified by _certify_cutoff; greens defaults to six blocks, since its M
-    # sets how many zones the unfolded frequency axis covers.
-    m_cut = numerics.setdefault(
-        "M", max(models.suggested_n_max(drive.amplitude), mode_cutoff) + (margin or 6))
     if "numerics.M" in reads:
-        # the lattice modes end at M - SELECTION_MARGIN, which must not be negative
+        # the largest harmonic of a mode set M must hold; the lattice modes take theirs
+        # from M, and keep SELECTION_MARGIN blocks on each side of the central one
+        mode_cutoff = 1 if model == "dirac" else custom.n_max if custom else 0
+        if model in _LATTICES:
+            peierls, width = drive.amplitude, HALF_BANDWIDTH[model]
+        else:   # the summed mode norms bound |H(t)|; dirac's taken at k = 0
+            modes = custom or models.dirac_modes(0.0, 0.0, drive)
+            peierls, width = 0.0, float(np.sum(np.linalg.norm(modes.modes, 2, axis=(1, 2))))
+        # greens keeps six blocks past ceil(A) + 10: its M also sets how many zones the
+        # unfolded frequency axis covers
+        default = (max(models.suggested_n_max(drive.amplitude), mode_cutoff) + 6
+                   if task == "greens" else
+                   max(default_replica_cutoff(drive.omega, peierls, width), mode_cutoff + margin))
+        m_cut = numerics.setdefault("M", default)
         need = sambe.SELECTION_MARGIN if model in _LATTICES else mode_cutoff + margin
         _require(m_cut >= need, "numerics.M",
                  f"must be >= {need} for the {model!r} modes in task {task!r}, got {m_cut}")
@@ -429,7 +446,8 @@ def validate_config(raw):
     workers = _env_workers() if task in ("greens", "chern") else 1
     cfg = RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
                     bath=bath, custom_modes=custom, write_curvature=curvature,
-                    summary_metric=metric, workers=workers, raw=copy.deepcopy(raw))
+                    summary_metric=metric, workers=workers,
+                    raise_m=default_m and task in ("spectrum", "chern"), raw=copy.deepcopy(raw))
     _check_sizes(cfg)
     if task == "ness":
         # the run's one system, at lindblad.k and decaying through the lowering operator at
@@ -450,13 +468,13 @@ def validate_config(raw):
 def _model_at(cfg: RunConfig, kx=0.0, ky=0.0):
     """The configured model at momentum (kx, ky): (H(t) sampler, mode-set builder).
 
-    The chain1d and honeycomb modes hold every harmonic up to
-    M - SELECTION_MARGIN, as many as replica selection leaves room for, so
-    M is the run's only cutoff; hfe, which has no M, takes them up to
-    highfreq.bessel_tail_order(A).
+    The chain1d and honeycomb modes hold every harmonic up to 2M, all that
+    the blocks of the Sambe matrix reach, so the edge blocks |m| = M, which
+    _certified reads, are the run's only truncation; hfe, which has no M,
+    takes them up to highfreq.bessel_tail_order(A).
     """
     drive = cfg.drive
-    n_max = (cfg.m_cut - sambe.SELECTION_MARGIN if "M" in cfg.numerics
+    n_max = (2 * cfg.m_cut if "M" in cfg.numerics
              else highfreq.bessel_tail_order(drive.amplitude))
     if cfg.model == "chain1d":
         return (functools.partial(models.sample_chain_1d, kx, 1.0, drive),
@@ -809,7 +827,12 @@ def _run_item(index):
             result, error = fn(items[index]), None
         except Exception as exc:  # noqa: BLE001 - raised again in the caller
             result, error = None, exc
-    return result, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return result, error, _records(caught)
+
+
+def _records(caught):
+    """The (category, message, filename, lineno) of each caught warning, as _relay takes them."""
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def _relay(caught):
@@ -905,34 +928,78 @@ def _worker_map(fn, items, workers):
 # ---------------------------------------------------------------------------
 # tasks
 
-def _certify_cutoff(cfg: RunConfig, weights):
-    """Truncation certificate of a run's physical band, as manifest diagnostics.
+def default_replica_cutoff(omega, amplitude, width):
+    """The default M of spectrum and chern, ceil(1.9 A + 4 + 2.5 r^0.6 + 5.5 (A/omega)^0.6).
 
-    `weights` are the band's Fourier weights over every k of the run, the
-    block index m on axis -2 and the states on axis -1. The certificate is
-    their largest value in the edge blocks m = +-M. A weight above
-    EDGE_WEIGHT_TOL = 1e-13 warns, once per run. The weight tracks the
-    truncation error of the quasienergies but bounds it by no fixed
-    factor: on honeycomb at omega = 1, A = 4 (12 seeded k against a full
-    solve at M = 60) M = 24 left an error of 1.15e-12 at a weight of
-    9.2e-14, which does not warn, M = 25 an error 33 times its weight, and
-    a single k up to 135 times its own.
+    r = W/omega. A is the Peierls amplitude of a lattice drive, whose harmonics reach
+    about A (0 for dirac and custom, whose harmonics are given), and W
+    bounds |H(t)|: the half-bandwidth, 2 for chain1d and 3 for honeycomb,
+    or the summed norms of the modes. Fitted to the smallest M at which the
+    edge weight of _certified is <= 1e-13 at 16 seeded k, with the lattice
+    modes filled to 2M: on chain1d and honeycomb at omega 0.3-40 and A
+    0.25-50 the rule exceeds it by at least one block (median 4), so that
+    a k the scan did not draw still passes; at A 50 it exceeds it by up to
+    55. Where it does fail, _certified raises M.
     """
-    edge = float(np.max(weights[..., [0, -1], :]))
+    return math.ceil(1.9 * amplitude + 4.0 + 2.5 * (width / omega) ** 0.6
+                     + 5.5 * (amplitude / omega) ** 0.6)
+
+
+def _certified(cfg: RunConfig, solve):
+    """(cfg, result, diagnostics) of solve(cfg) = (result, weights) at a certified M.
+
+    `weights` are the physical band's Fourier weights over every k of the
+    run, the block index m on axis -2 and the states on axis -1. The
+    certificate is their largest value in the edge blocks m = +-M,
+    `edge_weight` in the diagnostics. Where it exceeds EDGE_WEIGHT_TOL =
+    1e-13 at a default M (cfg.raise_m), the run solves again at M plus a
+    quarter, and at least 2 blocks, until it holds or the next M fails
+    _check_sizes; the returned cfg holds the M used, and `m_raises` counts
+    the raises. Only the last solve's warnings are raised, here. Where the
+    weight still exceeds the tolerance, at an explicit numerics.M or at
+    the memory bound, the run warns once. The weight tracks the truncation
+    error of the quasienergies but bounds it by no fixed factor: on
+    honeycomb at omega = 1, A = 4 (12 seeded k against a full solve at M =
+    60, the lattice modes filled to 2M) M = 24 left an error of 1.7e-13 at
+    a weight of 2.0e-14, which does not warn; over M = 19 to 26 the error
+    reached 9 times the weight (M = 20) and at a single k 122 times that
+    k's own (M = 23).
+    """
+    raises = 0
+    while True:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result, weights = solve(cfg)
+        edge = float(np.max(weights[..., [0, -1], :]))
+        if edge <= EDGE_WEIGHT_TOL or not cfg.raise_m:
+            break
+        raised = replace(
+            cfg, numerics={**cfg.numerics, "M": cfg.m_cut + max(2, cfg.m_cut // 4)})
+        try:
+            _check_sizes(raised)
+        except ConfigError:
+            break
+        cfg, raises = raised, raises + 1
+    _relay(_records(caught))
     if edge > EDGE_WEIGHT_TOL:
         warnings.warn(
             f"the physical band has Fourier weight {edge:.1e} > {EDGE_WEIGHT_TOL:g} in the "
-            f"edge blocks |m| = M = {cfg.m_cut}: quasienergy errors of over 30 times such a "
-            "weight have been measured; raise numerics.M", stacklevel=3)
-    return {"edge_weight": edge}
+            f"edge blocks |m| = M = {cfg.m_cut}: quasienergy errors of 9 times such a weight, "
+            "and 120 times at a single k, have been measured; raise numerics.M", stacklevel=3)
+    return cfg, result, {"edge_weight": edge, "m_raises": raises}
 
 
 def task_spectrum(cfg: RunConfig, outdir):
     ks = _k_grid(cfg)
-    bands = [sambe.physical_band(_modes(cfg, k), cfg.m_cut) for k in ks]
+
+    def solve(cfg):
+        bands = [sambe.physical_band(_modes(cfg, k), cfg.m_cut) for k in ks]
+        # (n_k, 2M + 1, dim): the replica centre, weight0 and the certificate read it
+        weights = sambe.fourier_weights(np.stack([sol.vectors for sol in bands]), bands[0].dim)
+        return (bands, weights), weights
+
+    cfg, (bands, weights), diagnostics = _certified(cfg, solve)
     dim = bands[0].dim
-    # (n_k, 2M + 1, dim): the replica centre, weight0 and the certificate read it
-    weights = sambe.fourier_weights(np.stack([sol.vectors for sol in bands]), dim)
     table = np.column_stack((
         np.repeat(ks, dim), np.tile(np.arange(dim), ks.size),
         (np.argmax(weights, axis=1) - cfg.m_cut).ravel(),
@@ -941,7 +1008,7 @@ def task_spectrum(cfg: RunConfig, outdir):
                "k,branch,n_replica,quasienergy,weight0", table)
     band = table[:, 3]
     return {"summary_metric": float(band.max() - band.min()),
-            "diagnostics": _certify_cutoff(cfg, weights)}
+            "numerics": cfg.numerics, "diagnostics": diagnostics}
 
 
 def task_hfe(cfg: RunConfig, outdir):
@@ -956,9 +1023,13 @@ def task_hfe(cfg: RunConfig, outdir):
 
 
 def task_chern(cfg: RunConfig, outdir):
-    solver = topology.floquet_band_solver(functools.partial(_modes, cfg), cfg.m_cut)
-    grid = topology.band_grid(solver, cfg.numerics["Nk"],
-                              map_rows=functools.partial(_worker_map, workers=cfg.workers))
+    def solve(cfg):
+        solver = topology.floquet_band_solver(functools.partial(_modes, cfg), cfg.m_cut)
+        grid = topology.band_grid(solver, cfg.numerics["Nk"],
+                                  map_rows=functools.partial(_worker_map, workers=cfg.workers))
+        return grid, sambe.fourier_weights(grid.vectors, grid.n_bands)
+
+    cfg, grid, diagnostics = _certified(cfg, solve)
     reports = []
     for band in range(grid.n_bands):
         fieldvals = topology.berry_curvature_grid(grid, band)
@@ -976,9 +1047,8 @@ def task_chern(cfg: RunConfig, outdir):
             _write_csv(os.path.join(outdir, f"curvature_band{band}.csv"),
                        "kx,ky,F", table)
     _write_json(os.path.join(outdir, "chern.json"), {"bands": reports})
-    weights = sambe.fourier_weights(grid.vectors, grid.n_bands)
     return {"summary_metric": float(reports[0]["chern"]), "bands": reports,
-            "diagnostics": _certify_cutoff(cfg, weights)}
+            "numerics": cfg.numerics, "diagnostics": diagnostics}
 
 
 def _leading_cells(values):
@@ -1083,13 +1153,15 @@ def _output_dir(path):
 def run_config(cfg: RunConfig):
     """Execute one validated config in its _output_dir; returns the task summary dict.
 
-    A task's "diagnostics" go into the manifest, not the summary.
+    A task's "diagnostics" go into the manifest, not the summary, and so do
+    the "numerics" it used where it raised its M (_certified).
     """
     with _output_dir(cfg.output) as outdir:
         started = time.monotonic()
         summary = TASK_RUNNERS[cfg.task](cfg, outdir)
         extra = {"diagnostics": summary.pop("diagnostics")} if "diagnostics" in summary else {}
-        _write_manifest(outdir, cfg.raw, task=cfg.task, numerics=cfg.numerics,
+        _write_manifest(outdir, cfg.raw, task=cfg.task,
+                        numerics=summary.pop("numerics", cfg.numerics),
                         wall_time_s=time.monotonic() - started, **extra)
     return summary
 

@@ -21,7 +21,8 @@ import scipy.linalg
 
 from .models import FourierModeSet, _read_only
 
-# blocks replica selection keeps between the mode cutoff and the edges |m| = M
+# blocks replica selection keeps between the mode cutoff and the edges |m| = M,
+# unless the mode set is filled to 2M (see _require_margin)
 SELECTION_MARGIN = 2
 
 
@@ -85,12 +86,14 @@ def build_floquet_matrix(modes: FourierModeSet, m_cut):
     Block (m, n) holds H_{m-n} - m omega delta_{mn}: one gather from the
     flat modes with a zero appended, which stands in for every |m - n| >
     n_max, then the diagonal shift. The gather index depends only on
-    (M, n_max, dim) and is built once per cutoff set. Rejects m_cut <
-    n_max since that would silently drop drive modes.
+    (M, n_max, dim) and is built once per cutoff set. The blocks reach every
+    harmonic |m - n| <= 2M, so a set with n_max up to 2M loses nothing;
+    rejects n_max > 2M, which would silently drop drive modes.
     """
     n_max = modes.n_max
-    if m_cut < n_max:
-        raise ValueError(f"replica cutoff M={m_cut} must be >= n_max={n_max}")
+    if n_max > 2 * m_cut:
+        raise ValueError(f"replica cutoff M={m_cut} holds harmonics up to 2M = {2 * m_cut}, "
+                         f"not n_max={n_max}")
     d = modes.dim
     index, diagonal = _sambe_layout(m_cut, n_max, d)
     big = np.concatenate([modes.modes.ravel(), np.zeros(1, complex)]).take(index)
@@ -158,8 +161,15 @@ def quasienergies(fm: FloquetMatrix):
 
 
 def _require_margin(space):
-    if space.m_cut < space.n_max + SELECTION_MARGIN:
+    """M >= n_max + SELECTION_MARGIN, or a mode set filled to n_max = 2M.
+
+    A set filled to 2M holds every harmonic the matrix can, so the edge
+    blocks |m| = M are its only truncation, and the physical band's weight
+    there certifies it.
+    """
+    if space.m_cut < space.n_max + SELECTION_MARGIN and space.n_max != 2 * space.m_cut:
         raise ValueError(f"replica selection needs M >= n_max + {SELECTION_MARGIN} "
+                         f"or a mode set filled to n_max = 2M "
                          f"(got M={space.m_cut}, n_max={space.n_max})")
 
 
@@ -189,7 +199,8 @@ def select_physical_band(sol: QuasienergySolution):
     largest w(0) retains exactly one copy each. Warns when the weakest
     retained weight drops below 0.5, where the identification becomes
     ambiguous under strong driving. Requires M >= n_max + SELECTION_MARGIN
-    so the retained states are away from the truncation edges. The result is
+    so the retained states are away from the truncation edges, or a mode set
+    filled to n_max = 2M (_require_margin). The result is
     sorted by folded quasienergy.
     """
     if sol.physical:

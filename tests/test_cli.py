@@ -5,6 +5,7 @@ import os
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ class TestValidation:
     def test_accepts_minimal(self, tmp_path):
         cfg = validate_config(spectrum_config(tmp_path))
         assert cfg.model == "chain1d"
-        assert cfg.m_cut == 13  # ceil(1) + 10 + 2
+        assert cfg.m_cut == 9  # cli.default_replica_cutoff(8.0, 1.0, 2.0)
         assert set(cfg.numerics) == {"M", "n_k", "k_min", "k_max"}
 
     def test_rejects_negative_omega(self, tmp_path):
@@ -65,13 +66,14 @@ class TestValidation:
             validate_config(payload)
 
     def test_rejects_replica_cutoff_below_mode_cutoff(self, tmp_path):
-        # the chain modes end at M - 2, so M 1 would leave them no harmonic at all
+        # the chain modes fill every harmonic to 2M, but replica selection keeps
+        # SELECTION_MARGIN = 2 blocks on each side of the central one
         payload = spectrum_config(tmp_path, numerics={"M": 1})
         with pytest.raises(ConfigError, match="^numerics.M: must be >= 2"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
         assert not (tmp_path / "out").exists()
-        # any larger M fits them, below the default M 13 too
+        # any larger M fits them, below the default M 9 too
         for m_cut in (2, 8, 10):
             payload["numerics"]["M"] = m_cut
             assert validate_config(payload).m_cut == m_cut
@@ -79,7 +81,7 @@ class TestValidation:
     @pytest.mark.parametrize("model, task", [("chain1d", "greens"), ("honeycomb", "spectrum"),
                                              ("honeycomb", "chern"), ("honeycomb", "greens")])
     def test_lattice_modes_need_room_below_replica_cutoff(self, tmp_path, model, task):
-        # as for the chain1d spectrum: M 1 leaves the lattice modes no harmonic in any task
+        # as for the chain1d spectrum: M 1 leaves no margin in any task
         payload = spectrum_config(
             tmp_path, model=model, task=task, numerics={"M": 1},
             drive={"omega": 8.0, "amplitude": 1.0,
@@ -121,7 +123,7 @@ class TestValidation:
         assert main(["run", write_config(tmp_path, payload)]) == 2
 
     def test_default_replica_cutoff_covers_custom_harmonics(self, tmp_path):
-        # harmonics up to 17, past the (unrelated) default cutoff suggested_n_max(0) = 10
+        # harmonics up to 17, past default_replica_cutoff's 5 for the mode norms 0.4
         triples = [[0, [[0.3]], [[0.0]]], [17, [[0.05]], [[0.0]]], [-17, [[0.05]], [[0.0]]]]
         payload = spectrum_config(tmp_path, model="custom", custom_modes=triples,
                                   numerics={"n_k": 2})
@@ -130,16 +132,16 @@ class TestValidation:
         path = write_config(tmp_path, payload)
         assert main(["validate", path]) == 0
         assert main(["run", path]) == 0
-        # the built-in models take n_max + 2
+        # the lattices take default_replica_cutoff at their A and half-bandwidth
         honeycomb = spectrum_config(
             tmp_path, model="honeycomb",
             drive={"omega": 10.0, "amplitude": 1.0, "polarization": "circular"})
-        assert validate_config(honeycomb).m_cut == 13
-        # dirac's mode cutoff is 1, but its default M still counts suggested_n_max(A) = 11
+        assert validate_config(honeycomb).m_cut == cli.default_replica_cutoff(10.0, 1.0, 3.0) == 9
+        # dirac's mode cutoff is 1; its default M takes the mode norms 2 A at k = 0
         dirac = spectrum_config(
             tmp_path, model="dirac",
             drive={"omega": 5.0, "amplitude": 1.0, "polarization": "circular"})
-        assert validate_config(dirac).m_cut == 13
+        assert validate_config(dirac).m_cut == cli.default_replica_cutoff(5.0, 0.0, 2.0) == 6
 
     @pytest.mark.parametrize("model", ["chain1d", "honeycomb", "dirac"])
     def test_default_greens_replica_cutoff_is_n_max_plus_6(self, tmp_path, model):
@@ -588,7 +590,8 @@ def test_chain_modes_are_closed_form(tmp_path, monkeypatch, task):
         "spectrum": {"numerics": {"n_k": 2}},
         "greens": {"numerics": {"n_k": 2, "nu_points": 11}, "bath": {"gamma": 0.1}}}.get(task, {})))
     modes = cli._modes(cfg, 0.7)
-    n_max = cfg.m_cut - 2 if task != "hfe" else fq.highfreq.bessel_tail_order(1.0)
+    # every harmonic the Sambe matrix holds, where the task reads M
+    n_max = 2 * cfg.m_cut if task != "hfe" else fq.highfreq.bessel_tail_order(1.0)
     np.testing.assert_array_equal(modes.modes,
                                   fq.chain_modes(0.7, 1.0, cfg.drive, n_max).modes)
     cli.run_config(cfg)
@@ -892,13 +895,13 @@ class TestRun:
 
     @pytest.mark.parametrize("model, task, extra, expected", [
         ("chain1d", "spectrum", {},
-         {"M": 13, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
-        # M = max(10, mode cutoff) + 2 with the custom harmonics past 10
+         {"M": 9, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
+        # M = mode cutoff + 2 with the custom harmonics past default_replica_cutoff
         ("custom", "spectrum",
          {"custom_modes": [[0, [[0.5]], [[0.0]]], [12, [[0.1]], [[0.0]]], [-12, [[0.1]], [[0.0]]]]},
          {"M": 14, "n_k": 64, "k_min": -math.pi, "k_max": math.pi}),
         ("dirac", "hfe", {}, {}),       # dirac hfe reads no cutoff
-        ("honeycomb", "chern", {}, {"M": 13, "Nk": 24}),
+        ("honeycomb", "chern", {}, {"M": 9, "Nk": 24}),
         ("chain1d", "greens", {"bath": {"gamma": 0.05}},
          {"M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
           "nu_points": 401}),
@@ -986,8 +989,9 @@ class TestRun:
                 drive={"omega": 8.0, "amplitude": 1.0, "polarization": polarization})
             assert main(["run", write_config(tmp_path, payload)]) == 0
             manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-            assert manifest["numerics"]["M"] == (13 if name == "default" else 17)
-            assert manifest["diagnostics"]["edge_weight"] < 1e-20
+            assert manifest["numerics"]["M"] == (9 if name == "default" else 17)
+            assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
+            assert manifest["diagnostics"]["m_raises"] == 0
             tables.append(np.loadtxt(tmp_path / name / "spectrum.csv", delimiter=",",
                                      skiprows=1))
         default, wide = tables
@@ -1003,13 +1007,14 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "chern.json").read_text())
         assert [band["chern"] for band in report["bands"]] == [1, -1]
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["numerics"]["M"] == 13
-        assert manifest["diagnostics"]["edge_weight"] < 1e-20
+        assert manifest["numerics"]["M"] == 9
+        assert manifest["diagnostics"] == {"edge_weight": pytest.approx(0, abs=1e-16),
+                                           "m_raises": 0}
 
     @pytest.mark.parametrize("model, task, omega, amplitude, numerics", [
-        # the default cutoff at a slow, strong drive
-        ("honeycomb", "spectrum", 2.0, 3.0, {"n_k": 4}),
-        ("honeycomb", "chern", 2.0, 3.0, {"Nk": 4}),
+        # the former default M ceil(A) + 12 at a slow, strong drive
+        ("honeycomb", "spectrum", 2.0, 3.0, {"n_k": 4, "M": 15}),
+        ("honeycomb", "chern", 2.0, 3.0, {"Nk": 4, "M": 15}),
         # an explicit M too small for the drive
         ("dirac", "spectrum", 5.0, 1.0, {"M": 4, "n_k": 8}),
     ])
@@ -1025,6 +1030,9 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["diagnostics"]["edge_weight"] > cli.EDGE_WEIGHT_TOL
         assert f"{manifest['diagnostics']['edge_weight']:.1e}" in str(caught[0].message)
+        # an explicit M is never raised
+        assert manifest["diagnostics"]["m_raises"] == 0
+        assert manifest["numerics"]["M"] == numerics["M"]
 
     def test_a_window_without_eigenpairs_runs(self, tmp_path):
         # at omega 0.3, M 3 the windowed solve finds no eigenpair in (-omega, omega] at some
@@ -1038,6 +1046,87 @@ class TestRun:
         assert any("edge blocks |m| = M = 3" in str(w.message) for w in caught)
         assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1 + 2 * 16
 
+    def spectrum_at(self, tmp_path, name, **numerics):
+        """The spectrum.csv table and manifest of a honeycomb spectrum run at omega 8, A 1."""
+        payload = spectrum_config(tmp_path, model="honeycomb", output=str(tmp_path / name),
+                                  drive={"omega": 8.0, "amplitude": 1.0},
+                                  numerics={"n_k": 64, **numerics})
+        cli.run_config(validate_config(payload))
+        return (np.loadtxt(tmp_path / name / "spectrum.csv", delimiter=",", skiprows=1),
+                json.loads((tmp_path / name / "manifest.json").read_text()))
+
+    def test_an_explicit_small_cutoff_warns_or_is_exact(self, tmp_path):
+        # with the lattice modes cut at M - 2, M 7 ran silently 1.6e-9 off M 20: the
+        # harmonics past M - 2 were dropped where no edge block could see them
+        (wide, _) = self.spectrum_at(tmp_path, "wide", M=20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (small, manifest) = self.spectrum_at(tmp_path, "small", M=7)
+        error = np.max(np.abs(fq.fold_to_bz(small[:, 3] - wide[:, 3], 8.0)))
+        assert any("raise numerics.M" in str(w.message) for w in caught) or error < 1e-12
+        assert manifest["numerics"]["M"] == 7 and manifest["diagnostics"]["m_raises"] == 0
+
+    def test_a_failing_default_cutoff_is_raised_silently(self, tmp_path, monkeypatch):
+        # from a default of 4 at omega 8, A 1 the run raises M until the certificate
+        # holds; the warnings of the solves it discards, here one per k, reach nobody
+        raw = {"model": "honeycomb", "task": "spectrum", "drive": {"omega": 8.0, "amplitude": 1.0},
+               "numerics": {"n_k": 8}}
+        physical_band = fq.sambe.physical_band
+
+        def warns_at_4(modes, m_cut):
+            if m_cut == 4:
+                warnings.warn("replica identification is ambiguous", UserWarning)
+            return physical_band(modes, m_cut)
+
+        monkeypatch.setattr(fq.sambe, "physical_band", warns_at_4)
+        monkeypatch.setattr(cli, "default_replica_cutoff", lambda *args: 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.run_config(validate_config({**raw, "output": str(tmp_path / "raised")}))
+        manifest = json.loads((tmp_path / "raised" / "manifest.json").read_text())
+        # 4, 6, 8, ...: each raise adds a quarter of M, at least 2 blocks
+        m_cut, raises = manifest["numerics"]["M"], manifest["diagnostics"]["m_raises"]
+        assert raises >= 1 and manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
+        expected = 4
+        for _ in range(raises):
+            expected += max(2, expected // 4)
+        assert m_cut == expected
+        # the same M given explicitly fails the certificate
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.run_config(validate_config(
+                {**raw, "numerics": {"n_k": 8, "M": 4}, "output": str(tmp_path / "explicit")}))
+        assert sum("raise numerics.M" in str(w.message) for w in caught) == 1
+        cli.run_config(validate_config({**raw, "numerics": {"n_k": 8, "M": m_cut + 15},
+                                        "output": str(tmp_path / "wide")}))
+        raised, wide = (np.loadtxt(tmp_path / name / "spectrum.csv", delimiter=",", skiprows=1)
+                        for name in ("raised", "wide"))
+        assert np.max(np.abs(fq.fold_to_bz(raised[:, 3] - wide[:, 3], 8.0))) < 1e-12
+
+    def test_raising_stops_at_the_memory_bound(self, tmp_path, monkeypatch):
+        # with no M that fits, the default M is kept and warns, as an explicit one does
+        monkeypatch.setattr(cli, "default_replica_cutoff", lambda *args: 4)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2 * 16 * (2 * (2 * 4 + 1)) ** 2)
+        payload = spectrum_config(tmp_path, model="honeycomb", numerics={"n_k": 2},
+                                  drive={"omega": 2.0, "amplitude": 2.0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.run_config(validate_config(payload))
+        assert sum("raise numerics.M" in str(w.message) for w in caught) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["numerics"]["M"] == 4 and manifest["diagnostics"]["m_raises"] == 0
+
+    def test_custom_modes_keep_their_selection_margin(self, tmp_path):
+        # only the lattice modes fill to 2M: a given harmonic h still needs M >= h + 2
+        triples = [[0, [[0.3]], [[0.0]]], [3, [[0.2]], [[0.0]]], [-3, [[0.2]], [[0.0]]]]
+        payload = spectrum_config(tmp_path, model="custom", custom_modes=triples,
+                                  numerics={"n_k": 2, "M": 4})
+        with pytest.raises(ConfigError, match="^numerics.M: must be >= 5 for the 'custom'"):
+            validate_config(payload)
+        payload["numerics"] = {"n_k": 2}
+        assert validate_config(payload).m_cut == 5
+
+
     def test_curvature_rows_i_outer_j_inner(self, tmp_path):
         nk = 6
         drive = fq.DriveProtocol(omega=10.0, amplitude=1.0, polarization="circular")
@@ -1047,7 +1136,7 @@ class TestRun:
                    "numerics": {"Nk": nk, "M": 8}, "write_curvature": True}
         assert main(["run", write_config(tmp_path, payload)]) == 0
         solver = fq.floquet_band_solver(
-            lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, 6), 8)
+            lambda kx, ky: fq.honeycomb_modes(kx, ky, 1.0, drive, 16), 8)
         grid = fq.band_grid(solver, nk)
         for band in range(2):
             flux = fq.berry_curvature_grid(grid, band).flux
@@ -1058,6 +1147,36 @@ class TestRun:
                     kvec = ((i + 0.5) / nk) * grid.b1 + ((j + 0.5) / nk) * grid.b2
                     expected.append(f"{kvec[0]:.12g},{kvec[1]:.12g},{flux[i, j]:.12g}")
             assert lines[1:] == expected
+
+
+def test_default_cutoff_contract():
+    """A spectrum run at the default M warns, or is within 1e-11 of M + 15.
+
+    40 seeded draws: chain1d or honeycomb, omega log-uniform in [0.5, 20],
+    A uniform in [0, 8] and one k uniform in the zone, solved as
+    task_spectrum solves, through _certified.
+    """
+    rng = np.random.default_rng(2026)
+    for _ in range(40):
+        model = ("chain1d", "honeycomb")[rng.integers(2)]
+        omega, amplitude = float(np.exp(rng.uniform(np.log(0.5), np.log(20.0)))), rng.uniform(0, 8)
+        kx, ky = rng.uniform(-math.pi, math.pi, 2) * (1, model == "honeycomb")
+        cfg = validate_config({"model": model, "task": "spectrum", "output": "unused",
+                               "drive": {"omega": omega, "amplitude": float(amplitude)}})
+
+        def solve(cfg):
+            band = fq.physical_band(cli._modes(cfg, kx, ky), cfg.m_cut)
+            return band, fq.sambe.fourier_weights(band.vectors, band.dim)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            used, band, _ = cli._certified(cfg, solve)
+            wide = replace(used, numerics={**used.numerics, "M": used.m_cut + 15})
+            reference = fq.physical_band(cli._modes(wide, kx, ky), wide.m_cut)
+        error = np.max(np.abs(fq.fold_to_bz(band.quasienergies - reference.quasienergies,
+                                            omega)))
+        draw = f"{model} omega={omega:.3f} A={amplitude:.3f} k=({kx:.3f}, {ky:.3f})"
+        assert error < 1e-11 or any("raise numerics.M" in str(w.message) for w in caught), draw
 
 
 # (model, task, --param) of a numeric setting the run does not read

@@ -105,10 +105,12 @@ class TestBuildFloquetMatrix:
             fq.FloquetMatrix(omega=1.0, m_cut=0, dim=2, n_max=0, matrix=matrix)
 
     def test_rejects_small_cutoff(self):
+        # the blocks of M 5 hold harmonics up to 10, so n_max 11 would drop one
         drive = fq.DriveProtocol(omega=3.0, amplitude=1.0)
-        modes = fq.chain_modes(0.2, 1.0, drive, 6)
-        with pytest.raises(ValueError, match="n_max"):
+        modes = fq.chain_modes(0.2, 1.0, drive, 11)
+        with pytest.raises(ValueError, match="n_max=11"):
             fq.build_floquet_matrix(modes, 5)
+        fq.build_floquet_matrix(fq.chain_modes(0.2, 1.0, drive, 10), 5)
 
     def test_truncated_single_harmonic_spectrum(self):
         # modes {H_{+-1} = sx/2} at M=1: in the sigma_x eigenbasis the
@@ -442,6 +444,15 @@ class TestPhysicalBand:
         drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
         with pytest.raises(ValueError, match="replica selection needs M >= n_max"):
             fq.physical_band(fq.dirac_modes(0.0, 0.0, drive), 2)
+
+    def test_modes_filled_to_2m_need_no_margin(self):
+        # n_max = 2M holds every harmonic the blocks reach; 2M - 1 is a cut set without margin
+        drive = fq.DriveProtocol(omega=8.0, amplitude=1.0, polarization="circular")
+        filled = fq.physical_band(fq.honeycomb_modes(0.4, -0.2, 1.0, drive, 16), 8)
+        wide = fq.physical_band(fq.honeycomb_modes(0.4, -0.2, 1.0, drive, 10), 12)
+        np.testing.assert_allclose(filled.quasienergies, wide.quasienergies, atol=1e-13)
+        with pytest.raises(ValueError, match="replica selection needs M >= n_max"):
+            fq.physical_band(fq.honeycomb_modes(0.4, -0.2, 1.0, drive, 15), 8)
 
     def test_rejects_non_hermitian(self, monkeypatch):
         build = fq.sambe.build_floquet_matrix
