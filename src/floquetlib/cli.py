@@ -34,13 +34,13 @@ The replica cutoff numerics.M is the only cutoff a run takes. The chain1d
 and honeycomb modes are built in closed form with every harmonic up to
 2M, all the Sambe matrix holds, so the edge blocks |m| = M are the only
 truncation; hfe, which has no M, builds them up to
-highfreq.bessel_tail_order(A). For spectrum and chern, M defaults to
-default_replica_cutoff(omega, A, W), which follows the drive, and at least
-the mode cutoff + 2; where that default fails the truncation certificate,
-the run raises it (_certified). greens defaults to max(ceil(A) + 10, mode
-cutoff) + 6. The mode cutoff is 1 for dirac, the largest given harmonic
-for custom and 0 for chain1d and honeycomb; drive.amplitude may not
-exceed 50 where a cutoff derives from it.
+highfreq.bessel_tail_order(A). In every task that reads M (spectrum,
+chern and greens), M defaults to default_replica_cutoff(omega, A, W),
+which follows the drive, and at least the mode cutoff + 2; where that
+default fails the truncation certificate, the run raises it (_certified).
+The mode cutoff is 1 for dirac, the largest given harmonic for custom and
+0 for chain1d and honeycomb; drive.amplitude may not exceed 50 where a
+cutoff derives from it.
 
 Exit codes: 0 success, 2 config/schema error, 3 solver error. Config
 errors include an unreadable config file, an output directory that
@@ -55,14 +55,14 @@ empty (_output_dir). Outputs are deterministic for a fixed config and
 written atomically (_atomic_file: temp + rename, and no .tmp file survives
 a failed write), with a manifest.json recording the config hash, version,
 the numerics the run read after defaults, and wall time.
-For spectrum and chern it also holds "diagnostics": {"edge_weight": ...,
-"m_raises": ...}, the physical band's largest Fourier weight in the edge
-blocks |m| = M over all k, and how often the run raised a default M; its
-numerics.M is the M the run used. Above 1e-13 at an explicit M, or at the
-largest M that fits in memory, the run warns that numerics.M is too small.
-For greens it holds "diagnostics": {"spectral_sum": ...,
-"occupation_excess": ...}, the smallest sum A dnu / dim over k and the
-largest N - A.
+For spectrum, chern and greens it also holds "diagnostics":
+{"edge_weight": ..., "m_raises": ...}, the physical band's largest Fourier
+weight in the edge blocks |m| = M over all k, and how often the run raised
+a default M; its numerics.M is the M the run used. Above 1e-13 at an
+explicit M, or at the largest M that fits in memory, the run warns that
+numerics.M is too small. greens certifies M before it writes a row, and
+its diagnostics add "spectral_sum" and "occupation_excess", the smallest
+sum A dnu / dim over k and the largest N - A.
 
 FLOQUET_WORKERS (default: the CPUs the process may use) caps the forked
 worker processes (_in_workers, never more than those CPUs) that run a
@@ -136,13 +136,12 @@ MODEL_KEYS = {"custom_modes": ("custom",), "lindblad.k": _BUILT_IN, "drive.ampli
 # every harmonic up to 2M (see _model_at)
 HALF_BANDWIDTH = {"chain1d": 2.0, "honeycomb": 3.0}
 _LATTICES = tuple(HALF_BANDWIDTH)
-# the largest A from which a cutoff may derive: the default M of spectrum and chern
-# (default_replica_cutoff, 1.9 A and more) or of greens (ceil(A) + 16), up to twice which
-# the lattice modes then hold every harmonic, and the bessel_tail_order(A) harmonics of
-# hfe's lattice modes
+# the largest A from which a cutoff may derive: the default M of spectrum, chern and
+# greens (default_replica_cutoff, 1.9 A and more), up to twice which the lattice modes
+# then hold every harmonic, and the bessel_tail_order(A) harmonics of hfe's lattice modes
 MAX_DEFAULT_AMPLITUDE = 50.0
 # the physical band's largest Fourier weight in the edge blocks |m| = M above
-# which spectrum and chern warn; see _certified
+# which spectrum, chern and greens warn; see _certified
 EDGE_WEIGHT_TOL = 1e-13
 CSV_BLOCK_ROWS = 8192    # rows formatted per block by _csv_blocks
 
@@ -165,7 +164,7 @@ class RunConfig:
     write_curvature: bool = False
     summary_metric: str = "J_eff"               # the hfe.json key hfe sums up
     workers: int = 1                            # greens and chern: FLOQUET_WORKERS
-    raise_m: bool = False       # spectrum and chern at a default M: _certified may raise it
+    raise_m: bool = False       # a default M: _certified may raise it
     raw: dict = field(default_factory=dict)
 
     @property
@@ -387,9 +386,9 @@ def validate_config(raw):
                  and all(_is_number(v) for v in kpt), "lindblad.k",
                  "must be a [kx, ky] pair")
 
-    # the Sambe matrix needs M >= the model's mode cutoff, and replica selection
-    # (spectrum, chern) its margin beyond it
-    margin = sambe.SELECTION_MARGIN if task in ("spectrum", "chern") else 0
+    # the Sambe matrix needs M >= the model's mode cutoff, and replica selection, which
+    # the certificate of every task that reads M runs, its margin beyond it
+    margin = sambe.SELECTION_MARGIN
     custom = None
     if model == "custom":
         triples = raw.get("custom_modes")
@@ -432,13 +431,9 @@ def validate_config(raw):
         else:   # the summed mode norms bound |H(t)|; dirac's taken at k = 0
             modes = custom or models.dirac_modes(0.0, 0.0, drive)
             peierls, width = 0.0, float(np.sum(np.linalg.norm(modes.modes, 2, axis=(1, 2))))
-        # greens keeps six blocks past ceil(A) + 10: its M also sets how many zones the
-        # unfolded frequency axis covers
-        default = (max(models.suggested_n_max(drive.amplitude), mode_cutoff) + 6
-                   if task == "greens" else
-                   max(default_replica_cutoff(drive.omega, peierls, width), mode_cutoff + margin))
-        m_cut = numerics.setdefault("M", default)
-        need = sambe.SELECTION_MARGIN if model in _LATTICES else mode_cutoff + margin
+        need = mode_cutoff + margin
+        m_cut = numerics.setdefault("M", max(default_replica_cutoff(drive.omega, peierls, width),
+                                             need))
         _require(m_cut >= need, "numerics.M",
                  f"must be >= {need} for the {model!r} modes in task {task!r}, got {m_cut}")
     numerics = {key: value for key, value in numerics.items() if f"numerics.{key}" in reads}
@@ -446,8 +441,8 @@ def validate_config(raw):
     workers = _env_workers() if task in ("greens", "chern") else 1
     cfg = RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
                     bath=bath, custom_modes=custom, write_curvature=curvature,
-                    summary_metric=metric, workers=workers,
-                    raise_m=default_m and task in ("spectrum", "chern"), raw=copy.deepcopy(raw))
+                    summary_metric=metric, workers=workers, raise_m=default_m,
+                    raw=copy.deepcopy(raw))
     _check_sizes(cfg)
     if task == "ness":
         # the run's one system, at lindblad.k and decaying through the lowering operator at
@@ -929,7 +924,7 @@ def _worker_map(fn, items, workers):
 # tasks
 
 def default_replica_cutoff(omega, amplitude, width):
-    """The default M of spectrum and chern, ceil(1.9 A + 4 + 2.5 r^0.6 + 5.5 (A/omega)^0.6).
+    """The default M of every task that reads M, ceil(1.9 A + 4 + 2.5 r^0.6 + 5.5 (A/omega)^0.6).
 
     r = W/omega. A is the Peierls amplitude of a lattice drive, whose harmonics reach
     about A (0 for dirac and custom, whose harmonics are given), and W
@@ -989,13 +984,18 @@ def _certified(cfg: RunConfig, solve):
     return cfg, result, {"edge_weight": edge, "m_raises": raises}
 
 
+def _physical_bands(cfg: RunConfig, ks):
+    """The physical band at each k of `ks` and its (n_k, 2M + 1, dim) Fourier weights."""
+    bands = [sambe.physical_band(_modes(cfg, k), cfg.m_cut) for k in ks]
+    return bands, sambe.fourier_weights(np.stack([sol.vectors for sol in bands]), bands[0].dim)
+
+
 def task_spectrum(cfg: RunConfig, outdir):
     ks = _k_grid(cfg)
 
     def solve(cfg):
-        bands = [sambe.physical_band(_modes(cfg, k), cfg.m_cut) for k in ks]
-        # (n_k, 2M + 1, dim): the replica centre, weight0 and the certificate read it
-        weights = sambe.fourier_weights(np.stack([sol.vectors for sol in bands]), bands[0].dim)
+        # the weights give the replica centre and weight0 too
+        bands, weights = _physical_bands(cfg, ks)
         return (bands, weights), weights
 
     cfg, (bands, weights), diagnostics = _certified(cfg, solve)
@@ -1082,6 +1082,16 @@ def _greens_rows(cfg: RunConfig, nu, frequencies, nu_cells, k):
 
 
 def task_greens(cfg: RunConfig, outdir):
+    ks = _k_grid(cfg)
+
+    def solve(cfg):
+        # greens picks no replicas, so the picks' ambiguity warning does not concern it
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "weakest central Fourier weight", UserWarning)
+            return None, _physical_bands(cfg, ks)[1]
+
+    # M is certified, and raised, before any row is written: greens.csv is streamed once
+    cfg, _, diagnostics = _certified(cfg, solve)
     omega = cfg.drive.omega
     nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
     # the nu_unfolded column is the same at every k: formatted here, before the workers fork
@@ -1091,12 +1101,12 @@ def task_greens(cfg: RunConfig, outdir):
     # each k's rows are formatted where they are computed and written in k order
     with _atomic_file(os.path.join(outdir, "greens.csv")) as handle:
         handle.write(b"nu_unfolded,k,A,N\n")
-        for text, *at_k in _worker_map(rows, _k_grid(cfg), cfg.workers):
+        for text, *at_k in _worker_map(rows, ks, cfg.workers):
             handle.write(text)
             scalars.append(at_k)
     peaks, sums, excesses = np.array(scalars).T
-    return {"summary_metric": float(peaks.max()),
-            "diagnostics": {"spectral_sum": float(sums.min()),
+    return {"summary_metric": float(peaks.max()), "numerics": cfg.numerics,
+            "diagnostics": {**diagnostics, "spectral_sum": float(sums.min()),
                             "occupation_excess": float(excesses.max())}}
 
 

@@ -355,9 +355,10 @@ def honeycomb_modes(kx, ky, hopping, drive, n_max):
 def suggested_n_max(amplitude):
     """Bessel-decay heuristic for the mode cutoff: ceil(A) + 10.
 
-    The CLI's greens default M is this plus 6; spectrum and chern take
-    cli.default_replica_cutoff instead. The benchmark's oracle workload and
-    scripts/hopping_renormalization.py still size their mode sets by it.
+    The CLI no longer uses it: every task that reads M defaults to
+    cli.default_replica_cutoff, which follows the drive. The benchmark's
+    oracle workload and scripts/hopping_renormalization.py still size
+    their mode sets by it.
     """
     return int(np.ceil(amplitude)) + 10
 

@@ -32,6 +32,9 @@ def spectrum_config(tmp_path, **overrides):
     return payload
 
 
+GREENS_BATH = {"gamma": 0.05, "beta": 20.0}
+
+
 class TestValidation:
     def test_accepts_minimal(self, tmp_path):
         cfg = validate_config(spectrum_config(tmp_path))
@@ -144,15 +147,20 @@ class TestValidation:
         assert validate_config(dirac).m_cut == cli.default_replica_cutoff(5.0, 0.0, 2.0) == 6
 
     @pytest.mark.parametrize("model", ["chain1d", "honeycomb", "dirac"])
-    def test_default_greens_replica_cutoff_is_n_max_plus_6(self, tmp_path, model):
-        # greens' M sets the zones of the unfolded axis, so it keeps the wide default
+    def test_greens_takes_default_replica_cutoff(self, tmp_path, model):
+        # one rule for every task that reads M, and a default greens M may be raised; the
+        # lattices take their A and half-bandwidth, dirac A = 0 and its mode norms 2 A
         polarization = "linear" if model == "chain1d" else "circular"
         payload = spectrum_config(
             tmp_path, model=model, task="greens", bath={"gamma": 0.1},
             drive={"omega": 8.0, "amplitude": 1.0, "polarization": polarization})
-        assert validate_config(payload).m_cut == 17
-        payload["numerics"] = {"M": 10}
-        assert validate_config(payload).m_cut == 10
+        peierls, width = {"chain1d": (1.0, 2.0), "honeycomb": (1.0, 3.0)}.get(model, (0.0, 2.0))
+        cfg = validate_config(payload)
+        assert cfg.m_cut == cli.default_replica_cutoff(8.0, peierls, width) and cfg.raise_m
+        # an explicit M still wins, and is never raised
+        payload["numerics"] = {"M": 17}
+        cfg = validate_config(payload)
+        assert cfg.m_cut == 17 and not cfg.raise_m
 
     @pytest.mark.parametrize("key, value, reader", [
         ("bath", {"gamma": 0.1}, "greens"),
@@ -178,15 +186,17 @@ class TestValidation:
         assert main(["validate", write_config(tmp_path, payload)]) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task", ["spectrum", "chern"])
+    @pytest.mark.parametrize("task", ["spectrum", "chern", "greens"])
     def test_replica_selection_needs_margin(self, tmp_path, task):
-        # one harmonic needs M >= 3: dirac for spectrum, the same in custom form for chern
-        model = "dirac" if task == "spectrum" else "custom"
+        # one harmonic needs M >= 3: dirac for spectrum and greens, whose certificate selects
+        # the physical band too, the same in custom form for chern
+        model = "custom" if task == "chern" else "dirac"
         payload = spectrum_config(
             tmp_path, model=model, task=task,
-            numerics={"M": 2, ("n_k" if task == "spectrum" else "Nk"): 4},
+            numerics={"M": 2, ("Nk" if task == "chern" else "n_k"): 4},
             **({"drive": {"omega": 10.0, "amplitude": 1.0}} if model == "dirac"
-               else {"custom_modes": SETTING_VALUES["custom_modes"]}))
+               else {"custom_modes": SETTING_VALUES["custom_modes"]}),
+            **({"bath": GREENS_BATH} if task == "greens" else {}))
         with pytest.raises(ConfigError, match="numerics.M"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
@@ -903,7 +913,7 @@ class TestRun:
         ("dirac", "hfe", {}, {}),       # dirac hfe reads no cutoff
         ("honeycomb", "chern", {}, {"M": 9, "Nk": 24}),
         ("chain1d", "greens", {"bath": {"gamma": 0.05}},
-         {"M": 17, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
+         {"M": 9, "n_k": 64, "k_min": -math.pi, "k_max": math.pi,
           "nu_points": 401}),
         ("dirac", "ness", {"lindblad": {"gamma": 0.4}},
          {"tol": 1e-9, "steps_per_period": 256}),
@@ -940,7 +950,9 @@ class TestRun:
                    "bath": {"gamma": 0.05, "beta": 20.0}, "numerics": {"n_k": 4}}
         assert main(["run", write_config(tmp_path, payload)]) == 0
         diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
-        assert sorted(diagnostics) == ["occupation_excess", "spectral_sum"]
+        assert sorted(diagnostics) == ["edge_weight", "m_raises", "occupation_excess",
+                                       "spectral_sum"]
+        assert diagnostics["edge_weight"] <= cli.EDGE_WEIGHT_TOL and diagnostics["m_raises"] == 0
         assert abs(diagnostics["spectral_sum"] - 1.0) < 1e-3
         assert abs(diagnostics["occupation_excess"]) < 1e-12     # N <= A up to rounding
 
@@ -1017,11 +1029,14 @@ class TestRun:
         ("honeycomb", "chern", 2.0, 3.0, {"Nk": 4, "M": 15}),
         # an explicit M too small for the drive
         ("dirac", "spectrum", 5.0, 1.0, {"M": 4, "n_k": 8}),
+        # the former greens default M 17 at a slow drive, where it needs 26
+        ("chain1d", "greens", 0.3, 1.0, {"M": 17, "n_k": 4, "nu_points": 21}),
     ])
     def test_truncation_certificate_warns_once(self, tmp_path, model, task, omega, amplitude,
                                                numerics):
         payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
-                   "drive": {"omega": omega, "amplitude": amplitude}, "numerics": numerics}
+                   "drive": {"omega": omega, "amplitude": amplitude}, "numerics": numerics,
+                   **({"bath": GREENS_BATH} if task == "greens" else {})}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cli.run_config(validate_config(payload))
@@ -1115,6 +1130,89 @@ class TestRun:
         assert sum("raise numerics.M" in str(w.message) for w in caught) == 1
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["numerics"]["M"] == 4 and manifest["diagnostics"]["m_raises"] == 0
+
+    def greens_at(self, tmp_path, name, omega, amplitude, **numerics):
+        """greens.csv as a table, and the manifest, of a chain1d greens run."""
+        payload = {"model": "chain1d", "task": "greens", "output": str(tmp_path / name),
+                   "drive": {"omega": omega, "amplitude": amplitude}, "bath": GREENS_BATH,
+                   "numerics": {"n_k": 4, "nu_points": 21, **numerics}}
+        cli.run_config(validate_config(payload))
+        return (np.loadtxt(tmp_path / name / "greens.csv", delimiter=",", skiprows=1),
+                json.loads((tmp_path / name / "manifest.json").read_text()))
+
+    def test_greens_default_cutoff_follows_a_slow_drive(self, tmp_path):
+        # ceil(A) + 16 = 17 left an edge weight of 1e-9 at omega 0.3, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default, manifest = self.greens_at(tmp_path, "default", 0.3, 1.0)
+        m_cut = manifest["numerics"]["M"]
+        assert m_cut >= cli.default_replica_cutoff(0.3, 1.0, 2.0) == 26
+        assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
+        assert len(default) == 4 * 21 * (2 * m_cut + 1)
+        wide, _ = self.greens_at(tmp_path, "wide", 0.3, 1.0, M=m_cut + 15)
+        # the rows of zone n = 0, nu_unfolded in [-omega/2, omega/2), in the order of the file
+
+        def zone0(table):
+            return table[(table[:, 0] >= -0.15) & (table[:, 0] < 0.15)]
+
+        assert len(zone0(default)) == 4 * 21
+        assert np.max(np.abs(zone0(default) - zone0(wide))) < 1e-12
+
+    def test_a_failing_greens_default_cutoff_is_raised_before_writing(self, tmp_path,
+                                                                      monkeypatch):
+        # at omega 5, A 1 the default 4 fails, and 4 -> 6 -> 8 passes; greens.csv is written
+        # once, at the certified M, so it holds the bytes of that M given explicitly
+        monkeypatch.setattr(cli, "default_replica_cutoff", lambda *args: 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raised, manifest = self.greens_at(tmp_path, "raised", 5.0, 1.0)
+        assert manifest["numerics"]["M"] == 8 and manifest["diagnostics"]["m_raises"] == 2
+        assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
+        self.greens_at(tmp_path, "explicit", 5.0, 1.0, M=8)
+        assert ((tmp_path / "raised" / "greens.csv").read_bytes()
+                == (tmp_path / "explicit" / "greens.csv").read_bytes())
+
+    def test_greens_raising_stops_at_the_memory_bound(self, tmp_path, monkeypatch):
+        # greens sizes its nu_points G^R columns of D x D: 21 of them fit at M 4 (D 9) and
+        # not at M 6 (D 13), so the default M 4 is kept and warns
+        monkeypatch.setattr(cli, "default_replica_cutoff", lambda *args: 4)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2 * 16 * 21 * 9 ** 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table, manifest = self.greens_at(tmp_path, "out", 5.0, 1.0)
+        assert sum("raise numerics.M" in str(w.message) for w in caught) == 1
+        assert manifest["numerics"]["M"] == 4 and manifest["diagnostics"]["m_raises"] == 0
+        assert len(table) == 4 * 21 * 9
+
+    @pytest.mark.parametrize("model, omega", [("honeycomb", 0.5), ("dirac", 0.3)])
+    def test_greens_passes_on_no_replica_warning(self, tmp_path, model, omega):
+        # the physical band's picks are ambiguous at these slow drives (w0 < 0.5 at some
+        # k), but greens picks no replicas: its certificate pass only reads their weights
+        payload = {"model": model, "task": "greens", "output": str(tmp_path / "out"),
+                   "drive": {"omega": omega, "amplitude": 1.0}, "bath": GREENS_BATH,
+                   "numerics": {"n_k": 4, "nu_points": 21}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.run_config(validate_config(payload))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
+
+    def test_greens_and_spectrum_certify_alike(self, tmp_path, monkeypatch):
+        # one rule and one certificate: the same drive and k line, raised from the same M
+        monkeypatch.setattr(cli, "default_replica_cutoff", lambda *args: 4)
+        base = {"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0},
+                "numerics": {"n_k": 4}}
+        runs = {"spectrum": {}, "greens": {"bath": GREENS_BATH, "numerics": {"n_k": 4,
+                                                                          "nu_points": 21}}}
+        reports = []
+        for task, extra in runs.items():
+            cli.run_config(validate_config({**base, "task": task, "output": str(tmp_path / task),
+                                            **extra}))
+            manifest = json.loads((tmp_path / task / "manifest.json").read_text())
+            reports.append((manifest["numerics"]["M"], manifest["diagnostics"]["edge_weight"],
+                            manifest["diagnostics"]["m_raises"]))
+        assert reports[0] == reports[1]
+        assert reports[0][2] == 2
 
     def test_custom_modes_keep_their_selection_margin(self, tmp_path):
         # only the lattice modes fill to 2M: a given harmonic h still needs M >= h + 2

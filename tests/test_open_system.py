@@ -222,7 +222,12 @@ class TestOccupationFunction:
 
 
 class TestGreensAtTaskDefaults:
-    """One k of the chain at the greens task's defaults: M 17, 401 frequencies."""
+    """One k of the chain at the benchmark's drive and 401 frequencies, at M 17.
+
+    M 17 was the greens task's default there before it followed the drive
+    (cli.default_replica_cutoff gives 10); the larger Sambe space is kept
+    as the harder case for the memory bound below.
+    """
 
     MODES = fq.chain_modes(0.9, 1.0, fq.DriveProtocol(omega=5.0, amplitude=1.0), 15)
 
