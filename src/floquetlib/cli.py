@@ -64,13 +64,14 @@ numerics.M is too small. greens certifies M before it writes a row, and
 its diagnostics add "spectral_sum" and "occupation_excess", the smallest
 sum A dnu / dim over k and the largest N - A.
 
-FLOQUET_WORKERS (default: the CPUs the process may use) caps the forked
-worker processes (_in_workers, never more than those CPUs) that run a
-sweep's values, greens's k-points (each formatted as CSV text there by
-_csv_blocks, which assembles every CSV, and written here in k order)
-and chern's grid rows (matched here in one ordered pass). Outputs and
-warnings do not depend on it, and at 1 greens and chern fork nothing.
-spectrum stays serial: a pool item costs more than its solve per k.
+FLOQUET_WORKERS (default: the CPUs the process may use; checked for
+every task) caps the forked worker processes (_in_workers, never more
+than those CPUs) that run a sweep's values, greens's k-points (each
+formatted as CSV text there by _csv_blocks, which assembles every CSV,
+and written here in k order) and chern's grid rows (matched here in one
+ordered pass). Outputs and warnings do not depend on it. At 1 greens and
+chern fork nothing, and each sweep value still gets a process of its
+own. spectrum stays serial: a pool item costs more than its solve per k.
 """
 
 import argparse
@@ -163,7 +164,7 @@ class RunConfig:
     custom_modes: models.FourierModeSet = None
     write_curvature: bool = False
     summary_metric: str = "J_eff"               # the hfe.json key hfe sums up
-    workers: int = 1                            # greens and chern: FLOQUET_WORKERS
+    workers: int = 1                            # FLOQUET_WORKERS, read for every task
     raise_m: bool = False       # a default M: _certified may raise it
     raw: dict = field(default_factory=dict)
 
@@ -359,6 +360,8 @@ def validate_config(raw):
                 for key, value in {**NUMERIC_DEFAULTS, **given}.items()}
     k_min, k_max = numerics["k_min"], numerics["k_max"]
     _require(k_max > k_min, "numerics.k_max", f"must exceed k_min = {k_min!r}, got {k_max!r}")
+    _require(math.isfinite(k_max - k_min), "numerics.k_max",
+             f"k_max - k_min must be finite, got {k_max!r} - {k_min!r}")
     default_m = "numerics.M" in reads and "M" not in given
     if default_m or (task == "hfe" and model in _LATTICES):
         _require(amplitude <= MAX_DEFAULT_AMPLITUDE, "drive.amplitude",
@@ -437,11 +440,9 @@ def validate_config(raw):
         _require(m_cut >= need, "numerics.M",
                  f"must be >= {need} for the {model!r} modes in task {task!r}, got {m_cut}")
     numerics = {key: value for key, value in numerics.items() if f"numerics.{key}" in reads}
-    # greens spreads its k-points, chern its grid rows over worker processes
-    workers = _env_workers() if task in ("greens", "chern") else 1
     cfg = RunConfig(model=model, task=task, drive=drive, output=output, numerics=numerics,
                     bath=bath, custom_modes=custom, write_curvature=curvature,
-                    summary_metric=metric, workers=workers, raise_m=default_m,
+                    summary_metric=metric, workers=_env_workers(), raise_m=default_m,
                     raw=copy.deepcopy(raw))
     _check_sizes(cfg)
     if task == "ness":
@@ -857,7 +858,7 @@ def _submit(pool, index):
         return future
 
 
-def _in_workers(fn, items, workers, isolate=False):
+def _in_workers(fn, items, workers):
     """Yield (fn(item), None) or (None, the exception it raised) per item, in order.
 
     The calls run in a pool of up to `workers` processes, and no more than
@@ -874,14 +875,13 @@ def _in_workers(fn, items, workers, isolate=False):
     yielded; a worker that dies fails every item it had not finished with
     BrokenProcessPool.
 
-    The calls run here, one after another, inside a pool worker (pools do
-    not nest), where the platform cannot fork, and with one worker unless
-    `isolate` asks for a process of its own even then.
+    The calls run here, one after another, only inside a pool worker
+    (pools do not nest) and where the platform cannot fork: at one worker
+    they still fork, into a process of their own.
     """
     items = list(items)
     if (multiprocessing.parent_process() is not None
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or (workers == 1 and not isolate)):
+            or "fork" not in multiprocessing.get_all_start_methods()):
         for item in items:
             try:
                 yield fn(item), None
@@ -913,7 +913,10 @@ def _in_workers(fn, items, workers, isolate=False):
 
 
 def _worker_map(fn, items, workers):
-    """Yield fn(item) per item, in order, through _in_workers; an item's exception is raised."""
+    """Yield fn(item) per item, in order, raising an item's exception; at one worker, run here."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
     for result, error in _in_workers(fn, items, workers):
         if error is not None:
             raise error
@@ -1063,17 +1066,14 @@ def _leading_cells(values):
     return tuple(np.ascontiguousarray(a[:, used]).view(width)[:, 0] for a in (slot, keep))
 
 
-def _greens_rows(cfg: RunConfig, nu, frequencies, nu_cells, k):
+def _greens_rows(cfg: RunConfig, nu, nu_cells, k):
     """The greens.csv text of the (nu_unfolded, k, A, N) rows at one k, and three scalars there.
 
     They are the peak of A, its sum rule sum A dnu / dim and the largest
-    N - A. `frequencies` is the unfolded axis that `nu_cells` formats.
+    N - A. `nu_cells` formats the unfolded axis of `nu`.
     """
     grid = open_system.floquet_greens(_modes(cfg, k), cfg.bath, cfg.m_cut, nu)
-    freqs, spec = open_system.spectral_function(grid)
-    if not np.array_equal(freqs, frequencies):
-        raise RuntimeError(f"the spectral function at k = {k!r} is not on the run's "
-                           "nu_unfolded axis")
+    _, spec = open_system.spectral_function(grid)
     _, occ = open_system.occupation_function(grid)
     spectral_sum = spec.sum() * (cfg.drive.omega / nu.size) / grid.dim
     text = b"".join(_csv_blocks(np.column_stack((spec, occ)),
@@ -1096,7 +1096,7 @@ def task_greens(cfg: RunConfig, outdir):
     nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
     # the nu_unfolded column is the same at every k: formatted here, before the workers fork
     frequencies = open_system.unfolded_axis(nu, cfg.m_cut, omega)[0]
-    rows = functools.partial(_greens_rows, cfg, nu, frequencies, _leading_cells(frequencies))
+    rows = functools.partial(_greens_rows, cfg, nu, _leading_cells(frequencies))
     scalars = []
     # each k's rows are formatted where they are computed and written in k order
     with _atomic_file(os.path.join(outdir, "greens.csv")) as handle:
@@ -1201,8 +1201,8 @@ def _sweep_one(raw, parameter, value_dir):
 def run_sweep(raw, parameter, values, workers=None):
     """One run per parameter value; aggregate CSV plus per-value directories.
 
-    Each value runs in a worker process of its own pool (_in_workers, with
-    `isolate`, so one worker forks too). Individual failures, a worker that
+    Each value runs in a worker process (_in_workers), at one worker too;
+    `workers` defaults to FLOQUET_WORKERS. Individual failures, a worker that
     dies included, do not stop the sweep; they are recorded in the
     manifest and skipped in the aggregate. After a worker dies, each value
     its broken pool fails runs again alone, one at a time, so only the
@@ -1226,17 +1226,17 @@ def run_sweep(raw, parameter, values, workers=None):
     _require(parameter in numeric, "--param", f"must name a numeric setting the {base.task!r} "
              f"task reads on {base.model!r}, one of {numeric}; got {parameter!r}")
     if workers is None:
-        workers = _env_workers()
+        workers = base.workers
     _require(isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1,
              "workers", f"must be an integer >= 1, got {workers!r}")
     results, failures = {}, {}
     with _output_dir(base.output) as root:
         run_value = functools.partial(_sweep_one, raw, parameter)
         items = [(v, os.path.join(root, name)) for v, name in zip(values, names)]
-        outcomes = _in_workers(run_value, items, workers, isolate=True)  # zipped first: it runs out
+        outcomes = _in_workers(run_value, items, workers)  # zipped first: it runs out
         for (summary, error), item, value in zip(outcomes, items, values):
             if isinstance(error, concurrent.futures.process.BrokenProcessPool):  # run alone
-                [(summary, error)] = _in_workers(run_value, [item], 1, isolate=True)
+                [(summary, error)] = _in_workers(run_value, [item], 1)
             if error is None:
                 results[value] = summary
             else:   # recorded, the sweep continues

@@ -363,6 +363,25 @@ def suggested_n_max(amplitude):
     return int(np.ceil(amplitude)) + 10
 
 
+def _real_numbers(value):
+    """Whether `value` is an int or a float, or nested lists of them: no text, no booleans.
+
+    Walked with a stack, not by recursion, so that any nesting a config can hold is read.
+    """
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray):
+            if item.dtype.kind not in "iuf":
+                return False
+        elif (isinstance(item, bool)
+              or not isinstance(item, (int, float, np.integer, np.floating))):
+            return False
+    return True
+
+
 def custom_mode_terms(triples):
     """The checked terms of (n, real part, imaginary part) triples: (indices, matrices).
 
@@ -373,6 +392,10 @@ def custom_mode_terms(triples):
     if not triples or not all(isinstance(e, (list, tuple)) and len(e) == 3 for e in triples):
         raise ValueError("each custom mode must be a (n, real, imag) triple")
     ns, re, im = zip(*triples)
+    # np.asarray(dtype=float) would read "1" and true, and [true, 2] as [1, 2]
+    if not all(map(_real_numbers, (ns, re, im))):
+        raise ValueError("custom mode indices and matrix entries must be numbers, not text "
+                         "or booleans")
     try:
         index = np.asarray(ns, dtype=float)
         mats = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)

@@ -91,11 +91,6 @@ class GreensFunctionGrid:
         return np.repeat(np.arange(-self.m_cut, self.m_cut + 1), self.dim)
 
     @property
-    def sigma_keldysh(self):
-        """(n_nu, D) diagonal of the bath's Sigma^K, computed on every access."""
-        return bath_self_energy(self.bath, self.nu[:, None], self._block_index, self.omega)[1]
-
-    @property
     def g_retarded(self):
         """G^R = V diag r V^dagger as (n_nu, D, D), computed on every access."""
         return (self.vectors * self.resolvent[:, None, :]) @ self.vectors.conj().T
@@ -104,7 +99,8 @@ class GreensFunctionGrid:
     def g_keldysh(self):
         """G^K = G^R Sigma^K G^A as (n_nu, D, D), computed on every access."""
         g_r = self.g_retarded
-        return (g_r * self.sigma_keldysh[:, None, :]) @ g_r.conj().transpose(0, 2, 1)
+        sig_k = bath_self_energy(self.bath, self.nu[:, None], self._block_index, self.omega)[1]
+        return (g_r * sig_k[:, None, :]) @ g_r.conj().transpose(0, 2, 1)
 
     def block_traces(self, diagonals):
         """Per-block sums of (n_nu, D) diagonals: (n_nu, 2M+1), column n + M for block n."""

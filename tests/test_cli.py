@@ -103,12 +103,21 @@ class TestValidation:
         [[0, [[0.0]], [[0.0]]], [1, [[1.0]], [[0.0]]],
          [-1, [[2.0]], [[0.0]]]],                                    # H_-1 != H_1^dagger
         [[0, [[math.nan]], [[0.0]]]],                                # json reads NaN
-    ], ids=["nonsquare", "not_a_triple", "pairing", "non_finite"])
+        [["0", [["1"]], [["0"]]]],                                   # text, read as H_0 = 1
+        [[0, [["1e3"]], [[0]]]],
+        [[0, [[True]], [[0]]]],                                      # a bool, read as 1
+        [[True, [[1.0]], [[0.0]]], [-1, [[1.0]], [[0.0]]],
+         [0, [[0.0]], [[0.0]]]],                                     # true as n = 1
+        [[0, [[True, 2], [2, 1]], [[0, 0], [0, 0]]]],                # np.asarray([True, 2])
+        [[0, json.loads("[" * 800 + "0" + "]" * 800), [[0.0]]]],    # deeper than recursion
+    ], ids=["nonsquare", "not_a_triple", "pairing", "non_finite", "text", "text_number",
+            "bool_entry", "bool_index", "bool_among_numbers", "deeply_nested"])
     def test_malformed_custom_modes_are_config_errors(self, tmp_path, triples):
         payload = spectrum_config(tmp_path, model="custom", custom_modes=triples)
         with pytest.raises(ConfigError, match="custom_modes"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_custom_modes_parsed_once(self, tmp_path):
         triples = [[0, [[0.3]], [[0.0]]], [1, [[0.2]], [[0.0]]], [-1, [[0.2]], [[0.0]]]]
@@ -362,6 +371,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="numerics.k_max"):
             validate_config(payload)
         assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task, extra", [("spectrum", {}),
+                                             ("greens", {"bath": {"gamma": 0.1}})],
+                             ids=["spectrum", "greens"])
+    def test_k_range_must_be_finite(self, tmp_path, capsys, task, extra):
+        # each bound is finite but k_max - k_min is not, and np.linspace would make NaN k
+        payload = spectrum_config(tmp_path, task=task, **extra,
+                                  numerics={"n_k": 4, "k_min": -1e308, "k_max": 1e308})
+        with pytest.raises(ConfigError, match="^numerics.k_max: "):
+            validate_config(payload)
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err.startswith("config error: numerics.k_max: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, extra", [
@@ -1158,6 +1180,20 @@ class TestRun:
         assert len(zone0(default)) == 4 * 21
         assert np.max(np.abs(zone0(default) - zone0(wide))) < 1e-12
 
+    def test_spectrum_default_cutoff_follows_a_slow_drive(self, tmp_path):
+        # omega 0.3 needs M about 27, which ceil(A) + 12 missed; the picks there also warn
+        # of ambiguous replicas at a converged M, which is not what this checks
+        path = write_config(tmp_path, {
+            "model": "honeycomb", "task": "spectrum", "output": str(tmp_path / "out"),
+            "drive": {"omega": 0.3, "amplitude": 1.0}, "numerics": {"n_k": 8}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", path]) == 0
+        assert not [w for w in caught
+                    if str(w.message).startswith("the physical band has Fourier weight")]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
+
     def test_a_failing_greens_default_cutoff_is_raised_before_writing(self, tmp_path,
                                                                       monkeypatch):
         # at omega 5, A 1 the default 4 fails, and 4 -> 6 -> 8 passes; greens.csv is written
@@ -1562,10 +1598,10 @@ class TestTaskWorkers:
     def test_dead_worker_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
         greens_rows = cli._greens_rows
 
-        def dies_at_third_k(cfg, nu, frequencies, nu_cells, k):
+        def dies_at_third_k(cfg, nu, nu_cells, k):
             if k == cli._k_grid(cfg)[2]:
                 os._exit(1)  # a worker killed, say out of memory
-            return greens_rows(cfg, nu, frequencies, nu_cells, k)
+            return greens_rows(cfg, nu, nu_cells, k)
 
         monkeypatch.setattr(cli, "_greens_rows", dies_at_third_k)  # fork carries the patch
         monkeypatch.setenv("FLOQUET_WORKERS", "2")
@@ -1574,7 +1610,14 @@ class TestTaskWorkers:
         assert "terminated abruptly" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()    # greens.csv.tmp removed, then both directories
 
-    @pytest.mark.parametrize("raw", [GREENS, CHERN], ids=["greens", "chern"])
+    @pytest.mark.parametrize("raw", [
+        GREENS, CHERN,
+        {"model": "chain1d", "task": "spectrum", "drive": {"omega": 8.0, "amplitude": 1.0},
+         "numerics": {"n_k": 4}},
+        {"model": "chain1d", "task": "hfe", "drive": {"omega": 8.0, "amplitude": 1.0}},
+        {"model": "dirac", "task": "ness", "lindblad": {"gamma": 0.4},
+         "drive": {"omega": 5.0, "amplitude": 1.0, "polarization": "circular"}},
+    ], ids=["greens", "chern", "spectrum", "hfe", "ness"])
     @pytest.mark.parametrize("text", ["0", "two"])
     def test_bad_worker_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, raw, text):
         monkeypatch.setenv("FLOQUET_WORKERS", text)
@@ -1584,8 +1627,8 @@ class TestTaskWorkers:
             assert capsys.readouterr().err.startswith("config error: FLOQUET_WORKERS: ")
         assert not (tmp_path / "out").exists()
 
-    def test_greens_sweep_starts_no_pool_in_its_workers(self, tmp_path, monkeypatch):
-        pools = tmp_path / "pools"
+    def count_pools(self, pools, monkeypatch):
+        """Append the pid of each process that starts a pool to the file `pools`."""
         pool_class = cli.concurrent.futures.ProcessPoolExecutor
 
         class CountingPool(pool_class):
@@ -1595,6 +1638,17 @@ class TestTaskWorkers:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+
+    @pytest.mark.parametrize("raw", [GREENS, CHERN], ids=["greens", "chern"])
+    def test_one_worker_starts_no_pool(self, tmp_path, monkeypatch, raw):
+        pools = tmp_path / "pools"
+        self.count_pools(pools, monkeypatch)
+        files, _, _ = self.run(tmp_path, monkeypatch, raw, 1)
+        assert files and not pools.exists()
+
+    def test_greens_sweep_starts_no_pool_in_its_workers(self, tmp_path, monkeypatch):
+        pools = tmp_path / "pools"
+        self.count_pools(pools, monkeypatch)
         monkeypatch.setenv("FLOQUET_WORKERS", "2")
         raw = {**self.GREENS, "output": str(tmp_path / "sweep")}
         results, failures = cli.run_sweep(raw, "drive.amplitude", [0.5, 1.0], workers=2)
