@@ -43,7 +43,8 @@ The mode cutoff is 1 for dirac, the largest given harmonic for custom and
 cutoff derives from it.
 
 Exit codes: 0 success, 2 config/schema error, 3 solver error. Config
-errors include an unreadable config file, an output directory that
+errors include an unreadable config file (one nested deeper than json
+reads too, and so a --set value), an output directory that
 cannot be created, a ness steps_per_period too coarse for RK4 stability
 (open_system.rk4_samples, run at validation on the run's one
 LindbladSystem, names the fewest steps that pass) and a size setting
@@ -62,16 +63,18 @@ a default M; its numerics.M is the M the run used. Above 1e-13 at an
 explicit M, or at the largest M that fits in memory, the run warns that
 numerics.M is too small. greens certifies M before it writes a row, and
 its diagnostics add "spectral_sum" and "occupation_excess", the smallest
-sum A dnu / dim over k and the largest N - A.
+sum A dnu / dim over k and the largest N - A. For ness they are
+{"gap": ..., "residual": ...}, as its summary prints them.
 
 FLOQUET_WORKERS (default: the CPUs the process may use; checked for
 every task) caps the forked worker processes (_in_workers, never more
 than those CPUs) that run a sweep's values, greens's k-points (each
 formatted as CSV text there by _csv_blocks, which assembles every CSV,
-and written here in k order) and chern's grid rows (matched here in one
-ordered pass). Outputs and warnings do not depend on it. At 1 greens and
-chern fork nothing, and each sweep value still gets a process of its
-own. spectrum stays serial: a pool item costs more than its solve per k.
+and written to a part file that is appended here in k order) and chern's
+grid rows (matched here in one ordered pass). Outputs and warnings do
+not depend on it. At 1 greens and chern fork nothing, and each sweep
+value still gets a process of its own. spectrum stays serial: a pool
+item costs more than its solve per k.
 """
 
 import argparse
@@ -86,7 +89,9 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -1066,22 +1071,38 @@ def _leading_cells(values):
     return tuple(np.ascontiguousarray(a[:, used]).view(width)[:, 0] for a in (slot, keep))
 
 
-def _greens_rows(cfg: RunConfig, nu, nu_cells, k):
-    """The greens.csv text of the (nu_unfolded, k, A, N) rows at one k, and three scalars there.
+def _greens_rows(cfg: RunConfig, nu, nu_cells, item):
+    """Write the (nu_unfolded, k, A, N) rows of one k to its part file; three scalars there.
 
-    They are the peak of A, its sum rule sum A dnu / dim and the largest
-    N - A. `nu_cells` formats the unfolded axis of `nu`.
+    `item` is (part, k, k_cell): the path the rows go to, and k with its
+    cell from _leading_cells. `nu_cells` formats the unfolded axis of `nu`.
+    The rows are put together as every CSV is (_csv_blocks). Only the
+    scalars go back to the caller: the peak of A, its sum rule
+    sum A dnu / dim and the largest N - A.
     """
+    part, k, k_cell = item
     grid = open_system.floquet_greens(_modes(cfg, k), cfg.bath, cfg.m_cut, nu)
     _, spec = open_system.spectral_function(grid)
     _, occ = open_system.occupation_function(grid)
     spectral_sum = spec.sum() * (cfg.drive.omega / nu.size) / grid.dim
-    text = b"".join(_csv_blocks(np.column_stack((spec, occ)),
-                                (nu_cells, _leading_cells(np.array([k])))))
-    return text, spec.max(), spectral_sum, np.max(occ - spec)
+    with open(part, "wb") as handle:
+        for block in _csv_blocks(np.column_stack((spec, occ)), (nu_cells, k_cell)):
+            handle.write(block)
+    return float(spec.max()), float(spectral_sum), float(np.max(occ - spec))
 
 
 def task_greens(cfg: RunConfig, outdir):
+    """greens.csv, written from per-k part files in k order.
+
+    Each k's rows are computed and formatted in a worker item
+    (_greens_rows), which writes them to a part file of its own in a
+    temporary directory inside `outdir` and sends back only its three
+    scalars; the text never travels through the pool's result pipe. Here
+    each part is appended to greens.csv.tmp as its item completes and then
+    deleted. The directory and whatever parts are left in it go on success
+    and on any error, a worker that dies included, once the pool has shut
+    down, so no worker still writes into it.
+    """
     ks = _k_grid(cfg)
 
     def solve(cfg):
@@ -1094,16 +1115,24 @@ def task_greens(cfg: RunConfig, outdir):
     cfg, _, diagnostics = _certified(cfg, solve)
     omega = cfg.drive.omega
     nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
-    # the nu_unfolded column is the same at every k: formatted here, before the workers fork
+    # the nu_unfolded column is the same at every k, and the k cells of every k come from
+    # one call: both are formatted here, before the workers fork
     frequencies = open_system.unfolded_axis(nu, cfg.m_cut, omega)[0]
     rows = functools.partial(_greens_rows, cfg, nu, _leading_cells(frequencies))
+    k_text, k_keep = _leading_cells(ks)
     scalars = []
-    # each k's rows are formatted where they are computed and written in k order
-    with _atomic_file(os.path.join(outdir, "greens.csv")) as handle:
+    with (_atomic_file(os.path.join(outdir, "greens.csv")) as handle,
+          tempfile.TemporaryDirectory(prefix="greens.parts-", dir=outdir) as parts):
+        items = [(os.path.join(parts, f"{i}.csv"), k, (k_text[i:i + 1], k_keep[i:i + 1]))
+                 for i, k in enumerate(ks)]
         handle.write(b"nu_unfolded,k,A,N\n")
-        for text, *at_k in _worker_map(rows, ks, cfg.workers):
-            handle.write(text)
-            scalars.append(at_k)
+        # closed, which shuts the pool down, before the parts' directory goes
+        with contextlib.closing(_worker_map(rows, items, cfg.workers)) as results:
+            for (part, _, _), at_k in zip(items, results):
+                with open(part, "rb") as source:
+                    shutil.copyfileobj(source, handle)
+                os.remove(part)
+                scalars.append(at_k)
     peaks, sums, excesses = np.array(scalars).T
     return {"summary_metric": float(peaks.max()), "numerics": cfg.numerics,
             "diagnostics": {**diagnostics, "spectral_sum": float(sums.min()),
@@ -1121,7 +1150,8 @@ def task_ness(cfg: RunConfig, outdir):
     table = np.column_stack((ness.times, ness.states.reshape(-1, 4).view(float)))
     _write_csv(os.path.join(outdir, "ness.csv"), ",".join(header), table)
     purity = float(np.real(np.trace(ness.rho0 @ ness.rho0)))
-    return {"summary_metric": purity, "residual": ness.residual, "gap": ness.gap}
+    health = {"residual": ness.residual, "gap": ness.gap}
+    return {"summary_metric": purity, **health, "diagnostics": health}
 
 
 TASK_RUNNERS = {
@@ -1252,6 +1282,10 @@ def run_sweep(raw, parameter, values, workers=None):
 # ---------------------------------------------------------------------------
 # entry point
 
+# a config or --set value nested deeper than json's recursion limit
+_TOO_DEEP = "nested deeper than the JSON reader allows"
+
+
 def _load_raw(path):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -1260,6 +1294,8 @@ def _load_raw(path):
         raise ConfigError(f"config: file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config: cannot read {path}: {_TOO_DEEP}") from None
     except (OSError, UnicodeDecodeError) as exc:   # a directory, no permission, not UTF-8
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise ConfigError(f"config: cannot read {path}: {reason}") from None
@@ -1277,6 +1313,8 @@ def _apply_overrides(raw, overrides):
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        except RecursionError:
+            raise ConfigError(f"--set: {key}: {_TOO_DEEP}") from None
         _set_by_path(raw, key, value)
 
 

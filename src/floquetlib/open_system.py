@@ -11,13 +11,14 @@ One RK4 period on the matrix units gives that map and, by linearity,
 the steady state at every step of the period.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FourierModeSet, _sample_times
+from .models import FourierModeSet, _read_only, _sample_times
 from .propagator import _check_count, _check_positive
 from .sambe import build_floquet_matrix
 
@@ -129,14 +130,20 @@ def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
 def unfolded_axis(nu, m_cut, omega):
     """The physical frequencies nu + n omega of blocks n = -M..M, sorted, and their order.
 
-    Returns (frequencies, order): frequencies = axis[order] for the
-    block-major axis, block n's nu first. The frequencies do not depend
-    on k, so the greens task formats them once per run.
+    Returns (frequencies, order), both read-only: frequencies = axis[order]
+    for the block-major axis, block n's nu first. Neither depends on k:
+    they are sorted once per (nu grid, M, omega) and shared by every
+    caller, and the greens task formats the frequencies once per run.
     """
+    return _unfolding(np.asarray(nu, dtype=float).tobytes(), m_cut, omega)
+
+
+@functools.lru_cache(maxsize=4)
+def _unfolding(nu_bytes, m_cut, omega):
     shifts = np.arange(-m_cut, m_cut + 1) * omega
-    axis = (np.asarray(nu)[None, :] + shifts[:, None]).ravel()
+    axis = (np.frombuffer(nu_bytes)[None, :] + shifts[:, None]).ravel()
     order = np.argsort(axis, kind="stable")
-    return axis[order], order
+    return _read_only(axis[order], order)
 
 
 def _unfold(grid: GreensFunctionGrid, values):

@@ -2,6 +2,7 @@ import ctypes
 import json
 import math
 import os
+import pickle
 import time
 import tracemalloc
 import warnings
@@ -845,6 +846,23 @@ class TestRun:
             assert capsys.readouterr().err.startswith(f"config error: config: cannot read {path}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_config_nested_beyond_the_json_reader_is_config_error(self, tmp_path, capsys, where):
+        deep = "[" * 5000 + "0" + "]" * 5000    # deeper than json's recursion limit
+        if where == "file":
+            payload = spectrum_config(tmp_path, model="custom", custom_modes=None)
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(payload).replace("null", deep))
+            args, named = [], f"config: cannot read {path}: "
+        else:
+            path = write_config(tmp_path, spectrum_config(tmp_path))
+            args, named = ["--set", f"drive.amplitude={deep}"], "--set: drive.amplitude: "
+        for command in ("validate", "run"):
+            assert main([command, str(path), *args]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {named}nested deeper than the JSON reader allows\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-a-file"])
     def test_output_that_cannot_be_a_directory_is_config_error(self, tmp_path, capsys, nested):
         taken = tmp_path / "taken"
@@ -901,6 +919,14 @@ class TestRun:
         rows = np.loadtxt(tmp_path / "out" / "ness.csv", delimiter=",", skiprows=1)
         assert rows.shape == (257, 9)      # t = 0 to T at the default 256 steps, 8 values each
         assert np.max(np.abs(rows[-1, 1:] - rows[0, 1:])) <= 1e-12
+
+    def test_ness_manifest_records_solver_health(self, tmp_path, capsys):
+        payload = {"model": "dirac", "drive": {"omega": 5.0, "amplitude": 1.0},
+                   "task": "ness", "output": str(tmp_path / "out"), "lindblad": {"gamma": 0.4}}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {"gap": summary["gap"], "residual": summary["residual"]}
 
     def test_ness_columns_row_major(self, tmp_path):
         drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
@@ -1598,10 +1624,10 @@ class TestTaskWorkers:
     def test_dead_worker_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
         greens_rows = cli._greens_rows
 
-        def dies_at_third_k(cfg, nu, nu_cells, k):
-            if k == cli._k_grid(cfg)[2]:
+        def dies_at_third_k(cfg, nu, nu_cells, item):
+            if item[1] == cli._k_grid(cfg)[2]:
                 os._exit(1)  # a worker killed, say out of memory
-            return greens_rows(cfg, nu, nu_cells, k)
+            return greens_rows(cfg, nu, nu_cells, item)
 
         monkeypatch.setattr(cli, "_greens_rows", dies_at_third_k)  # fork carries the patch
         monkeypatch.setenv("FLOQUET_WORKERS", "2")
@@ -1609,6 +1635,52 @@ class TestTaskWorkers:
         assert main(["run", path]) == 3
         assert "terminated abruptly" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()    # greens.csv.tmp removed, then both directories
+
+    def test_greens_item_sends_back_only_its_scalars(self, tmp_path):
+        # the item of k index 3, as task_greens makes it
+        cfg = validate_config({**self.GREENS, "output": str(tmp_path / "out")})
+        omega, ks = cfg.drive.omega, cli._k_grid(cfg)
+        nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
+        nu_cells = cli._leading_cells(fq.open_system.unfolded_axis(nu, cfg.m_cut, omega)[0])
+        k_cell = tuple(cells[3:4] for cells in cli._leading_cells(ks))
+        item = (str(tmp_path / "3.csv"), ks[3], k_cell)
+        result = cli._greens_rows(cfg, nu, nu_cells, item)
+        assert len(pickle.dumps(result)) < 1024
+        grid = fq.open_system.floquet_greens(cli._modes(cfg, item[1]), cfg.bath, cfg.m_cut, nu)
+        _, spec = fq.open_system.spectral_function(grid)
+        _, occ = fq.open_system.occupation_function(grid)
+        rows = b"".join(cli._csv_blocks(np.column_stack((spec, occ)), (nu_cells, item[2])))
+        assert (tmp_path / "3.csv").read_bytes() == rows
+        assert result == (spec.max(), spec.sum() * (omega / nu.size) / grid.dim,
+                          np.max(occ - spec))
+
+    def test_greens_leaves_only_its_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLOQUET_WORKERS", "2")
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, {**self.GREENS, "output": str(out)})]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["greens.csv", "manifest.json"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    def test_failed_greens_item_leaves_nothing(self, tmp_path, monkeypatch, capsys, existing):
+        greens_rows = cli._greens_rows
+
+        def fails_at_third_k(cfg, nu, nu_cells, item):
+            result = greens_rows(cfg, nu, nu_cells, item)   # its part is written
+            if item[1] == cli._k_grid(cfg)[2]:
+                raise ValueError("third k fails")
+            return result
+
+        monkeypatch.setattr(cli, "_greens_rows", fails_at_third_k)  # fork carries the patch
+        monkeypatch.setenv("FLOQUET_WORKERS", "2")
+        out = tmp_path / "a" / "out"
+        if existing:
+            out.mkdir(parents=True)
+        assert main(["run", write_config(tmp_path, {**self.GREENS, "output": str(out)})]) == 3
+        assert capsys.readouterr().err == "solver error: third k fails\n"
+        if existing:    # no part, no part directory and no greens.csv.tmp
+            assert list(out.iterdir()) == []
+        else:
+            assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("raw", [
         GREENS, CHERN,
