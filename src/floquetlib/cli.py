@@ -72,9 +72,9 @@ than those CPUs) that run a sweep's values, greens's k-points (each
 formatted as CSV text there by _csv_blocks, which assembles every CSV,
 and written to a part file that is appended here in k order) and chern's
 grid rows (matched here in one ordered pass). Outputs and warnings do
-not depend on it. At 1 greens and chern fork nothing, and each sweep
-value still gets a process of its own. spectrum stays serial: a pool
-item costs more than its solve per k.
+not depend on it. At 1 greens and chern fork nothing, and a sweep's
+values share one forked worker (a pool each only once a worker dies).
+spectrum stays serial: a pool item costs more than its solve per k.
 """
 
 import argparse
@@ -419,7 +419,7 @@ def validate_config(raw):
             _require_fits("custom_modes", text, (side, side),
                           f"the Sambe matrix at M = {_count_text(harmonic + margin)}")
         try:    # the modes' own checks, H_-n = H_n^dagger
-            custom = models.custom_modes(float(omega), triples)
+            custom = models._mode_set(float(omega), ns, mats)
         except ValueError as exc:
             raise ConfigError(f"custom_modes: {exc}") from None
 
@@ -773,8 +773,9 @@ def _env_workers():
     return workers
 
 
-# the thread-count setters of the OpenBLAS builds numpy (64-bit ints) and scipy load
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+# the thread-count setters of numpy's (64-bit ints) and scipy's OpenBLAS, new and old wheels
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 @functools.lru_cache(maxsize=1)
@@ -882,7 +883,7 @@ def _in_workers(fn, items, workers):
 
     The calls run here, one after another, only inside a pool worker
     (pools do not nest) and where the platform cannot fork: at one worker
-    they still fork, into a process of their own.
+    they still fork, and all run in that one worker.
     """
     items = list(items)
     if (multiprocessing.parent_process() is not None
@@ -1021,10 +1022,12 @@ def task_spectrum(cfg: RunConfig, outdir):
 
 def task_hfe(cfg: RunConfig, outdir):
     amplitude, omega = cfg.drive.amplitude, cfg.drive.omega
+    # honeycomb's correction, its Haldane mass, vanishes at k = 0: it is read at the Dirac point K
+    k = (4.0 * math.pi / (3.0 * math.sqrt(3.0)), 0.0) if cfg.model == "honeycomb" else (0.0, 0.0)
     report = {"J_eff": lambda: highfreq.effective_hopping_1d(1.0, amplitude),
               "K_eff": lambda: highfreq.haldane_effective(1.0, amplitude, omega).k_eff,
               "dirac_gap": lambda: highfreq.dirac_gap(amplitude, omega),
-              "correction_norm": lambda: highfreq.van_vleck_hf(_modes(cfg)).correction_norm}
+              "correction_norm": lambda: highfreq.van_vleck_hf(_modes(cfg, *k)).correction_norm}
     payload = {key: float(report[key]()) for key in HFE_REPORT[cfg.model]}
     _write_json(os.path.join(outdir, "hfe.json"), payload)
     return {"summary_metric": payload[cfg.summary_metric], **payload}
@@ -1117,7 +1120,7 @@ def task_greens(cfg: RunConfig, outdir):
     nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
     # the nu_unfolded column is the same at every k, and the k cells of every k come from
     # one call: both are formatted here, before the workers fork
-    frequencies = open_system.unfolded_axis(nu, cfg.m_cut, omega)[0]
+    frequencies = open_system.unfolded_axis(nu, cfg.m_cut, omega)
     rows = functools.partial(_greens_rows, cfg, nu, _leading_cells(frequencies))
     k_text, k_keep = _leading_cells(ks)
     scalars = []

@@ -422,7 +422,11 @@ def custom_modes(omega, triples):
     user-supplied models; matrices arrive as nested lists. Harmonics
     missing from the list are zero; each n may appear once.
     """
-    ns, mats = custom_mode_terms(triples)
+    return _mode_set(omega, *custom_mode_terms(triples))
+
+
+def _mode_set(omega, ns, mats):
+    """Mode set from the checked terms of custom_mode_terms; missing harmonics are zero."""
     n_max = max(map(abs, ns))
     modes = np.zeros((2 * n_max + 1,) + mats.shape[1:], dtype=complex)
     modes[np.add(ns, n_max)] = mats

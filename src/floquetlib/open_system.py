@@ -11,14 +11,13 @@ One RK4 period on the matrix units gives that map and, by linearity,
 the steady state at every step of the period.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FourierModeSet, _read_only, _sample_times
+from .models import FourierModeSet, _sample_times
 from .propagator import _check_count, _check_positive
 from .sambe import build_floquet_matrix
 
@@ -65,13 +64,15 @@ def bath_self_energy(bath: BathSpec, nu, n, omega):
 class GreensFunctionGrid:
     """Floquet Green's functions on a frequency grid, kept in the eigenbasis of H_F.
 
-    Frequencies live in the folded zone [-omega/2, omega/2); block index
-    n maps a folded nu to the physical frequency nu + n omega. The bath's
-    retarded self-energy is the scalar -i gamma, so with H_F = V E V^dagger,
-    G^R(nu) = V diag r(nu) V^dagger with the resolvent r = 1/(nu + i gamma - E).
-    Only V and r are stored: the observables read what they need from
-    them, and the (n_nu, D, D) matrices G^R and G^K are formed only when
-    read.
+    Its grid nu is 1-D, strictly ascending and in [-omega/2, omega/2):
+    block n maps it to nu + n omega in [n omega - omega/2, n omega +
+    omega/2), so the block-major axis of unfolded_axis ascends. Both are
+    checked here, and the axis is kept, read-only, for the observables.
+    The bath's retarded self-energy is the scalar -i gamma, so with
+    H_F = V E V^dagger, G^R(nu) = V diag r(nu) V^dagger with the
+    resolvent r = 1/(nu + i gamma - E). Only V and r are stored: the
+    observables read what they need from them, and the (n_nu, D, D)
+    matrices G^R and G^K are formed only when read.
     """
 
     omega: float
@@ -81,6 +82,18 @@ class GreensFunctionGrid:
     vectors: np.ndarray      # (D, D) eigenvectors V of H_F, D = (2M+1) dim
     resolvent: np.ndarray    # (n_nu, D) r(nu), one column per eigenvalue
     bath: BathSpec
+
+    def __post_init__(self):
+        nu, half = np.asarray(self.nu), 0.5 * self.omega
+        axis = unfolded_axis(nu.ravel(), self.m_cut, self.omega)
+        # checks nu's ascent too; a grid an ulp inside both zone edges fails it where blocks meet
+        if not (nu.ndim == 1 and nu.size and np.all(axis[1:] > axis[:-1])
+                and nu[0] >= -half and nu[-1] < half):
+            raise ValueError(f"the nu grid must be 1-D, strictly ascending and inside "
+                             f"[-omega/2, omega/2) = [{-half:g}, {half:g}), with nu + n omega "
+                             f"ascending; got {np.array2string(nu, threshold=8)}")
+        axis.setflags(write=False)      # one array for every observable of the grid
+        object.__setattr__(self, "_axis", axis)
 
     @property
     def n_blocks(self):
@@ -118,38 +131,25 @@ def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
     that resolvent, and forms no matrix per frequency. G^K = G^R Sigma_b^K
     G^A, with G^A = (G^R)^dagger, is formed on request. The system
     self-energy is zero by scope, so the only broadening is the bath's.
+    nu_grid follows GreensFunctionGrid's rule, checked whatever its shape,
+    so A and N come on the ascending block-major axis of unfolded_axis.
     """
     energies, vectors = np.linalg.eigh(build_floquet_matrix(modes, m_cut).matrix)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    resolvent = 1.0 / (nu_grid[:, None] + 1j * bath.gamma - energies)
+    resolvent = 1.0 / (nu_grid.reshape(-1, 1) + 1j * bath.gamma - energies)
     return GreensFunctionGrid(
         omega=modes.omega, m_cut=m_cut, dim=modes.dim,
         nu=nu_grid, vectors=vectors, resolvent=resolvent, bath=bath)
 
 
 def unfolded_axis(nu, m_cut, omega):
-    """The physical frequencies nu + n omega of blocks n = -M..M, sorted, and their order.
+    """nu + n omega for blocks n = -M..M, block-major: block n's whole nu grid, then n + 1's.
 
-    Returns (frequencies, order), both read-only: frequencies = axis[order]
-    for the block-major axis, block n's nu first. Neither depends on k:
-    they are sorted once per (nu grid, M, omega) and shared by every
-    caller, and the greens task formats the frequencies once per run.
+    On a grid that ascends in [-omega/2, omega/2), as GreensFunctionGrid
+    checks, the axis ascends too. The greens task formats it once per run.
     """
-    return _unfolding(np.asarray(nu, dtype=float).tobytes(), m_cut, omega)
-
-
-@functools.lru_cache(maxsize=4)
-def _unfolding(nu_bytes, m_cut, omega):
     shifts = np.arange(-m_cut, m_cut + 1) * omega
-    axis = (np.frombuffer(nu_bytes)[None, :] + shifts[:, None]).ravel()
-    order = np.argsort(axis, kind="stable")
-    return _read_only(axis[order], order)
-
-
-def _unfold(grid: GreensFunctionGrid, values):
-    """Sort (n_nu, 2M+1) per-block values onto the axis nu + n omega."""
-    frequencies, order = unfolded_axis(grid.nu, grid.m_cut, grid.omega)
-    return frequencies, values.T.ravel()[order]
+    return (np.asarray(nu, dtype=float)[None, :] + shifts[:, None]).ravel()
 
 
 def spectral_function(grid: GreensFunctionGrid):
@@ -157,12 +157,12 @@ def spectral_function(grid: GreensFunctionGrid):
 
     [G^R]_ii = sum_a |V_ia|^2 r_a, so the diagonal is one (n_nu, D) x
     (D, D) product, a sum of nonnegative terms: A >= 0. Returns
-    (frequencies, values) sorted by physical frequency; spectral weight
-    outside the covered window (2M+1 zones wide) is truncated, which
-    matters only for the Lorentzian tails.
+    (frequencies, values) on the ascending block-major axis of
+    unfolded_axis; spectral weight outside the covered window (2M+1
+    zones wide) is truncated, which matters only for the Lorentzian tails.
     """
     diagonal = -grid.resolvent.imag @ (np.abs(grid.vectors) ** 2).T
-    return _unfold(grid, grid.block_traces(diagonal) / np.pi)
+    return grid._axis, (grid.block_traces(diagonal) / np.pi).T.ravel()
 
 
 def occupation_function(grid: GreensFunctionGrid):
@@ -188,7 +188,7 @@ def occupation_function(grid: GreensFunctionGrid):
     weight = np.abs(g_r)
     weight *= weight
     occupied = np.einsum("cif,fc->fi", weight, fermi[:, columns])
-    return _unfold(grid, grid.block_traces(occupied) * (grid.bath.gamma / np.pi))
+    return grid._axis, (grid.block_traces(occupied) * (grid.bath.gamma / np.pi)).T.ravel()
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,21 @@ class TestValidation:
         assert isinstance(cfg.custom_modes, fq.FourierModeSet)
         assert cli._modes(cfg, 0.4) is cfg.custom_modes
 
+    def test_custom_mode_terms_parsed_once_per_validation(self, tmp_path, monkeypatch):
+        calls = []
+        parse = fq.models.custom_mode_terms
+
+        def counting(triples):
+            calls.append(len(triples))
+            return parse(triples)
+
+        monkeypatch.setattr(fq.models, "custom_mode_terms", counting)
+        triples = [[0, [[0.3]], [[0.0]]], [1, [[0.2]], [[0.0]]], [-1, [[0.2]], [[0.0]]]]
+        cfg = validate_config(spectrum_config(tmp_path, model="custom", custom_modes=triples))
+        assert calls == [3]
+        np.testing.assert_array_equal(cfg.custom_modes.modes,
+                                      fq.custom_modes(cfg.drive.omega, triples).modes)
+
     def test_replica_cutoff_below_custom_harmonics(self, tmp_path):
         triples = [[0, [[0.3]], [[0.0]]], [3, [[0.2]], [[0.0]]], [-3, [[0.2]], [[0.0]]]]
         payload = spectrum_config(tmp_path, model="custom", custom_modes=triples,
@@ -741,7 +756,7 @@ def test_csv_writer_memory_bounded_by_one_block(tmp_path):
     # greens.csv rows at one k: the unfolded nu axis and k as leading cells, formatted
     # before the blocks, then A and N
     nu = np.linspace(-2.5, 2.5, 401, endpoint=False)
-    frequencies = np.resize(fq.open_system.unfolded_axis(nu, 27, 5.0)[0], len(table))
+    frequencies = np.resize(fq.open_system.unfolded_axis(nu, 27, 5.0), len(table))
     lead = (cli._leading_cells(frequencies), cli._leading_cells(np.array([-3.0925])))
     values = np.abs(table[:, :2])
     path = tmp_path / "greens.csv"
@@ -815,6 +830,22 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["summary_metric"] == written[cli.HFE_REPORT[model][0]]
         assert cli.HFE_REPORT[model] == (*report, "correction_norm")
+
+    def test_hfe_honeycomb_correction_at_the_dirac_point(self, tmp_path):
+        # the Haldane mass vanishes at k = 0; at K = (4 pi / (3 sqrt 3), 0), where f(K) = 0,
+        # the correction is diag(3 sqrt(3) K_eff, -3 sqrt(3) K_eff)
+        drive = {"omega": 8.0, "amplitude": 1.0, "polarization": "circular"}
+        payload = {"model": "honeycomb", "task": "hfe", "output": str(tmp_path / "out"),
+                   "drive": drive}
+        assert main(["run", write_config(tmp_path, payload)]) == 0
+        written = json.loads((tmp_path / "out" / "hfe.json").read_text())
+        modes = fq.honeycomb_modes(4.0 * np.pi / (3.0 * np.sqrt(3.0)), 0.0, 1.0,
+                                   fq.DriveProtocol(**drive), fq.highfreq.bessel_tail_order(1.0))
+        report = fq.van_vleck_hf(modes)
+        assert written["correction_norm"] == pytest.approx(report.correction_norm, abs=1e-12)
+        assert written["correction_norm"] > 0.2
+        assert report.correction[0, 0] / (3.0 * np.sqrt(3.0)) == pytest.approx(
+            fq.haldane_effective(1.0, 1.0, 8.0).k_eff, abs=1e-12)
 
     def test_hfe_metric_of_another_model_fails_before_any_output(self, tmp_path, capsys):
         payload = spectrum_config(tmp_path, task="hfe", summary_metric="K_eff")
@@ -1641,7 +1672,7 @@ class TestTaskWorkers:
         cfg = validate_config({**self.GREENS, "output": str(tmp_path / "out")})
         omega, ks = cfg.drive.omega, cli._k_grid(cfg)
         nu = np.linspace(-0.5 * omega, 0.5 * omega, cfg.numerics["nu_points"], endpoint=False)
-        nu_cells = cli._leading_cells(fq.open_system.unfolded_axis(nu, cfg.m_cut, omega)[0])
+        nu_cells = cli._leading_cells(fq.open_system.unfolded_axis(nu, cfg.m_cut, omega))
         k_cell = tuple(cells[3:4] for cells in cli._leading_cells(ks))
         item = (str(tmp_path / "3.csv"), ks[3], k_cell)
         result = cli._greens_rows(cfg, nu, nu_cells, item)
@@ -1728,12 +1759,18 @@ class TestTaskWorkers:
         assert pools.read_text().split() == [str(os.getpid())]
 
     def test_workers_run_blas_on_one_thread(self):
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = sorted({line.split(None, 5)[-1].strip()
+                                for line in maps if "openblas" in line})
+        except OSError:     # no maps file lists no library
+            paths = []
+        if not paths:
+            pytest.skip("no OpenBLAS library is loaded")
+        # a loaded OpenBLAS whose setter goes unfound keeps a BLAS thread per CPU in workers
         setters = cli._blas_thread_setters()
-        if not setters:
-            pytest.skip("no loaded BLAS library exports a thread-count setter")
-        with open("/proc/self/maps") as maps:
-            libraries = [ctypes.CDLL(path) for path in sorted(
-                {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})]
+        assert setters, f"no thread-count setter found in {paths}"
+        libraries = [ctypes.CDLL(path) for path in paths]
         getters = [getattr(library, name.replace("_set_", "_get_"))
                    for library in libraries for name in cli._BLAS_THREAD_SETTERS
                    if hasattr(library, name)]

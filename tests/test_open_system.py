@@ -2,6 +2,7 @@ import math
 import re
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -295,6 +296,37 @@ class TestBlockTraceObservables:
         for n in range(-6, 7):
             assert np.array_equal(traces[:, n + 6],
                                   reference_block_trace(grid, grid.g_keldysh, n))
+
+
+class TestUnfoldedAxis:
+    def test_block_major_axis_is_the_sorted_axis(self):
+        # zone grids drawn over wide ranges: the block-major nu + n omega ascends as it
+        # stands, equal to what a stable argsort of it returns
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            omega = 10.0 ** rng.uniform(-1.0, 3.0)
+            points = int(np.round(10.0 ** rng.uniform(0.0, np.log10(4001.0))))
+            m_cut = int(rng.integers(0, 121))
+            nus = [fbz_grid(omega, points),
+                   np.unique(rng.uniform(-0.5 * omega, 0.5 * omega, points))]
+            for nu in nus:
+                axis = fq.open_system.unfolded_axis(nu, m_cut, omega)
+                assert np.all(np.diff(axis) > 0)
+                grid = SimpleNamespace(nu=nu, m_cut=m_cut, omega=omega)
+                want, _ = reference_unfold(grid, lambda n: np.zeros_like(nu))
+                assert np.array_equal(axis, want)
+
+    @pytest.mark.parametrize("nu", [
+        fbz_grid(2.0, 11)[::-1],                          # unsorted
+        np.linspace(-1.0, 1.0, 11),                       # a point at +omega/2
+        np.linspace(-2.0, 2.0, 11, endpoint=False),       # wider than one zone
+        fbz_grid(2.0, 12).reshape(3, 4),                  # not 1-D
+        np.array([-1.0, np.nextafter(1.0, 0.0)]),         # nu + n omega ties at a block edge
+        np.array([]),                                     # no frequency
+    ], ids=["unsorted", "zone-edge", "two-zones", "2-d", "edge-tie", "empty"])
+    def test_grid_outside_the_rule_is_named(self, nu):
+        with pytest.raises(ValueError, match="^the nu grid must be 1-D, strictly ascending "):
+            fq.floquet_greens(static_level(0.3, 2.0), fq.BathSpec(gamma=0.1, beta=5.0), 2, nu)
 
 
 class TestLindbladRHS:
