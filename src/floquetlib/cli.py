@@ -280,8 +280,9 @@ def _check_sizes(cfg):
     Per size setting, the largest array the run cannot do without, each
     made whole in one allocation: beyond the machine's memory it cannot be
     allocated, or only swaps. M comes first, so it is the setting named
-    when it alone is too large. (custom_modes is sized in validate_config,
-    before its mode array is built.)
+    when it alone is too large, and n_k sizes the Fourier weights of every
+    k, in spectrum and greens alike. (custom_modes is sized in
+    validate_config, before its mode array is built.)
     """
     n = collections.defaultdict(int, cfg.numerics)      # the size settings the run reads
     dim = len(_model_at(cfg)[0](0.0))
@@ -292,9 +293,7 @@ def _check_sizes(cfg):
         "nu_points": ((n["nu_points"], side, side), 16, "the G^R columns at one k"),
         "steps_per_period": ((2 * n["steps_per_period"] + 1, dim ** 2, dim ** 2), 16,
                              "the Lindblad superoperators of the RK4 step maps"),
-        # spectrum keeps the eigenvectors of every k, greens the k grid only
-        "n_k": ((n["n_k"], side, dim), 16, "the eigenvectors at every k")
-        if cfg.task == "spectrum" else ((n["n_k"],), 8, "the k grid"),
+        "n_k": ((n["n_k"], 2 * n["M"] + 1, dim), 8, "the Fourier weights at every k"),
     }
     for key, (shape, itemsize, what) in arrays.items():
         if key in cfg.numerics:
@@ -993,10 +992,33 @@ def _certified(cfg: RunConfig, solve):
     return cfg, result, {"edge_weight": edge, "m_raises": raises}
 
 
+def _block_sum(vectors, dim):
+    """U0 of picked extended vectors (..., (2M + 1) dim, dim): the sum of their blocks, u(0)."""
+    return vectors.reshape(*vectors.shape[:-2], -1, dim, vectors.shape[-1]).sum(axis=-3)
+
+
+def _selection_diagnostics(weights, m_cut, u0):
+    """The replica picks' diagnostics, from their Fourier weights and U0 (_block_sum).
+
+    weight0_min is the smallest central weight. selection_error is max
+    |U0^dagger U0 - I|: the states u(0) of a physical band are orthonormal
+    by the Floquet theorem, so a duplicate pick, two replicas of one
+    state, makes U0 rank-deficient and the error of order 1, where
+    truncation alone leaves it small (4e-10 on honeycomb at omega 8, A 1,
+    M 9).
+    """
+    gram = np.swapaxes(u0.conj(), -1, -2) @ u0
+    return {"weight0_min": float(weights[..., m_cut, :].min()),
+            "selection_error": float(np.max(np.abs(gram - np.eye(u0.shape[-1]))))}
+
+
 def _physical_bands(cfg: RunConfig, ks):
-    """The physical band at each k of `ks` and its (n_k, 2M + 1, dim) Fourier weights."""
-    bands = [sambe.physical_band(_modes(cfg, k), cfg.m_cut) for k in ks]
-    return bands, sambe.fourier_weights(np.stack([sol.vectors for sol in bands]), bands[0].dim)
+    """The physical band's quasienergies, Fourier weights and U0 at `ks`, read k by k."""
+    def read(k):
+        sol = sambe.physical_band(_modes(cfg, k), cfg.m_cut)
+        return sol.quasienergies, sol.fourier_weights(), _block_sum(sol.vectors, sol.dim)
+
+    return tuple(map(np.array, zip(*map(read, ks))))
 
 
 def task_spectrum(cfg: RunConfig, outdir):
@@ -1004,18 +1026,19 @@ def task_spectrum(cfg: RunConfig, outdir):
 
     def solve(cfg):
         # the weights give the replica centre and weight0 too
-        bands, weights = _physical_bands(cfg, ks)
-        return (bands, weights), weights
+        bands = _physical_bands(cfg, ks)
+        return bands, bands[1]
 
-    cfg, (bands, weights), diagnostics = _certified(cfg, solve)
-    dim = bands[0].dim
+    cfg, (energies, weights, u0), diagnostics = _certified(cfg, solve)
+    dim = energies.shape[1]
     table = np.column_stack((
         np.repeat(ks, dim), np.tile(np.arange(dim), ks.size),
-        (np.argmax(weights, axis=1) - cfg.m_cut).ravel(),
-        np.concatenate([sol.quasienergies for sol in bands]), weights[:, cfg.m_cut].ravel()))
+        (np.argmax(weights, axis=1) - cfg.m_cut).ravel(), energies.ravel(),
+        weights[:, cfg.m_cut].ravel()))
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                "k,branch,n_replica,quasienergy,weight0", table)
     band = table[:, 3]
+    diagnostics |= _selection_diagnostics(weights, cfg.m_cut, u0)
     return {"summary_metric": float(band.max() - band.min()),
             "numerics": cfg.numerics, "diagnostics": diagnostics}
 
@@ -1038,9 +1061,12 @@ def task_chern(cfg: RunConfig, outdir):
         solver = topology.floquet_band_solver(functools.partial(_modes, cfg), cfg.m_cut)
         grid = topology.band_grid(solver, cfg.numerics["Nk"],
                                   map_rows=functools.partial(_worker_map, workers=cfg.workers))
-        return grid, sambe.fourier_weights(grid.vectors, grid.n_bands)
+        weights = sambe.fourier_weights(grid.vectors, grid.n_bands)
+        return (grid, weights), weights
 
-    cfg, grid, diagnostics = _certified(cfg, solve)
+    cfg, (grid, weights), diagnostics = _certified(cfg, solve)
+    diagnostics |= _selection_diagnostics(weights, cfg.m_cut,
+                                          _block_sum(grid.vectors, grid.n_bands))
     reports = []
     for band in range(grid.n_bands):
         fieldvals = topology.berry_curvature_grid(grid, band)
@@ -1081,17 +1107,25 @@ def _greens_rows(cfg: RunConfig, nu, nu_cells, item):
     cell from _leading_cells. `nu_cells` formats the unfolded axis of `nu`.
     The rows are put together as every CSV is (_csv_blocks). Only the
     scalars go back to the caller: the peak of A, its sum rule
-    sum A dnu / dim and the largest N - A.
+    sum A dnu / dim, the largest N - A and the resolution. A sums the
+    Lorentzians of width gamma at the eigenvalues E_a of H_F, sampled at
+    nu, once per a; the resolution is |sum A dnu - sum_a I_a| / dim, with
+    I_a their exact integral over the zone [-omega/2, omega/2), which the
+    bins [nu, nu + dnu) tile.
     """
     part, k, k_cell = item
     grid = open_system.floquet_greens(_modes(cfg, k), cfg.bath, cfg.m_cut, nu)
     _, spec = open_system.spectral_function(grid)
     _, occ = open_system.occupation_function(grid)
     spectral_sum = spec.sum() * (cfg.drive.omega / nu.size) / grid.dim
+    half, gamma = 0.5 * cfg.drive.omega, cfg.bath.gamma
+    exact = np.sum(np.arctan((half - grid.energies) / gamma)
+                   - np.arctan((-half - grid.energies) / gamma)) / (np.pi * grid.dim)
     with open(part, "wb") as handle:
         for block in _csv_blocks(np.column_stack((spec, occ)), (nu_cells, k_cell)):
             handle.write(block)
-    return float(spec.max()), float(spectral_sum), float(np.max(occ - spec))
+    return (float(spec.max()), float(spectral_sum), float(np.max(occ - spec)),
+            float(abs(spectral_sum - exact)))
 
 
 def task_greens(cfg: RunConfig, outdir):
@@ -1136,10 +1170,11 @@ def task_greens(cfg: RunConfig, outdir):
                     shutil.copyfileobj(source, handle)
                 os.remove(part)
                 scalars.append(at_k)
-    peaks, sums, excesses = np.array(scalars).T
+    peaks, sums, excesses, resolutions = np.array(scalars).T
     return {"summary_metric": float(peaks.max()), "numerics": cfg.numerics,
             "diagnostics": {**diagnostics, "spectral_sum": float(sums.min()),
-                            "occupation_excess": float(excesses.max())}}
+                            "occupation_excess": float(excesses.max()),
+                            "resolution": float(resolutions.max())}}
 
 
 def task_ness(cfg: RunConfig, outdir):

@@ -70,28 +70,24 @@ class GreensFunctionGrid:
     checked here, and the axis is kept, read-only, for the observables.
     The bath's retarded self-energy is the scalar -i gamma, so with
     H_F = V E V^dagger, G^R(nu) = V diag r(nu) V^dagger with the
-    resolvent r = 1/(nu + i gamma - E). Only V and r are stored: the
+    resolvent r = 1/(nu + i gamma - E). Only E, V and r are stored: the
     observables read what they need from them, and the (n_nu, D, D)
-    matrices G^R and G^K are formed only when read.
+    matrices G^R and G^K are formed only when read. E gives the exact
+    zone integral of the Lorentzians that A samples, against which the
+    greens task measures the grid's resolution.
     """
 
     omega: float
     m_cut: int
     dim: int
     nu: np.ndarray
-    vectors: np.ndarray      # (D, D) eigenvectors V of H_F, D = (2M+1) dim
+    energies: np.ndarray     # (D,) eigenvalues E of H_F, ascending, D = (2M+1) dim
+    vectors: np.ndarray      # (D, D) eigenvectors V of H_F
     resolvent: np.ndarray    # (n_nu, D) r(nu), one column per eigenvalue
     bath: BathSpec
 
     def __post_init__(self):
-        nu, half = np.asarray(self.nu), 0.5 * self.omega
-        axis = unfolded_axis(nu.ravel(), self.m_cut, self.omega)
-        # checks nu's ascent too; a grid an ulp inside both zone edges fails it where blocks meet
-        if not (nu.ndim == 1 and nu.size and np.all(axis[1:] > axis[:-1])
-                and nu[0] >= -half and nu[-1] < half):
-            raise ValueError(f"the nu grid must be 1-D, strictly ascending and inside "
-                             f"[-omega/2, omega/2) = [{-half:g}, {half:g}), with nu + n omega "
-                             f"ascending; got {np.array2string(nu, threshold=8)}")
+        axis = _checked_axis(self.nu, self.m_cut, self.omega)
         axis.setflags(write=False)      # one array for every observable of the grid
         object.__setattr__(self, "_axis", axis)
 
@@ -131,15 +127,30 @@ def floquet_greens(modes: FourierModeSet, bath: BathSpec, m_cut, nu_grid):
     that resolvent, and forms no matrix per frequency. G^K = G^R Sigma_b^K
     G^A, with G^A = (G^R)^dagger, is formed on request. The system
     self-energy is zero by scope, so the only broadening is the bath's.
-    nu_grid follows GreensFunctionGrid's rule, checked whatever its shape,
-    so A and N come on the ascending block-major axis of unfolded_axis.
+    nu_grid follows GreensFunctionGrid's rule, checked whatever its shape
+    and before the eigensolve, so A and N come on the ascending
+    block-major axis of unfolded_axis.
     """
-    energies, vectors = np.linalg.eigh(build_floquet_matrix(modes, m_cut).matrix)
     nu_grid = np.asarray(nu_grid, dtype=float)
+    _checked_axis(nu_grid, m_cut, modes.omega)
+    energies, vectors = np.linalg.eigh(build_floquet_matrix(modes, m_cut).matrix)
     resolvent = 1.0 / (nu_grid.reshape(-1, 1) + 1j * bath.gamma - energies)
     return GreensFunctionGrid(
-        omega=modes.omega, m_cut=m_cut, dim=modes.dim,
-        nu=nu_grid, vectors=vectors, resolvent=resolvent, bath=bath)
+        omega=modes.omega, m_cut=m_cut, dim=modes.dim, nu=nu_grid,
+        energies=energies, vectors=vectors, resolvent=resolvent, bath=bath)
+
+
+def _checked_axis(nu, m_cut, omega):
+    """unfolded_axis of a grid nu that follows GreensFunctionGrid's rule, else a ValueError."""
+    nu, half = np.asarray(nu), 0.5 * omega
+    axis = unfolded_axis(nu.ravel(), m_cut, omega)
+    # checks nu's ascent too; a grid an ulp inside both zone edges fails it where blocks meet
+    if not (nu.ndim == 1 and nu.size and np.all(axis[1:] > axis[:-1])
+            and nu[0] >= -half and nu[-1] < half):
+        raise ValueError(f"the nu grid must be 1-D, strictly ascending and inside "
+                         f"[-omega/2, omega/2) = [{-half:g}, {half:g}), with nu + n omega "
+                         f"ascending; got {np.array2string(nu, threshold=8)}")
+    return axis
 
 
 def unfolded_axis(nu, m_cut, omega):

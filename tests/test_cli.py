@@ -1030,7 +1030,7 @@ class TestRun:
         assert main(["run", write_config(tmp_path, payload)]) == 0
         diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
         assert sorted(diagnostics) == ["edge_weight", "m_raises", "occupation_excess",
-                                       "spectral_sum"]
+                                       "resolution", "spectral_sum"]
         assert diagnostics["edge_weight"] <= cli.EDGE_WEIGHT_TOL and diagnostics["m_raises"] == 0
         assert abs(diagnostics["spectral_sum"] - 1.0) < 1e-3
         assert abs(diagnostics["occupation_excess"]) < 1e-12     # N <= A up to rounding
@@ -1100,7 +1100,9 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["numerics"]["M"] == 9
         assert manifest["diagnostics"] == {"edge_weight": pytest.approx(0, abs=1e-16),
-                                           "m_raises": 0}
+                                           "m_raises": 0,
+                                           "weight0_min": pytest.approx(0.9735, abs=1e-4),
+                                           "selection_error": pytest.approx(0, abs=1e-9)}
 
     @pytest.mark.parametrize("model, task, omega, amplitude, numerics", [
         # the former default M ceil(A) + 12 at a slow, strong drive
@@ -1306,6 +1308,51 @@ class TestRun:
                             manifest["diagnostics"]["m_raises"]))
         assert reports[0] == reports[1]
         assert reports[0][2] == 2
+
+    def test_spectrum_records_its_weakest_pick(self, tmp_path):
+        # at omega 1 the picks' central weights fall to about 0.27, yet U0 stays unitary
+        path = write_config(tmp_path, {
+            "model": "honeycomb", "task": "spectrum", "output": str(tmp_path / "out"),
+            "drive": {"omega": 1.0, "amplitude": 1.0}, "numerics": {"n_k": 8}})
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "weakest central Fourier weight", UserWarning)
+            assert main(["run", path]) == 0
+        table = np.loadtxt(tmp_path / "out" / "spectrum.csv", delimiter=",", skiprows=1)
+        diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
+        assert float("%.12g" % diagnostics["weight0_min"]) == table[:, 4].min() < 0.5
+        assert diagnostics["selection_error"] < 1e-8
+
+    def test_a_duplicate_pick_reads_a_selection_error_of_order_one(self, tmp_path, monkeypatch):
+        solve = fq.sambe.physical_band
+
+        def duplicate(modes, m_cut):
+            # state 1 becomes state 0 shifted one block up: two replicas of one state
+            sol = solve(modes, m_cut)
+            vectors = sol.vectors.copy()
+            vectors[:, 1] = np.roll(vectors[:, 0], sol.dim)
+            return replace(sol, vectors=vectors)
+
+        monkeypatch.setattr(cli.sambe, "physical_band", duplicate)
+        payload = {"model": "honeycomb", "task": "spectrum", "output": str(tmp_path / "out"),
+                   "drive": {"omega": 8.0, "amplitude": 1.0}, "numerics": {"n_k": 4}}
+        cli.run_config(validate_config(payload))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["diagnostics"]["selection_error"] == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("gamma, n_k, bound", [(1e-3, 64, None), (0.05, 4, 1e-6)],
+                             ids=["gamma-1e-3", "benchmark-shaped"])
+    def test_greens_records_its_resolution(self, tmp_path, gamma, n_k, bound):
+        # at gamma 1e-3 the Lorentzians are narrower than the 401 nu points' spacing 0.0125:
+        # the point sum misses most of them at some k and overcounts them at others
+        payload = {"model": "chain1d", "task": "greens", "output": str(tmp_path / "out"),
+                   "drive": {"omega": 5.0, "amplitude": 1.0},
+                   "bath": {"gamma": gamma, "beta": 20.0}, "numerics": {"n_k": n_k}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.run_config(validate_config(payload))
+        resolution = json.loads(
+            (tmp_path / "out" / "manifest.json").read_text())["diagnostics"]["resolution"]
+        assert resolution > 1.0 if bound is None else resolution < bound
 
     def test_custom_modes_keep_their_selection_margin(self, tmp_path):
         # only the lattice modes fill to 2M: a given harmonic h still needs M >= h + 2
@@ -1682,8 +1729,12 @@ class TestTaskWorkers:
         _, occ = fq.open_system.occupation_function(grid)
         rows = b"".join(cli._csv_blocks(np.column_stack((spec, occ)), (nu_cells, item[2])))
         assert (tmp_path / "3.csv").read_bytes() == rows
-        assert result == (spec.max(), spec.sum() * (omega / nu.size) / grid.dim,
-                          np.max(occ - spec))
+        spectral_sum = spec.sum() * (omega / nu.size) / grid.dim
+        # the exact zone integral of the Lorentzians that A samples, one per eigenvalue
+        zone = np.sum(np.arctan((0.5 * omega - grid.energies) / 0.05)
+                      - np.arctan((-0.5 * omega - grid.energies) / 0.05)) / (np.pi * grid.dim)
+        assert result == (spec.max(), spectral_sum, np.max(occ - spec),
+                          abs(spectral_sum - zone))
 
     def test_greens_leaves_only_its_outputs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FLOQUET_WORKERS", "2")
@@ -1977,9 +2028,10 @@ def test_ness_builds_one_lindblad_system(tmp_path, monkeypatch):
     ({"model": "chain1d", "drive": {"omega": 8.0, "amplitude": 1.0}, "task": "spectrum"},
      "M", 10 ** 6, "2000001 x 2000001 array (the Sambe matrix)"),
     ({"model": "chain1d", "drive": {"omega": 8.0, "amplitude": 1.0}, "task": "spectrum"},
-     "n_k", 10 ** 13, "array (the eigenvectors at every k)"),
+     "n_k", 10 ** 13, "10000000000000 x 19 x 1 array (the Fourier weights at every k)"),
     ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
-      "bath": {"gamma": 0.05}}, "n_k", 10 ** 13, "10000000000000 array (the k grid)"),
+      "bath": {"gamma": 0.05}}, "n_k", 10 ** 13,
+     "10000000000000 x 21 x 1 array (the Fourier weights at every k)"),
     ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
       "bath": {"gamma": 0.05}}, "nu_points", 10 ** 12, "array (the G^R columns at one k)"),
     ({"model": "chain1d", "drive": {"omega": 5.0, "amplitude": 1.0}, "task": "greens",
@@ -1996,6 +2048,32 @@ def test_size_beyond_memory_is_a_config_error(tmp_path, capsys, payload, key, va
         assert err.startswith(f"config error: numerics.{key}: {value} needs a ")
         assert f" {array} of " in err
         assert "more than this machine's" in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_spectrum_n_k_is_sized_by_its_fourier_weights(tmp_path, monkeypatch):
+    # chain1d at omega 8 (M 9, D 19): the weights of 1000 k take 152 kB, their eigenvectors
+    # 304 kB; 200 KiB holds the first, which is all the run keeps
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 200 * 1024)
+    path = write_config(tmp_path, spectrum_config(tmp_path, numerics={"n_k": 1000}))
+    for command in ("validate", "run"):
+        assert main([command, path]) == 0
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1 + 1000
+
+
+def test_greens_n_k_is_sized_by_its_fourier_weights(tmp_path, capsys, monkeypatch):
+    # chain1d at omega 5 (M 10, D 21): the k grid of 1024 k takes 8 kB and 11 G^R columns
+    # 78 kB, but the certificate pass holds 172 kB of Fourier weights
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 128 * 1024)
+    payload = {"model": "chain1d", "task": "greens", "output": str(tmp_path / "out"),
+               "drive": {"omega": 5.0, "amplitude": 1.0}, "bath": GREENS_BATH,
+               "numerics": {"n_k": 1024, "nu_points": 11}}
+    path = write_config(tmp_path, payload)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: numerics.n_k: 1024 needs a 1024 x 21 x 1 array (the Fourier weights "
+            "at every k) of 168 KiB, more than this machine's 128 KiB of memory\n")
     assert os.listdir(tmp_path) == ["config.json"]
 
 

@@ -328,6 +328,24 @@ class TestUnfoldedAxis:
         with pytest.raises(ValueError, match="^the nu grid must be 1-D, strictly ascending "):
             fq.floquet_greens(static_level(0.3, 2.0), fq.BathSpec(gamma=0.1, beta=5.0), 2, nu)
 
+    def test_grid_is_checked_before_the_eigensolve(self, monkeypatch):
+        def no_eigensolve(matrix):
+            raise AssertionError("eigensolve of a grid outside the rule")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        with pytest.raises(ValueError, match="^the nu grid must be 1-D, strictly ascending "):
+            fq.floquet_greens(static_level(0.3, 2.0), fq.BathSpec(gamma=0.1, beta=5.0), 2,
+                              np.linspace(-2.0, 2.0, 11, endpoint=False))
+
+    def test_grid_keeps_the_eigenvalues_of_its_resolvent(self):
+        modes = fq.chain_modes(0.7, 1.0, fq.DriveProtocol(omega=5.0, amplitude=1.0), 6)
+        nu = fbz_grid(5.0, 11)
+        grid = fq.floquet_greens(modes, fq.BathSpec(gamma=0.1, beta=5.0), 6, nu)
+        matrix = fq.build_floquet_matrix(modes, 6).matrix
+        np.testing.assert_allclose(grid.energies, np.linalg.eigvalsh(matrix), atol=1e-12)
+        np.testing.assert_array_equal(grid.resolvent,
+                                      1.0 / (nu[:, None] + 0.1j - grid.energies))
+
 
 class TestLindbladRHS:
     def test_stationary_when_commuting(self):
