@@ -56,14 +56,16 @@ empty (_output_dir). Outputs are deterministic for a fixed config and
 written atomically (_atomic_file: temp + rename, and no .tmp file survives
 a failed write), with a manifest.json recording the config hash, version,
 the numerics the run read after defaults, and wall time.
-For spectrum, chern and greens it also holds "diagnostics":
-{"edge_weight": ..., "m_raises": ...}, the physical band's largest Fourier
-weight in the edge blocks |m| = M over all k, and how often the run raised
-a default M; its numerics.M is the M the run used. Above 1e-13 at an
-explicit M, or at the largest M that fits in memory, the run warns that
-numerics.M is too small. greens certifies M before it writes a row, and
-its diagnostics add "spectral_sum" and "occupation_excess", the smallest
-sum A dnu / dim over k and the largest N - A. For ness they are
+For spectrum, chern and greens it also holds "diagnostics" (_certified):
+"edge_weight", the physical band's largest Fourier weight in the edge
+blocks |m| = M over all k; "m_raises", how often the run raised a default
+M (its numerics.M is the M the run used); "weight0_min", the band's
+smallest central weight; and "selection_error", its largest
+|U0^dagger U0 - I|. Where the edge weight is above 1e-13 at an explicit M
+or at the largest M that fits in memory, or the selection error above
+1e-6, the run warns once, naming numerics.M. greens certifies M before it
+writes a row, and its diagnostics add "spectral_sum", "occupation_excess"
+and "resolution" (_greens_rows). For ness they are
 {"gap": ..., "residual": ...}, as its summary prints them.
 
 FLOQUET_WORKERS (default: the CPUs the process may use; checked for
@@ -146,9 +148,10 @@ _LATTICES = tuple(HALF_BANDWIDTH)
 # greens (default_replica_cutoff, 1.9 A and more), up to twice which the lattice modes
 # then hold every harmonic, and the bessel_tail_order(A) harmonics of hfe's lattice modes
 MAX_DEFAULT_AMPLITUDE = 50.0
-# the physical band's largest Fourier weight in the edge blocks |m| = M above
-# which spectrum, chern and greens warn; see _certified
+# the physical band's largest Fourier weight in the edge blocks |m| = M, and its largest
+# |U0^dagger U0 - I|, above which spectrum, chern and greens warn; see _certified
 EDGE_WEIGHT_TOL = 1e-13
+SELECTION_TOL = 1e-6
 CSV_BLOCK_ROWS = 8192    # rows formatted per block by _csv_blocks
 
 
@@ -817,7 +820,7 @@ def _start_worker(fn, items, blas_setters):
 
 
 def _run_item(index):
-    """fn(items[index]) in a pool worker: (result, exception, warnings raised).
+    """fn(items[index]) in a pool worker: (result, exception, its warnings as _relay takes them).
 
     Warnings are recorded under the filters the worker inherited, so an
     "error" filter makes the call fail as it would in the caller.
@@ -828,12 +831,7 @@ def _run_item(index):
             result, error = fn(items[index]), None
         except Exception as exc:  # noqa: BLE001 - raised again in the caller
             result, error = None, exc
-    return result, error, _records(caught)
-
-
-def _records(caught):
-    """The (category, message, filename, lineno) of each caught warning, as _relay takes them."""
-    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return result, error, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def _relay(caught):
@@ -949,30 +947,33 @@ def default_replica_cutoff(omega, amplitude, width):
 
 
 def _certified(cfg: RunConfig, solve):
-    """(cfg, result, diagnostics) of solve(cfg) = (result, weights) at a certified M.
+    """(cfg, result, diagnostics) of solve(cfg) = (result, weights, u0) at a certified M.
 
-    `weights` are the physical band's Fourier weights over every k of the
-    run, the block index m on axis -2 and the states on axis -1. The
-    certificate is their largest value in the edge blocks m = +-M,
-    `edge_weight` in the diagnostics. Where it exceeds EDGE_WEIGHT_TOL =
-    1e-13 at a default M (cfg.raise_m), the run solves again at M plus a
-    quarter, and at least 2 blocks, until it holds or the next M fails
-    _check_sizes; the returned cfg holds the M used, and `m_raises` counts
-    the raises. Only the last solve's warnings are raised, here. Where the
-    weight still exceeds the tolerance, at an explicit numerics.M or at
-    the memory bound, the run warns once. The weight tracks the truncation
-    error of the quasienergies but bounds it by no fixed factor: on
-    honeycomb at omega = 1, A = 4 (12 seeded k against a full solve at M =
-    60, the lattice modes filled to 2M) M = 24 left an error of 1.7e-13 at
-    a weight of 2.0e-14, which does not warn; over M = 19 to 26 the error
-    reached 9 times the weight (M = 20) and at a single k 122 times that
-    k's own (M = 23).
+    The one place that judges the physical band, from its Fourier weights
+    over every k of the run (block m on axis -2, states on axis -1) and its
+    states u(0) (_block_sum). Its diagnostics: `edge_weight`, the largest
+    weight in the edge blocks m = +-M; `weight0_min`, the smallest central
+    one; `selection_error`, max |U0^dagger U0 - I|, 0 for exact picks (the
+    Floquet theorem makes the u(0) orthonormal) and of order 1 for a
+    duplicate pick, two replicas of one state. Where the edge weight
+    exceeds EDGE_WEIGHT_TOL at a default M (cfg.raise_m), the run solves
+    again at M plus a quarter, and at least 2 blocks, until it holds or the
+    next M fails _check_sizes; the returned cfg holds the M used, and
+    `m_raises` counts the raises. A duplicate pick stays as M grows, so the
+    selection error raises no M. Where the edge weight still exceeds its
+    tolerance, or the selection error SELECTION_TOL, the run warns once.
+    The edge weight tracks the truncation error of the quasienergies but
+    bounds it by no fixed factor: on honeycomb at omega = 1, A = 4 (12
+    seeded k against a full solve at M = 60, the lattice modes filled to
+    2M) M = 24 left an error of 1.7e-13 at a weight of 2.0e-14, which does
+    not warn; over M = 19 to 26 the error reached 9 times the weight (M =
+    20) and at a single k 122 times that k's own (M = 23). A drive whose
+    harmonics skip the edge blocks leaves them empty; the selection error
+    sees that truncation.
     """
     raises = 0
     while True:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result, weights = solve(cfg)
+        result, weights, u0 = solve(cfg)
         edge = float(np.max(weights[..., [0, -1], :]))
         if edge <= EDGE_WEIGHT_TOL or not cfg.raise_m:
             break
@@ -983,33 +984,22 @@ def _certified(cfg: RunConfig, solve):
         except ConfigError:
             break
         cfg, raises = raised, raises + 1
-    _relay(_records(caught))
-    if edge > EDGE_WEIGHT_TOL:
+    gram = np.swapaxes(u0.conj(), -1, -2) @ u0
+    selection = float(np.max(np.abs(gram - np.eye(u0.shape[-1]))))
+    if edge > EDGE_WEIGHT_TOL or selection > SELECTION_TOL:
         warnings.warn(
-            f"the physical band has Fourier weight {edge:.1e} > {EDGE_WEIGHT_TOL:g} in the "
-            f"edge blocks |m| = M = {cfg.m_cut}: quasienergy errors of 9 times such a weight, "
-            "and 120 times at a single k, have been measured; raise numerics.M", stacklevel=3)
-    return cfg, result, {"edge_weight": edge, "m_raises": raises}
+            f"the physical band has Fourier weight {edge:.1e} in the edge blocks |m| = M = "
+            f"{cfg.m_cut} and a selection error |U0^dagger U0 - I| of {selection:.1e}, against "
+            f"{EDGE_WEIGHT_TOL:g} and {SELECTION_TOL:g}; raise numerics.M, unless the selection "
+            "error stays as M grows: that is a duplicate pick, which no M mends", stacklevel=3)
+    return cfg, result, {"edge_weight": edge, "m_raises": raises,
+                         "weight0_min": float(weights[..., cfg.m_cut, :].min()),
+                         "selection_error": selection}
 
 
 def _block_sum(vectors, dim):
     """U0 of picked extended vectors (..., (2M + 1) dim, dim): the sum of their blocks, u(0)."""
     return vectors.reshape(*vectors.shape[:-2], -1, dim, vectors.shape[-1]).sum(axis=-3)
-
-
-def _selection_diagnostics(weights, m_cut, u0):
-    """The replica picks' diagnostics, from their Fourier weights and U0 (_block_sum).
-
-    weight0_min is the smallest central weight. selection_error is max
-    |U0^dagger U0 - I|: the states u(0) of a physical band are orthonormal
-    by the Floquet theorem, so a duplicate pick, two replicas of one
-    state, makes U0 rank-deficient and the error of order 1, where
-    truncation alone leaves it small (4e-10 on honeycomb at omega 8, A 1,
-    M 9).
-    """
-    gram = np.swapaxes(u0.conj(), -1, -2) @ u0
-    return {"weight0_min": float(weights[..., m_cut, :].min()),
-            "selection_error": float(np.max(np.abs(gram - np.eye(u0.shape[-1]))))}
 
 
 def _physical_bands(cfg: RunConfig, ks):
@@ -1027,9 +1017,9 @@ def task_spectrum(cfg: RunConfig, outdir):
     def solve(cfg):
         # the weights give the replica centre and weight0 too
         bands = _physical_bands(cfg, ks)
-        return bands, bands[1]
+        return bands, *bands[1:]
 
-    cfg, (energies, weights, u0), diagnostics = _certified(cfg, solve)
+    cfg, (energies, weights, _), diagnostics = _certified(cfg, solve)
     dim = energies.shape[1]
     table = np.column_stack((
         np.repeat(ks, dim), np.tile(np.arange(dim), ks.size),
@@ -1038,7 +1028,6 @@ def task_spectrum(cfg: RunConfig, outdir):
     _write_csv(os.path.join(outdir, "spectrum.csv"),
                "k,branch,n_replica,quasienergy,weight0", table)
     band = table[:, 3]
-    diagnostics |= _selection_diagnostics(weights, cfg.m_cut, u0)
     return {"summary_metric": float(band.max() - band.min()),
             "numerics": cfg.numerics, "diagnostics": diagnostics}
 
@@ -1061,12 +1050,10 @@ def task_chern(cfg: RunConfig, outdir):
         solver = topology.floquet_band_solver(functools.partial(_modes, cfg), cfg.m_cut)
         grid = topology.band_grid(solver, cfg.numerics["Nk"],
                                   map_rows=functools.partial(_worker_map, workers=cfg.workers))
-        weights = sambe.fourier_weights(grid.vectors, grid.n_bands)
-        return (grid, weights), weights
+        return (grid, sambe.fourier_weights(grid.vectors, grid.n_bands),
+                _block_sum(grid.vectors, grid.n_bands))
 
-    cfg, (grid, weights), diagnostics = _certified(cfg, solve)
-    diagnostics |= _selection_diagnostics(weights, cfg.m_cut,
-                                          _block_sum(grid.vectors, grid.n_bands))
+    cfg, grid, diagnostics = _certified(cfg, solve)
     reports = []
     for band in range(grid.n_bands):
         fieldvals = topology.berry_curvature_grid(grid, band)
@@ -1143,10 +1130,7 @@ def task_greens(cfg: RunConfig, outdir):
     ks = _k_grid(cfg)
 
     def solve(cfg):
-        # greens picks no replicas, so the picks' ambiguity warning does not concern it
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "weakest central Fourier weight", UserWarning)
-            return None, _physical_bands(cfg, ks)[1]
+        return None, *_physical_bands(cfg, ks)[1:]
 
     # M is certified, and raised, before any row is written: greens.csv is streamed once
     cfg, _, diagnostics = _certified(cfg, solve)

@@ -179,10 +179,6 @@ def _pick(space, raw, vecs, w0):
     `space`, the FloquetMatrix or solution they come from, gives omega, M, dim and n_max.
     """
     picked = np.argsort(w0)[::-1][:space.dim]
-    if np.min(w0[picked]) < 0.5:
-        warnings.warn(f"weakest central Fourier weight {np.min(w0[picked]):.3f} < 0.5: "
-                      "replica identification is ambiguous at this drive strength",
-                      stacklevel=3)
     folded = fold_to_bz(raw[picked], space.omega)
     order = np.argsort(folded, kind="stable")
     picked = picked[order]
@@ -196,12 +192,12 @@ def select_physical_band(sol: QuasienergySolution):
 
     For every physical state the replica whose Fourier weight peaks in
     the central block maximizes w(0), so taking the dim states with the
-    largest w(0) retains exactly one copy each. Warns when the weakest
-    retained weight drops below 0.5, where the identification becomes
-    ambiguous under strong driving. Requires M >= n_max + SELECTION_MARGIN
-    so the retained states are away from the truncation edges, or a mode set
-    filled to n_max = 2M (_require_margin). The result is
-    sorted by folded quasienergy.
+    largest w(0) retains exactly one copy each. No w(0) warns: at a slow
+    drive it falls below 0.5 at a converged M, and the unitarity of the
+    picks' u(0) judges them (cli._certified). Requires M >= n_max +
+    SELECTION_MARGIN so the retained states are away from the truncation
+    edges, or a mode set filled to n_max = 2M (_require_margin). The result
+    is sorted by folded quasienergy.
     """
     if sol.physical:
         return sol

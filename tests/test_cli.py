@@ -1001,9 +1001,14 @@ class TestRun:
         drive = {"omega": 8.0} if model == "custom" else {"omega": 8.0, "amplitude": 1.0}
         payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
                    "drive": drive, **extra}
-        assert main(["run", write_config(tmp_path, payload)]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", write_config(tmp_path, payload)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["numerics"] == expected
+        # the custom states reach harmonic 24, past M 14: a selection error of 2.2e-6 warns
+        assert ["numerics.M" in str(w.message) for w in caught] == (
+            [True] if model == "custom" else [])
         assert all(type(value) is type(expected[key])
                    for key, value in manifest["numerics"].items())
 
@@ -1030,7 +1035,9 @@ class TestRun:
         assert main(["run", write_config(tmp_path, payload)]) == 0
         diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
         assert sorted(diagnostics) == ["edge_weight", "m_raises", "occupation_excess",
-                                       "resolution", "spectral_sum"]
+                                       "resolution", "selection_error", "spectral_sum",
+                                       "weight0_min"]
+        assert diagnostics["selection_error"] < cli.SELECTION_TOL
         assert diagnostics["edge_weight"] <= cli.EDGE_WEIGHT_TOL and diagnostics["m_raises"] == 0
         assert abs(diagnostics["spectral_sum"] - 1.0) < 1e-3
         assert abs(diagnostics["occupation_excess"]) < 1e-12     # N <= A up to rounding
@@ -1163,18 +1170,9 @@ class TestRun:
         assert manifest["numerics"]["M"] == 7 and manifest["diagnostics"]["m_raises"] == 0
 
     def test_a_failing_default_cutoff_is_raised_silently(self, tmp_path, monkeypatch):
-        # from a default of 4 at omega 8, A 1 the run raises M until the certificate
-        # holds; the warnings of the solves it discards, here one per k, reach nobody
+        # from a default of 4 at omega 8, A 1 the run raises M until the certificate holds
         raw = {"model": "honeycomb", "task": "spectrum", "drive": {"omega": 8.0, "amplitude": 1.0},
                "numerics": {"n_k": 8}}
-        physical_band = fq.sambe.physical_band
-
-        def warns_at_4(modes, m_cut):
-            if m_cut == 4:
-                warnings.warn("replica identification is ambiguous", UserWarning)
-            return physical_band(modes, m_cut)
-
-        monkeypatch.setattr(fq.sambe, "physical_band", warns_at_4)
         monkeypatch.setattr(cli, "default_replica_cutoff", lambda *args: 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1240,16 +1238,14 @@ class TestRun:
         assert np.max(np.abs(zone0(default) - zone0(wide))) < 1e-12
 
     def test_spectrum_default_cutoff_follows_a_slow_drive(self, tmp_path):
-        # omega 0.3 needs M about 27, which ceil(A) + 12 missed; the picks there also warn
-        # of ambiguous replicas at a converged M, which is not what this checks
+        # omega 0.3 needs M about 27, which ceil(A) + 12 missed
         path = write_config(tmp_path, {
             "model": "honeycomb", "task": "spectrum", "output": str(tmp_path / "out"),
             "drive": {"omega": 0.3, "amplitude": 1.0}, "numerics": {"n_k": 8}})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["run", path]) == 0
-        assert not [w for w in caught
-                    if str(w.message).startswith("the physical band has Fourier weight")]
+        assert not caught
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
 
@@ -1281,8 +1277,8 @@ class TestRun:
 
     @pytest.mark.parametrize("model, omega", [("honeycomb", 0.5), ("dirac", 0.3)])
     def test_greens_passes_on_no_replica_warning(self, tmp_path, model, omega):
-        # the physical band's picks are ambiguous at these slow drives (w0 < 0.5 at some
-        # k), but greens picks no replicas: its certificate pass only reads their weights
+        # the picks' central weights fall below 0.5 at some k at these slow drives, yet their
+        # U0 stays unitary: nothing warns
         payload = {"model": model, "task": "greens", "output": str(tmp_path / "out"),
                    "drive": {"omega": omega, "amplitude": 1.0}, "bath": GREENS_BATH,
                    "numerics": {"n_k": 4, "nu_points": 21}}
@@ -1314,9 +1310,7 @@ class TestRun:
         path = write_config(tmp_path, {
             "model": "honeycomb", "task": "spectrum", "output": str(tmp_path / "out"),
             "drive": {"omega": 1.0, "amplitude": 1.0}, "numerics": {"n_k": 8}})
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "weakest central Fourier weight", UserWarning)
-            assert main(["run", path]) == 0
+        assert main(["run", path]) == 0
         table = np.loadtxt(tmp_path / "out" / "spectrum.csv", delimiter=",", skiprows=1)
         diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
         assert float("%.12g" % diagnostics["weight0_min"]) == table[:, 4].min() < 0.5
@@ -1335,9 +1329,53 @@ class TestRun:
         monkeypatch.setattr(cli.sambe, "physical_band", duplicate)
         payload = {"model": "honeycomb", "task": "spectrum", "output": str(tmp_path / "out"),
                    "drive": {"omega": 8.0, "amplitude": 1.0}, "numerics": {"n_k": 4}}
-        cli.run_config(validate_config(payload))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.run_config(validate_config(payload))
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["diagnostics"]["selection_error"] == pytest.approx(1.0, abs=1e-3)
+        # the edge weight passes, and M is not raised on a duplicate pick
+        assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
+        assert manifest["diagnostics"]["m_raises"] == 0
+        assert len(caught) == 1 and "numerics.M" in str(caught[0].message)
+
+    @pytest.mark.parametrize("raw", [
+        {"model": "honeycomb", "task": "chern", "drive": {"omega": 2.0, "amplitude": 1.0},
+         "numerics": {"Nk": 8}},
+        {"model": "honeycomb", "task": "spectrum", "drive": {"omega": 0.3, "amplitude": 1.0},
+         "numerics": {"n_k": 16}},
+        {"model": "dirac", "task": "spectrum", "numerics": {"n_k": 16},
+         "drive": {"omega": 0.5, "amplitude": 1.0, "polarization": "circular"}},
+    ], ids=["chern-2", "spectrum-0.3", "dirac-0.5"])
+    def test_slow_drives_run_silently(self, tmp_path, raw):
+        # w0 falls below 0.5 at a certified M, where the picks are exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.run_config(validate_config({**raw, "output": str(tmp_path / "out")}))
+        diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["weight0_min"] < 0.5
+        assert diagnostics["selection_error"] < cli.SELECTION_TOL
+
+    @pytest.mark.parametrize("task", ["spectrum", "greens"])
+    def test_a_truncation_the_edge_blocks_miss_warns(self, tmp_path, task):
+        # a lone harmonic +-6 of 2 sigma_x at omega 2: at the default M 9 no harmonic reaches
+        # the edge blocks from the central one, whose weight there is 3e-34, while the
+        # quasienergies are 1.2e-3 off M 129 and U0 is not unitary
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        triples = [[0, [[0.5, 0.3], [0.3, -0.5]], zero], [6, [[0.0, 2.0], [2.0, 0.0]], zero],
+                   [-6, [[0.0, 2.0], [2.0, 0.0]], zero]]
+        payload = {"model": "custom", "task": task, "custom_modes": triples,
+                   "drive": {"omega": 2.0}, "output": str(tmp_path / "out"),
+                   "numerics": {"n_k": 4, **({"nu_points": 21} if task == "greens" else {})},
+                   **({"bath": GREENS_BATH} if task == "greens" else {})}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.run_config(validate_config(payload))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["numerics"]["M"] == 9
+        assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
+        assert manifest["diagnostics"]["selection_error"] > cli.SELECTION_TOL
+        assert len(caught) == 1 and "numerics.M" in str(caught[0].message)
 
     @pytest.mark.parametrize("gamma, n_k, bound", [(1e-3, 64, None), (0.05, 4, 1e-6)],
                              ids=["gamma-1e-3", "benchmark-shaped"])
@@ -1388,23 +1426,24 @@ class TestRun:
 
 
 def test_default_cutoff_contract():
-    """A spectrum run at the default M warns, or is within 1e-11 of M + 15.
+    """A spectrum run at the default M is silent and within 1e-11 of M + 15, or says to raise M.
 
-    40 seeded draws: chain1d or honeycomb, omega log-uniform in [0.5, 20],
+    40 seeded draws: chain1d or honeycomb, omega log-uniform in [0.3, 20],
     A uniform in [0, 8] and one k uniform in the zone, solved as
     task_spectrum solves, through _certified.
     """
     rng = np.random.default_rng(2026)
     for _ in range(40):
         model = ("chain1d", "honeycomb")[rng.integers(2)]
-        omega, amplitude = float(np.exp(rng.uniform(np.log(0.5), np.log(20.0)))), rng.uniform(0, 8)
+        omega, amplitude = float(np.exp(rng.uniform(np.log(0.3), np.log(20.0)))), rng.uniform(0, 8)
         kx, ky = rng.uniform(-math.pi, math.pi, 2) * (1, model == "honeycomb")
         cfg = validate_config({"model": model, "task": "spectrum", "output": "unused",
                                "drive": {"omega": omega, "amplitude": float(amplitude)}})
 
         def solve(cfg):
             band = fq.physical_band(cli._modes(cfg, kx, ky), cfg.m_cut)
-            return band, fq.sambe.fourier_weights(band.vectors, band.dim)
+            return (band, fq.sambe.fourier_weights(band.vectors, band.dim),
+                    cli._block_sum(band.vectors, band.dim))
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1414,7 +1453,10 @@ def test_default_cutoff_contract():
         error = np.max(np.abs(fq.fold_to_bz(band.quasienergies - reference.quasienergies,
                                             omega)))
         draw = f"{model} omega={omega:.3f} A={amplitude:.3f} k=({kx:.3f}, {ky:.3f})"
-        assert error < 1e-11 or any("raise numerics.M" in str(w.message) for w in caught), draw
+        if caught:
+            assert all("raise numerics.M" in str(w.message) for w in caught), draw
+        else:
+            assert error < 1e-11, draw
 
 
 # (model, task, --param) of a numeric setting the run does not read
@@ -1650,9 +1692,20 @@ class TestTaskWorkers:
 
     GREENS = {"model": "chain1d", "task": "greens", "bath": {"gamma": 0.05, "beta": 20.0},
               "drive": {"omega": 5.0, "amplitude": 1.0}, "numerics": {"n_k": 6, "nu_points": 21}}
-    # omega 2 warns of ambiguous replicas at 17 grid points, with 2 distinct messages
     CHERN = {"model": "honeycomb", "task": "chern", "drive": {"omega": 2.0, "amplitude": 1.0},
              "numerics": {"Nk": 8}, "write_curvature": True}
+
+    def warn_in_solves(self, monkeypatch):
+        """Make each chern solve at |kx| > 2 warn, with one of two messages by the sign of kx."""
+        modes = cli._modes
+
+        def warning_modes(cfg, kx=0.0, ky=0.0):
+            if abs(kx) > 2.0:
+                warnings.warn(f"solve at |kx| > 2, kx {'>' if kx > 0 else '<'} 0", UserWarning,
+                              stacklevel=2)
+            return modes(cfg, kx, ky)
+
+        monkeypatch.setattr(cli, "_modes", warning_modes)  # fork carries the patch
 
     def run(self, tmp_path, monkeypatch, raw, workers, action="always"):
         """Files and manifest diagnostics of one `floquet run --output`, and its warnings."""
@@ -1672,16 +1725,19 @@ class TestTaskWorkers:
 
     @pytest.mark.parametrize("raw", [GREENS, CHERN], ids=["greens", "chern"])
     def test_worker_count_does_not_change_outputs_or_warnings(self, tmp_path, monkeypatch, raw):
+        self.warn_in_solves(monkeypatch)
         serial, parallel = (self.run(tmp_path, monkeypatch, raw, workers) for workers in (1, 2))
         assert sorted(serial[0]) == sorted(
             {"greens": ["greens.csv"],
              "chern": ["chern.json", "curvature_band0.csv", "curvature_band1.csv"]}[raw["task"]])
         assert serial == parallel
         if raw["task"] == "chern":
-            assert len(serial[2]) == 17
+            # 10 of the 81 grid points at kx > 2, and 10 at kx < -2
+            assert len(serial[2]) == 20
             assert {filename for _, _, filename, _ in serial[2]} == {fq.topology.__file__}
 
     def test_default_filter_shows_each_warning_once_as_a_serial_run(self, tmp_path, monkeypatch):
+        self.warn_in_solves(monkeypatch)
         serial, parallel = (self.run(tmp_path, monkeypatch, self.CHERN, workers, "default")
                             for workers in (1, 2))
         assert len(serial[2]) == 2
@@ -1690,13 +1746,14 @@ class TestTaskWorkers:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_filter_fails_the_run_as_a_serial_run(self, tmp_path, monkeypatch, capsys,
                                                          workers):
+        self.warn_in_solves(monkeypatch)
         monkeypatch.setenv("FLOQUET_WORKERS", str(workers))
         path = write_config(tmp_path, {**self.CHERN, "output": str(tmp_path / "out")})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", path]) == 3
         assert capsys.readouterr().err.startswith(
-            "solver error: weakest central Fourier weight")
+            "solver error: solve at |kx| > 2")
         assert not (tmp_path / "out").exists()
 
     def test_dead_worker_is_a_solver_error(self, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -314,11 +315,14 @@ class TestSelectPhysicalBand:
         with pytest.raises(ValueError, match="n_max"):
             fq.select_physical_band(sol)
 
-    def test_strong_drive_warns(self):
+    def test_strong_drive_picks_silently(self):
+        # a weakest picked w0 below 0.5 is common at a slow drive, and no fault
         drive = fq.DriveProtocol(omega=2.0, amplitude=2.0, polarization="circular")
         sol = fq.quasienergies(fq.build_floquet_matrix(fq.dirac_modes(1.5, 0.0, drive), 9))
-        with pytest.warns(UserWarning, match="ambiguous"):
-            fq.select_physical_band(sol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phys = fq.select_physical_band(sol)
+        assert phys.weight0().min() < 0.5
 
     def test_replica_centers(self):
         sol = fq.select_physical_band(
@@ -423,17 +427,15 @@ class TestPhysicalBand:
         assert len(full_solves) == 1
         np.testing.assert_array_equal(phys.raw_energies, full_route(modes, 2).raw_energies)
 
-    def test_strong_drive_warns_through_window(self, full_solves):
+    def test_strong_drive_picks_silently_through_window(self, full_solves):
         # weakest picked w0 is 0.43; the window misses 0.38 of the weight
         drive = fq.DriveProtocol(omega=3.0, amplitude=2.0, polarization="circular")
         modes = fq.dirac_modes(1.3, 0.0, drive)
-        with pytest.warns(UserWarning, match="ambiguous") as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             phys = fq.physical_band(modes, 9)
-        assert not full_solves
-        assert [w.filename for w in record] == [__file__]  # names the caller
-        with pytest.warns(UserWarning, match="ambiguous") as record:
+            assert not full_solves
             full = full_route(modes, 9)
-        assert [w.filename for w in record] == [__file__]  # a direct call names its caller too
         assert np.max(np.abs(phys.weight0() - full.weight0())) < 1e-12
 
     def test_requires_margin(self, monkeypatch):
