@@ -63,9 +63,9 @@ M (its numerics.M is the M the run used); "weight0_min", the band's
 smallest central weight; and "selection_error", its largest
 |U0^dagger U0 - I|. Where the edge weight is above 1e-13 at an explicit M
 or at the largest M that fits in memory, or the selection error above
-1e-6, the run warns once, naming numerics.M. greens certifies M before it
-writes a row, and its diagnostics add "spectral_sum", "occupation_excess"
-and "resolution" (_greens_rows). For ness they are
+SELECTION_TOL, the run warns once, naming numerics.M. greens certifies M
+before it writes a row; its diagnostics add "spectral_sum",
+"occupation_excess" and "resolution" (_greens_rows). For ness they are
 {"gap": ..., "residual": ...}, as its summary prints them.
 
 FLOQUET_WORKERS (default: the CPUs the process may use; checked for
@@ -149,9 +149,10 @@ _LATTICES = tuple(HALF_BANDWIDTH)
 # then hold every harmonic, and the bessel_tail_order(A) harmonics of hfe's lattice modes
 MAX_DEFAULT_AMPLITUDE = 50.0
 # the physical band's largest Fourier weight in the edge blocks |m| = M, and its largest
-# |U0^dagger U0 - I|, above which spectrum, chern and greens warn; see _certified
+# |U0^dagger U0 - I|, above which spectrum, chern and greens warn (_certified); against
+# M 129 a truncation moves quasienergies and weight0 by selection_error^2 / 1.5 or less
 EDGE_WEIGHT_TOL = 1e-13
-SELECTION_TOL = 1e-6
+SELECTION_TOL = 3e-6
 CSV_BLOCK_ROWS = 8192    # rows formatted per block by _csv_blocks
 
 
@@ -955,21 +956,20 @@ def _certified(cfg: RunConfig, solve):
     weight in the edge blocks m = +-M; `weight0_min`, the smallest central
     one; `selection_error`, max |U0^dagger U0 - I|, 0 for exact picks (the
     Floquet theorem makes the u(0) orthonormal) and of order 1 for a
-    duplicate pick, two replicas of one state. Where the edge weight
-    exceeds EDGE_WEIGHT_TOL at a default M (cfg.raise_m), the run solves
-    again at M plus a quarter, and at least 2 blocks, until it holds or the
-    next M fails _check_sizes; the returned cfg holds the M used, and
-    `m_raises` counts the raises. A duplicate pick stays as M grows, so the
-    selection error raises no M. Where the edge weight still exceeds its
-    tolerance, or the selection error SELECTION_TOL, the run warns once.
-    The edge weight tracks the truncation error of the quasienergies but
-    bounds it by no fixed factor: on honeycomb at omega = 1, A = 4 (12
-    seeded k against a full solve at M = 60, the lattice modes filled to
-    2M) M = 24 left an error of 1.7e-13 at a weight of 2.0e-14, which does
-    not warn; over M = 19 to 26 the error reached 9 times the weight (M =
-    20) and at a single k 122 times that k's own (M = 23). A drive whose
-    harmonics skip the edge blocks leaves them empty; the selection error
-    sees that truncation.
+    duplicate pick, two replicas of one state. Where the edge weight exceeds
+    EDGE_WEIGHT_TOL at a default M (cfg.raise_m), the run solves again at M
+    plus a quarter, and at least 2 blocks, until it holds or the next M
+    fails _check_sizes; the returned cfg holds the M used, and `m_raises`
+    counts the raises. A duplicate pick stays as M grows, so the selection
+    error raises no M. Where the edge weight still exceeds its tolerance, or
+    the selection error SELECTION_TOL, the run warns once. The edge weight
+    tracks the truncation error of the quasienergies but bounds it by no
+    fixed factor: on honeycomb at omega = 1, A = 4 (12 seeded k against a
+    full solve at M = 60, the lattice modes filled to 2M) M = 24 left an
+    error of 1.7e-13 at a weight of 2.0e-14, which does not warn; over M =
+    19 to 26 the error reached 9 times the weight (M = 20) and at a single k
+    122 times that k's own (M = 23). A drive whose harmonics skip the edge
+    blocks leaves them empty; the selection error sees that truncation.
     """
     raises = 0
     while True:

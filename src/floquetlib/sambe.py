@@ -193,11 +193,11 @@ def select_physical_band(sol: QuasienergySolution):
     For every physical state the replica whose Fourier weight peaks in
     the central block maximizes w(0), so taking the dim states with the
     largest w(0) retains exactly one copy each. No w(0) warns: at a slow
-    drive it falls below 0.5 at a converged M, and the unitarity of the
-    picks' u(0) judges them (cli._certified). Requires M >= n_max +
-    SELECTION_MARGIN so the retained states are away from the truncation
-    edges, or a mode set filled to n_max = 2M (_require_margin). The result
-    is sorted by folded quasienergy.
+    drive it falls below 0.5 at a converged M. The unitarity of the picks'
+    U0 = periodic_part(0.0) judges them, in cli._certified; other callers
+    check it. Requires M >= n_max + SELECTION_MARGIN so the retained states
+    are away from the truncation edges, or a mode set filled to n_max = 2M
+    (_require_margin). The result is sorted by folded quasienergy.
     """
     if sol.physical:
         return sol

@@ -1001,14 +1001,9 @@ class TestRun:
         drive = {"omega": 8.0} if model == "custom" else {"omega": 8.0, "amplitude": 1.0}
         payload = {"model": model, "task": task, "output": str(tmp_path / "out"),
                    "drive": drive, **extra}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["run", write_config(tmp_path, payload)]) == 0
+        assert main(["run", write_config(tmp_path, payload)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["numerics"] == expected
-        # the custom states reach harmonic 24, past M 14: a selection error of 2.2e-6 warns
-        assert ["numerics.M" in str(w.message) for w in caught] == (
-            [True] if model == "custom" else [])
         assert all(type(value) is type(expected[key])
                    for key, value in manifest["numerics"].items())
 
@@ -1376,6 +1371,39 @@ class TestRun:
         assert manifest["diagnostics"]["edge_weight"] <= cli.EDGE_WEIGHT_TOL
         assert manifest["diagnostics"]["selection_error"] > cli.SELECTION_TOL
         assert len(caught) == 1 and "numerics.M" in str(caught[0].message)
+
+    @pytest.mark.parametrize("amplitude, selection, warns", [(0.1, 2.2e-6, False),
+                                                             (0.2, 8.7e-6, True)])
+    def test_selection_tolerance_warns_where_a_column_moves(self, tmp_path, amplitude,
+                                                             selection, warns):
+        # H0 0.5 and a lone harmonic +-12 at omega 8, default M 14: the states reach harmonic
+        # 24, so U0 is not quite unitary, yet at amplitude 0.1 weight0 is 3e-12 off M 129
+        # (silent) and at 0.2, 4.7e-11 (warns); the quasienergy is exact at any M
+        triples = [[0, [[0.5]], [[0.0]]], [12, [[amplitude]], [[0.0]]],
+                   [-12, [[amplitude]], [[0.0]]]]
+
+        def run(name, numerics):
+            payload = {"model": "custom", "task": "spectrum", "custom_modes": triples,
+                       "drive": {"omega": 8.0}, "output": str(tmp_path / name),
+                       "numerics": {"n_k": 2, **numerics}}
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cli.run_config(validate_config(payload))
+            table = np.loadtxt(tmp_path / name / "spectrum.csv", delimiter=",", skiprows=1)
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            return table, manifest, caught
+
+        table, manifest, caught = run("default", {})
+        reference, _, _ = run("wide", {"M": 129})
+        assert manifest["numerics"]["M"] == 14
+        assert manifest["diagnostics"]["selection_error"] == pytest.approx(selection, rel=0.02)
+        assert np.array_equal(table[:, 3], reference[:, 3])
+        if warns:
+            assert len(caught) == 1 and "raise numerics.M" in str(caught[0].message)
+            assert np.max(np.abs(table[:, 4] - reference[:, 4])) > 1e-11
+        else:
+            assert not caught
+            assert np.max(np.abs(table[:, 4] - reference[:, 4])) < 1e-11
 
     @pytest.mark.parametrize("gamma, n_k, bound", [(1e-3, 64, None), (0.05, 4, 1e-6)],
                              ids=["gamma-1e-3", "benchmark-shaped"])
