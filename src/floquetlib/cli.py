@@ -1088,11 +1088,11 @@ def _leading_cells(values):
 
 
 def _greens_rows(cfg: RunConfig, nu, nu_cells, item):
-    """Write the (nu_unfolded, k, A, N) rows of one k to its part file; three scalars there.
+    """Write the (nu_unfolded, k, A, N) rows of one k to its part file; return four scalars.
 
     `item` is (part, k, k_cell): the path the rows go to, and k with its
     cell from _leading_cells. `nu_cells` formats the unfolded axis of `nu`.
-    The rows are put together as every CSV is (_csv_blocks). Only the
+    The rows are put together as every CSV is (_csv_blocks). Only four
     scalars go back to the caller: the peak of A, its sum rule
     sum A dnu / dim, the largest N - A and the resolution. A sums the
     Lorentzians of width gamma at the eigenvalues E_a of H_F, sampled at
@@ -1120,7 +1120,7 @@ def task_greens(cfg: RunConfig, outdir):
 
     Each k's rows are computed and formatted in a worker item
     (_greens_rows), which writes them to a part file of its own in a
-    temporary directory inside `outdir` and sends back only its three
+    temporary directory inside `outdir` and sends back only its four
     scalars; the text never travels through the pool's result pipe. Here
     each part is appended to greens.csv.tmp as its item completes and then
     deleted. The directory and whatever parts are left in it go on success

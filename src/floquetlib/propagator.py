@@ -16,12 +16,13 @@ in the step size.
   multiplied with batched matmul.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import lapack
 
 from .models import _sample_times
 
@@ -139,10 +140,23 @@ def unitarity_error(u):
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
+@functools.lru_cache(maxsize=8)
+def _gees_lwork(n):
+    # the ?gees workspace at order n, which scipy.linalg.schur queries per call;
+    # the query reads the order alone, not the matrix
+    return int(lapack.zgees(lambda x: None, np.eye(n, dtype=complex), lwork=-1)[-2][0].real)
+
+
 def _unitary_eigensystem(u):
     # Schur form of a (numerically) normal matrix: diagonal T with an
-    # orthonormal frame Q, robust where plain eig loses orthogonality
-    t, q = schur(np.asarray(u, dtype=complex), output="complex")
+    # orthonormal frame Q, robust where plain eig loses orthogonality. One
+    # ?gees call, bit for bit scipy.linalg.schur(u, output="complex"); u is
+    # finite, as the callers' unitarity and Hermiticity checks ensure
+    u = np.asarray(u, dtype=complex)
+    t, _, _, q, _, info = lapack.zgees(lambda x: None, u, compute_v=1, sort_t=0,
+                                       lwork=_gees_lwork(u.shape[0]))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?gees failed (info {info})")
     return np.angle(np.diag(t)), q
 
 

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .models import FourierModeSet, _read_only
 
@@ -205,6 +205,32 @@ def select_physical_band(sol: QuasienergySolution):
     return _pick(sol, sol.raw_energies, sol.vectors, sol.weight0())
 
 
+@functools.lru_cache(maxsize=8)
+def _heevr_work(n):
+    """(lwork, lrwork, liwork) of ?heevr at order n: the workspace scipy's eigh queries per call."""
+    *work, info = lapack.zheevr_lwork(n, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?heevr workspace query failed (info {info})")
+    return tuple(int(size.real) for size in work)
+
+
+def _windowed_eigh(matrix, lo, hi):
+    """Eigenpairs of a Hermitian matrix with eigenvalue in (lo, hi], ascending.
+
+    One LAPACK ?heevr call on the lower triangle, with the workspace of its
+    order cached: bit for bit what scipy.linalg.eigh(matrix,
+    subset_by_value=(lo, hi), driver="evr") returns, without that wrapper's
+    per-call checks and workspace query. `matrix` is left intact; it must be
+    finite, which FloquetMatrix's Hermiticity check ensures.
+    """
+    lwork, lrwork, liwork = _heevr_work(matrix.shape[0])
+    w, v, m, _, info = lapack.zheevr(matrix, compute_v=1, range="V", lower=1, vl=lo, vu=hi,
+                                     lwork=lwork, lrwork=lrwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?heevr failed (info {info})")
+    return w[:m], v[:, :m]
+
+
 def physical_band(modes: FourierModeSet, m_cut):
     """select_physical_band of the full solution, from a windowed solve.
 
@@ -219,8 +245,7 @@ def physical_band(modes: FourierModeSet, m_cut):
     """
     fm = build_floquet_matrix(modes, m_cut)
     _require_margin(fm)
-    raw, vecs = scipy.linalg.eigh(fm.matrix, subset_by_value=(-fm.omega, fm.omega),
-                                  driver="evr")
+    raw, vecs = _windowed_eigh(fm.matrix, -fm.omega, fm.omega)
     # squared column norms of the central rows; an empty window gives an empty w0
     central = vecs[fm.m_cut * fm.dim:(fm.m_cut + 1) * fm.dim]
     w0 = np.sum(np.abs(central) ** 2, axis=0)

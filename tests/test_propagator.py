@@ -1,8 +1,11 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from floquetlib import propagator
 from floquetlib.models import (
     SIGMA_X,
     SIGMA_Z,
@@ -289,3 +292,28 @@ class TestMonodromyQuasienergies:
         d, sampler = drive_dirac(omega=4.0, amplitude=1.2)
         eps = quasienergies_from_monodromy(monodromy(sampler, 4.0, n_steps=2048), 4.0)
         assert np.all(eps >= -2.0) and np.all(eps < 2.0)
+
+
+class TestUnitaryEigensystem:
+    """The direct ?gees call against the scipy.linalg.schur call it replaces."""
+
+    def test_bit_equal_to_scipy_schur(self):
+        rng = np.random.default_rng(11)
+        for _ in range(250):
+            n = int(rng.integers(1, 9))
+            u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            t, q = scipy.linalg.schur(u, output="complex")
+            phases, frame = propagator._unitary_eigensystem(u)
+            np.testing.assert_array_equal(frame, q)
+            np.testing.assert_array_equal(phases, np.angle(np.diag(t)))
+
+    def test_failed_schur_form_raises(self, monkeypatch):
+        def failed(select, u, **kwargs):
+            n = u.shape[0]
+            if kwargs["lwork"] == -1:    # the workspace query, where the order is not cached yet
+                return scipy.linalg.lapack.zgees(select, u, **kwargs)
+            return u, 0, np.diag(u), np.eye(n, dtype=complex), np.zeros(1, complex), 1
+
+        monkeypatch.setattr(propagator, "lapack", SimpleNamespace(zgees=failed))
+        with pytest.raises(np.linalg.LinAlgError, match="gees failed"):
+            quasienergies_from_monodromy(np.eye(2, dtype=complex), 1.0)

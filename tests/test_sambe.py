@@ -1,11 +1,14 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy import special
+from scipy.linalg import lapack
 
 import floquetlib as fq
 from floquetlib.models import SIGMA_X, SIGMA_Z
@@ -442,7 +445,7 @@ class TestPhysicalBand:
         def no_solve(*args, **kwargs):
             raise AssertionError("eigensolve before the margin check")
 
-        monkeypatch.setattr(fq.sambe.scipy.linalg, "eigh", no_solve)
+        monkeypatch.setattr(fq.sambe, "_windowed_eigh", no_solve)
         drive = fq.DriveProtocol(omega=5.0, amplitude=1.0, polarization="circular")
         with pytest.raises(ValueError, match="replica selection needs M >= n_max"):
             fq.physical_band(fq.dirac_modes(0.0, 0.0, drive), 2)
@@ -468,6 +471,91 @@ class TestPhysicalBand:
         monkeypatch.setattr(fq.sambe, "build_floquet_matrix", skewed)
         with pytest.raises(ValueError, match="not Hermitian"):
             fq.physical_band(static_modes(SIGMA_Z, 5.0, n_max=1), 3)
+
+
+def scipy_window(matrix, lo, hi):
+    return scipy.linalg.eigh(matrix, subset_by_value=(lo, hi), driver="evr")
+
+
+def failing_lapack(*args, **kwargs):
+    raise AssertionError("LAPACK called")
+
+
+class TestWindowedEigh:
+    """The direct ?heevr call against the scipy.linalg.eigh call it replaces."""
+
+    @pytest.mark.parametrize("model", ["chain1d", "honeycomb", "dirac", "custom3"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_equal_to_scipy_eigh(self, model, seed):
+        modes = seeded_modes(model, seed)
+        fm = fq.build_floquet_matrix(modes, modes.n_max + 6)
+        before = fm.matrix.copy()
+        w, v = fq.sambe._windowed_eigh(fm.matrix, -fm.omega, fm.omega)
+        want_w, want_v = scipy_window(fm.matrix, -fm.omega, fm.omega)
+        assert 0 < w.size < fm.matrix.shape[0]
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(v, want_v)
+        np.testing.assert_array_equal(fm.matrix, before)    # the fallback reads it after
+
+    def test_bit_equal_where_the_certificate_fails(self):
+        # the matrix of test_missed_weight_above_weakest_pick_falls_back
+        omega = 5.0
+        h0 = np.diag([0.2, 7.2, -0.2]).astype(complex)
+        h1 = np.zeros((3, 3), dtype=complex)
+        h1[1, 2] = 1.6
+        fm = fq.build_floquet_matrix(fq.FourierModeSet(omega, np.stack([h1.conj().T, h0, h1])), 3)
+        w, v = fq.sambe._windowed_eigh(fm.matrix, -omega, omega)
+        want_w, want_v = scipy_window(fm.matrix, -omega, omega)
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(v, want_v)
+
+    def test_empty_window(self):
+        omega = 5.0
+        fm = fq.build_floquet_matrix(static_modes(np.diag([4.0 * omega, 6.0 * omega]), omega), 2)
+        w, v = fq.sambe._windowed_eigh(fm.matrix, -omega, omega)
+        want_w, want_v = scipy_window(fm.matrix, -omega, omega)
+        assert w.shape == want_w.shape == (0,)
+        assert v.shape == want_v.shape == (fm.matrix.shape[0], 0)
+
+    @pytest.mark.parametrize("n", [1, 19, 38, 170])
+    def test_workspace_is_the_one_scipy_eigh_queries(self, n):
+        # run on each scipy CI installs, the oldest supported one included: ?heevr_lwork
+        # must give (lwork, lrwork, liwork) in this order
+        _, query = scipy.linalg.get_lapack_funcs(("heevr", "heevr_lwork"),
+                                                 [np.zeros((1, 1), dtype=complex)])
+        assert fq.sambe._heevr_work(n) == lapack._compute_lwork(query, n=n, lower=True)
+
+    def test_failed_solve_raises(self, monkeypatch, full_solves):
+        def failed(matrix, **kwargs):
+            # a partial result with LAPACK's error code: it must not reach the band
+            n = matrix.shape[0]
+            return (np.zeros(n), np.eye(n, dtype=complex), 2, np.zeros(2 * n, np.int32), n + 1)
+
+        monkeypatch.setattr(fq.sambe, "lapack",
+                            SimpleNamespace(zheevr=failed, zheevr_lwork=lapack.zheevr_lwork))
+        drive = fq.DriveProtocol(omega=8.0, amplitude=1.0, polarization="circular")
+        with pytest.raises(np.linalg.LinAlgError, match="heevr failed"):
+            fq.physical_band(fq.honeycomb_modes(0.3, -0.4, 1.0, drive, 18), 9)
+        assert not full_solves
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_modes_are_refused_before_lapack(self, monkeypatch, value):
+        monkeypatch.setattr(fq.sambe, "lapack",
+                            SimpleNamespace(zheevr=failing_lapack, zheevr_lwork=failing_lapack))
+        modes = np.zeros((3, 2, 2), dtype=complex)
+        modes[1] = SIGMA_Z
+        modes[0] = modes[2] = 0.3 * SIGMA_X
+        bad = modes.copy()
+        bad[1, 0, 0] = value
+        slipped = fq.FourierModeSet(5.0, modes)
+        object.__setattr__(slipped, "modes", bad)
+        # inf - inf in either check also sets numpy's invalid flag; the ValueError is the refusal
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="H_-n = H_n"):
+                fq.FourierModeSet(5.0, bad)
+            # a set that slipped past its pairing check meets the Hermiticity check of the matrix
+            with pytest.raises(ValueError, match="not Hermitian"):
+                fq.physical_band(slipped, 3)
 
 
 class TestInvariants:
